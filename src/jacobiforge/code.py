@@ -7,16 +7,32 @@ same subspace compare equal.  Coordinates are 1-based everywhere a set
 of positions crosses an API boundary (supports, reference sets, design
 blocks), matching the usual [n] = {1, ..., n} convention.
 
-Subspaces of the message space GF(q)^k are enumerated by RREF pivot
-pattern (choose pivot columns, fill the free entries), so each r-dim
-subcode is produced exactly once and the count matches the Gaussian
-binomial by construction.
+Supports are int bitmasks (bit i-1 set when coordinate i is nonzero) and
+are counted in a Counter{mask: multiplicity} histogram, for every q:
+
+  * codewords: a message-indexed list of codeword masks, built by XOR
+    span doubling over GF(2) and by one pass over the codewords otherwise;
+  * r-dim subcodes: subspaces of the message space GF(q)^k are enumerated
+    by RREF pivot pattern, so each subcode is produced exactly once and
+    the count matches the Gaussian binomial by construction.  A subcode's
+    support is the OR of its RREF rows' codeword masks, and each row of a
+    pivot pattern ranges over a pivot plus the span of its free entries,
+    so a pattern is the OR-convolution of its rows' mask histograms;
+  * degree-m extension words: C (x) GF(q^m) is isomorphic to C^m as a
+    GF(q)-space, so an extension word's support is the union of m
+    codeword supports and the histogram is the m-fold OR-convolution of
+    the codeword histogram, with no GF(q^m) arithmetic.
+
+Literal enumeration (``codewords``, ``subcodes``, ``extension_codewords``)
+is kept as an independent route for the tests.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -25,7 +41,7 @@ from .errors import (
     TooLarge,
     UnsupportedBaseField,
 )
-from .gf import FieldSpec, field_new
+from .gf import _ORDER_CAP, FieldSpec, field_new
 from .qcomb import gauss_binom
 
 MAX_WORDS_DEFAULT = 1 << 24
@@ -54,6 +70,10 @@ class RefSet:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @property
+    def mask(self) -> int:
+        return coords_mask(self.members)
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -99,7 +119,7 @@ def _rank(spec: FieldSpec, rows: list[list[int]]) -> int:
 class LinearCode:
     """An [n, k] code over GF(q), canonically represented by its RREF generator."""
 
-    __slots__ = ("spec", "n", "k", "gen", "_masks")
+    __slots__ = ("spec", "n", "k", "gen")
 
     def __init__(self, spec: FieldSpec, n: int, rows: Iterable[Sequence[int]]):
         rows = [list(r) for r in rows]
@@ -114,13 +134,6 @@ class LinearCode:
         self.n = n
         self.k = len(reduced)
         self.gen = tuple(tuple(r) for r in reduced)
-        # packed row bitmasks accelerate support work over GF(2)
-        if spec.q == 2:
-            self._masks = tuple(
-                sum(1 << j for j, x in enumerate(row) if x) for row in self.gen
-            )
-        else:
-            self._masks = None
 
     def __eq__(self, other):
         return (
@@ -188,11 +201,9 @@ def parse_code(text: str) -> LinearCode:
     q, n = header["q"], header["n"]
     if q < 2 or n < 1:
         raise ParseError("need q >= 2 and n >= 1")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    if q > _ORDER_CAP:
+        raise TooLarge(f"field order {q} exceeds {_ORDER_CAP}")
+    p = next((c for c in range(2, isqrt(q) + 1) if q % c == 0), q)
     e = 0
     qq = q
     while qq % p == 0 and qq > 1:
@@ -365,6 +376,84 @@ def _message_image(code: LinearCode, msg_rows) -> list[list[int]]:
     return out
 
 
+def support_mask(vec: Sequence[int]) -> int:
+    """Bitmask of the nonzero coordinates: bit i-1 stands for coordinate i."""
+    out = 0
+    for i, x in enumerate(vec):
+        if x:
+            out |= 1 << i
+    return out
+
+
+def coords_mask(coords: Iterable[int]) -> int:
+    """Bitmask of a set of 1-based coordinates."""
+    out = 0
+    for c in coords:
+        out |= 1 << (c - 1)
+    return out
+
+
+def mask_support(mask: int) -> frozenset[int]:
+    """The 1-based coordinate set of a support mask."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def codeword_masks(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> list[int]:
+    """Support mask of every codeword, indexed by message in ``codewords`` order."""
+    spec, k = code.spec, code.k
+    if spec.q ** k > max_words:
+        raise TooLarge(f"{spec.q}^{k} codewords exceed the guard {max_words}")
+    if spec.q == 2:
+        # the last generator row is the least significant message digit
+        span = [0]
+        for row in reversed(code.gen):
+            rmask = support_mask(row)
+            span += [x ^ rmask for x in span]
+        return span
+    return [support_mask(word) for word in codewords(code, max_words)]
+
+
+def or_convolve(a: Counter, b: Counter, out: Counter | None = None) -> Counter:
+    """Add a[x] * b[y] at x | y for every pair of masks; returns out."""
+    if out is None:
+        out = Counter()
+    for x, cx in a.items():
+        for y, cy in b.items():
+            out[x | y] += cx * cy
+    return out
+
+
+def subcode_histogram(code: LinearCode, r: int, word_masks) -> Counter:
+    """Counter{support mask: number of r-dim subcodes with that support}.
+
+    word_masks(code) must return the message-indexed codeword masks; it is
+    only called for 0 < r < k, where the subcode count bounds its size.
+    """
+    q, k = code.spec.q, code.k
+    if r == 0:
+        return Counter({0: 1})
+    if r == k:
+        return Counter({support_mask(map(any, zip(*code.gen))): 1})
+    masks = word_masks(code)
+    place = [q ** (k - 1 - c) for c in range(k)]
+    out: Counter = Counter()
+    for pivots in combinations(range(k), r):
+        pivot_set = set(pivots)
+        rows = []
+        for p in pivots:
+            idx = [place[p]]
+            for c in range(p + 1, k):
+                if c not in pivot_set:
+                    step = place[c]
+                    idx = [i + a * step for a in range(q) for i in idx]
+            rows.append(Counter(masks[i] for i in idx))
+        hist = Counter({0: 1})
+        for row in rows[:-1]:
+            hist = or_convolve(hist, row)
+        or_convolve(hist, rows[-1], out)
+    return out
+
+
 def iter_subcode_supports(
     code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
 ) -> Iterator[frozenset[int]]:
@@ -375,41 +464,9 @@ def iter_subcode_supports(
         raise TooLarge(
             f"{subcode_count(code, r)} subcodes exceed the guard {max_subcodes}"
         )
-    spec = code.spec
-    if spec.q == 2 and code._masks is not None:
-        masks = code._masks
-        for msg in _iter_rref_messages(2, code.k, r):
-            union = 0
-            for mrow in msg:
-                acc = 0
-                for a, rmask in zip(mrow, masks):
-                    if a:
-                        acc ^= rmask
-                union |= acc
-            yield frozenset(
-                i + 1 for i in range(code.n) if (union >> i) & 1
-            )
-        return
-    for msg in _iter_rref_messages(spec.q, code.k, r):
-        yield rows_support(_message_image(code, msg))
-
-
-def iter_codeword_supports(
-    code: LinearCode, max_words: int = MAX_WORDS_DEFAULT
-) -> Iterator[frozenset[int]]:
-    """Support of every codeword, with multiplicity (the zero word included)."""
-    spec, k = code.spec, code.k
-    if spec.q ** k > max_words:
-        raise TooLarge(f"{spec.q}^{k} codewords exceed the guard {max_words}")
-    if spec.q == 2 and code._masks is not None:
-        span = [0]
-        for rmask in code._masks:
-            span += [x ^ rmask for x in span]
-        for mask in span:
-            yield frozenset(i + 1 for i in range(code.n) if (mask >> i) & 1)
-        return
-    for word in codewords(code, max_words):
-        yield support(word)
+    hist = subcode_histogram(code, r, lambda c: codeword_masks(c, 1 << 62))
+    for mask, mult in hist.items():
+        yield from repeat(mask_support(mask), mult)
 
 
 def shortened_dim(code: LinearCode, tset: RefSet, x_set, y_set) -> int:

@@ -17,12 +17,12 @@ from itertools import combinations
 from typing import Iterable
 
 from .bipoly import BiHomPoly
-from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet
+from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, mask_support
 from .enumerators import (
     JacobiTable,
     higher_jacobi,
     higher_weight_enum,
-    subcode_support_multiset,
+    subcode_support_histogram,
 )
 from .errors import DesignHypothesisFails
 
@@ -66,18 +66,35 @@ class BlockMultiset:
 
 
 def is_t_design(blocks: BlockMultiset, t: int) -> DesignVerdict:
-    """Exhaustive coverage count over all t-subsets of the point set."""
+    """Exhaustive coverage count over all t-subsets of the point set.
+
+    Each point is an int with one bit per block occurrence, so the blocks
+    covering a t-subset are the AND of its points' ints.
+    """
     if t < 0 or t > blocks.n:
         raise ValueError("need 0 <= t <= n")
-    coverages = set()
-    for tsub in combinations(range(1, blocks.n + 1), t):
-        tsub = frozenset(tsub)
-        cov = sum(1 for b in blocks.blocks if tsub <= b)
-        coverages.add(cov)
-        if len(coverages) > 1:
-            return DesignVerdict(False, t, None)
-    lam = coverages.pop() if coverages else 0
+    incidence = [0] * blocks.n
+    for idx, b in enumerate(blocks.blocks):
+        for i in b:
+            incidence[i - 1] |= 1 << idx
+    coverages = _coverages(incidence, 0, t, (1 << len(blocks)) - 1)
+    lam = next(coverages)
+    if any(cov != lam for cov in coverages):
+        return DesignVerdict(False, t, None)
     return DesignVerdict(True, t, lam)
+
+
+def _coverages(incidence: list[int], start: int, t: int, covered: int):
+    """popcount of covered AND the incidence of each t-subset of points
+    from start on, by depth-first search over shared prefixes."""
+    if t == 0:
+        yield covered.bit_count()
+    elif t == 1:
+        for bits in incidence[start:]:
+            yield (covered & bits).bit_count()
+    else:
+        for i in range(start, len(incidence) - t + 1):
+            yield from _coverages(incidence, i + 1, t - 1, covered & incidence[i])
 
 
 def support_shells(
@@ -85,8 +102,8 @@ def support_shells(
 ) -> dict[int, BlockMultiset]:
     """The nonempty weight shells of the r-dim subcode supports, by weight."""
     by_weight: dict[int, list[frozenset[int]]] = {}
-    for supp in subcode_support_multiset(code, r, max_subcodes):
-        by_weight.setdefault(len(supp), []).append(supp)
+    for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
+        by_weight.setdefault(mask.bit_count(), []).extend([mask_support(mask)] * mult)
     return {
         w: BlockMultiset(code.n, blocks) for w, blocks in sorted(by_weight.items())
     }
@@ -166,11 +183,13 @@ def punctured_split(
         raise ValueError(f"coordinate must lie in 1..{code.n}")
     zero_side = []
     one_side = []
-    for supp in subcode_support_multiset(code, r, max_subcodes):
-        if coord in supp:
-            one_side.append(len(supp) - 1)
+    bit = 1 << (coord - 1)
+    for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
+        w = mask.bit_count()
+        if mask & bit:
+            one_side.extend([w - 1] * mult)
         else:
-            zero_side.append(len(supp))
+            zero_side.extend([w] * mult)
     return tuple(sorted(zero_side)), tuple(sorted(one_side))
 
 

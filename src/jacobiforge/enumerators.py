@@ -15,10 +15,17 @@ Three independent computation routes exist for each grid:
     triangular relation recovers subcode grids from extension grids.
 
 All routes must agree exactly; the test suite enforces it.
+
+Direct enumeration never materialises the objects: codewords, subcodes
+and extension words are reduced to a cached Counter{support mask:
+multiplicity} (see ``code``), and every table is read off that histogram
+with popcount(mask & tmask) for the T-weight and popcount(mask) for the
+total weight.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,11 +38,11 @@ from .code import (
     MAX_WORDS_DEFAULT,
     LinearCode,
     RefSet,
+    codeword_masks,
     column_set_dim,
-    extension_codewords,
-    iter_codeword_supports,
-    iter_subcode_supports,
+    or_convolve,
     subcode_count,
+    subcode_histogram,
 )
 from .errors import NonIntegerResult, TooLarge, UnsupportedBaseField
 from .qcomb import gauss_binom, qbracket, qfact
@@ -146,39 +153,46 @@ def table_from_bipoly(
 
 
 @lru_cache(maxsize=64)
-def _codeword_supports(code: LinearCode) -> tuple[frozenset[int], ...]:
-    return tuple(iter_codeword_supports(code, max_words=1 << 62))
+def _codeword_masks(code: LinearCode) -> list[int]:
+    return codeword_masks(code, max_words=1 << 62)
+
+
+@lru_cache(maxsize=64)
+def _codeword_supports(code: LinearCode) -> Counter:
+    return Counter(_codeword_masks(code))
 
 
 @lru_cache(maxsize=128)
-def _subcode_supports(code: LinearCode, r: int) -> tuple[frozenset[int], ...]:
-    return tuple(iter_subcode_supports(code, r, max_subcodes=1 << 62))
+def _subcode_supports(code: LinearCode, r: int) -> Counter:
+    return subcode_histogram(code, r, _codeword_masks)
 
 
-def codeword_support_multiset(
+@lru_cache(maxsize=64)
+def _extension_supports(code: LinearCode, m: int) -> Counter:
+    """Degree-m extension words as m-tuples of codewords: the m-fold
+    OR-convolution of the codeword histogram."""
+    words = hist = _codeword_supports(code)
+    for _ in range(m - 1):
+        hist = or_convolve(hist, words)
+    return hist
+
+
+def codeword_support_histogram(
     code: LinearCode, max_words: int = MAX_WORDS_DEFAULT
-) -> tuple[frozenset[int], ...]:
+) -> Counter:
     if code.spec.q ** code.k > max_words:
         raise TooLarge(f"{code.spec.q}^{code.k} codewords exceed the guard")
     return _codeword_supports(code)
 
 
-def subcode_support_multiset(
+def subcode_support_histogram(
     code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> tuple[frozenset[int], ...]:
+) -> Counter:
     if not 0 <= r <= code.k:
         raise ValueError(f"need 0 <= r <= k = {code.k}")
     if subcode_count(code, r) > max_subcodes:
         raise TooLarge(f"{subcode_count(code, r)} subcodes exceed the guard")
     return _subcode_supports(code, r)
-
-
-@lru_cache(maxsize=64)
-def _extension_supports(code: LinearCode, m: int) -> tuple[frozenset[int], ...]:
-    out = []
-    for word in extension_codewords(code, m, max_words=1 << 62):
-        out.append(frozenset(i + 1 for i, x in enumerate(word) if x))
-    return tuple(out)
 
 
 @lru_cache(maxsize=64)
@@ -200,29 +214,30 @@ def _vanishing_dims(code: LinearCode) -> tuple[int, ...]:
 
 def weight_enum(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> BiHomPoly:
     """Classical weight enumerator: coefficient of x^(n-i) y^i counts weight-i words."""
-    counts = [0] * (code.n + 1)
-    for supp in codeword_support_multiset(code, max_words):
-        counts[len(supp)] += 1
-    return BiHomPoly(0, code.n, [counts])
+    return _weight_poly(code.n, codeword_support_histogram(code, max_words))
 
 
 def higher_weight_enum(
     code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
 ) -> BiHomPoly:
     """Coefficient of x^(n-i) y^i counts r-dim subcodes of support weight i."""
-    counts = [0] * (code.n + 1)
-    for supp in subcode_support_multiset(code, r, max_subcodes):
-        counts[len(supp)] += 1
-    return BiHomPoly(0, code.n, [counts])
+    return _weight_poly(code.n, subcode_support_histogram(code, r, max_subcodes))
 
 
-def _split_counts(supports, tset: RefSet) -> dict:
-    counts: dict[tuple[int, int], int] = {}
-    members = tset.members
-    for supp in supports:
-        j = len(supp & members)
-        key = (len(supp) - j, j)
-        counts[key] = counts.get(key, 0) + 1
+def _weight_poly(n: int, hist: Counter) -> BiHomPoly:
+    counts = [0] * (n + 1)
+    for mask, mult in hist.items():
+        counts[mask.bit_count()] += mult
+    return BiHomPoly(0, n, [counts])
+
+
+def _split_counts(hist: Counter, tset: RefSet) -> Counter:
+    """Counter{(complement weight, T-weight): multiplicity} of a support histogram."""
+    counts: Counter = Counter()
+    tmask = tset.mask
+    for mask, mult in hist.items():
+        j = (mask & tmask).bit_count()
+        counts[(mask.bit_count() - j, j)] += mult
     return counts
 
 
@@ -231,7 +246,7 @@ def jacobi(
 ) -> JacobiTable:
     """Codeword split-weight table relative to T; T empty gives the weight enumerator."""
     _check_tset(code, tset)
-    counts = _split_counts(codeword_support_multiset(code, max_words), tset)
+    counts = _split_counts(codeword_support_histogram(code, max_words), tset)
     return _table_from_counts("plain", None, code, tset, counts)
 
 
@@ -241,7 +256,7 @@ def higher_jacobi(
     """Subcode split-weight table: grid[i][j] counts r-dim subcodes with
     complement-weight i and T-weight j."""
     _check_tset(code, tset)
-    counts = _split_counts(subcode_support_multiset(code, r, max_subcodes), tset)
+    counts = _split_counts(subcode_support_histogram(code, r, max_subcodes), tset)
     return _table_from_counts("higher", r, code, tset, counts)
 
 
@@ -350,7 +365,8 @@ def extended_jacobi_via_q(code: LinearCode, tset: RefSet, m: int) -> JacobiTable
 def extended_jacobi_direct(
     code: LinearCode, tset: RefSet, m: int, max_words: int = MAX_WORDS_DEFAULT
 ) -> JacobiTable:
-    """Extension table by brute enumeration of the q^(mk) extension words."""
+    """Extension table counted word by word: each of the q^(mk) extension
+    words is an m-tuple of codewords, and its support is their union."""
     _check_tset(code, tset)
     if code.spec.e != 1:
         raise UnsupportedBaseField("direct extension needs a prime base field")

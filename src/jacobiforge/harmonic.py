@@ -29,8 +29,8 @@ from itertools import combinations
 from math import comb
 
 from .bipoly import BiHomPoly
-from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet
-from .enumerators import JacobiTable, subcode_support_multiset
+from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, mask_support
+from .enumerators import JacobiTable, subcode_support_histogram
 from .errors import (
     DegreeUnderflow,
     NonIntegerResult,
@@ -181,8 +181,8 @@ def harmonic_higher_wenum(
     if f.n != code.n:
         raise ValueError("function and code live on different coordinate sets")
     counts = [Fraction(0)] * (code.n + 1)
-    for supp in subcode_support_multiset(code, r, max_subcodes):
-        counts[len(supp)] += f_tilde(f, supp)
+    for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
+        counts[mask.bit_count()] += mult * f_tilde(f, mask_support(mask))
     return BiHomPoly(0, code.n, [counts])
 
 
@@ -314,9 +314,10 @@ def recover_jacobi(
         raise ValueError("need |T| <= n/2 for the Hahn parameterization")
     n = code.n
     stats: dict[tuple[int, int], int] = {}
-    for supp in subcode_support_multiset(code, r, max_subcodes):
-        key = (len(supp), len(supp & tset.members))
-        stats[key] = stats.get(key, 0) + 1
+    tmask = tset.mask
+    for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
+        key = (mask.bit_count(), (mask & tmask).bit_count())
+        stats[key] = stats.get(key, 0) + mult
     grid = [[0] * (t + 1) for _ in range(n - t + 1)]
     for ell in range(n + 1):
         feasible = [

@@ -11,6 +11,7 @@ how many worker processes execute the items.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 from itertools import combinations
 
@@ -43,7 +44,7 @@ from .enumerators import (
     jacobi,
     weight_enum,
 )
-from .errors import DesignHypothesisFails, TooLarge
+from .errors import DesignHypothesisFails, NonIntegerResult, TooLarge
 from .harmonic import delsarte_design_check, recover_jacobi
 from .qcomb import gauss_binom
 from .transforms import MWContext, mw_extended_jacobi, mw_higher_jacobi, mw_higher_weight
@@ -251,8 +252,18 @@ def _run_worker(item) -> tuple[str, str]:
         ok, detail = run_item(_WORKER_CODE, kind, params, _WORKER_GUARDS)
     except TooLarge as exc:
         return "SKIP", f"guard exceeded: {exc}"
+    except NonIntegerResult as exc:
+        # an exact route produced a fraction: an identity violation, not a crash
+        return "FAIL", f"non-integer result: {exc}"
     status = "SKIP" if ok is None else ("PASS" if ok else "FAIL")
     return status, detail
+
+
+def worker_count(jobs: int, items: int, cpus: int | None = None) -> int:
+    """Processes worth starting: never more than the items or the CPUs."""
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, items, cpus))
 
 
 def verify_all(
@@ -273,6 +284,7 @@ def verify_all(
             )
     items = build_items(code, r_max, m_max, t_max, seed)
     guards = (max_subcodes, max_words)
+    jobs = worker_count(jobs, len(items))
     if jobs <= 1:
         _init_worker(render_code(code), guards)
         results = [_run_worker(item) for item in items]

@@ -6,6 +6,10 @@ from jacobiforge import LinearCode, field_new, parse_code
 
 EX44_TEXT = "q=2 n=6\n110000\n001100\n000011\n"
 HAMMING74_TEXT = "q=2 n=7\n1000110\n0100101\n0010011\n0001111\n"
+# extended binary Golay [24,12,8]: cyclic shifts of one row plus parity
+GOLAY24_TEXT = "q=2 n=24\n" + "".join(
+    "0" * s + "10101110001100000000000"[: 23 - s] + "1\n" for s in range(12)
+)
 
 # [6,3] binary, self-dual, generator rows 110000 / 001100 / 000011
 def ex44() -> LinearCode:
@@ -14,6 +18,10 @@ def ex44() -> LinearCode:
 
 def hamming74() -> LinearCode:
     return parse_code(HAMMING74_TEXT)
+
+
+def golay24() -> LinearCode:
+    return parse_code(GOLAY24_TEXT)
 
 
 def random_code(rng: random.Random, q: int, n: int, rows: int) -> LinearCode:

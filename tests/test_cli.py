@@ -157,3 +157,11 @@ def test_verify_passes_and_is_deterministic(ex44_path):
     parallel = run_cli("verify", "--code", ex44_path, "--all", "--jobs", "3")
     assert parallel.returncode == 0
     assert parallel.stdout == first.stdout
+
+
+def test_oversized_field_order_exits_promptly(tmp_path):
+    big = tmp_path / "big.txt"
+    big.write_text("q=100000000003 n=3\n1 2 3\n")
+    res = run_cli("wenum", "--code", str(big), timeout=2)
+    assert res.returncode == 2
+    assert "TooLarge" in res.stderr

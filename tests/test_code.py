@@ -58,6 +58,17 @@ def test_parse_errors():
         parse_code("q=2 n=3\n01\n")
 
 
+def test_parse_field_order_factoring_and_cap():
+    assert parse_code("q=49 n=2\n1 48\n").spec.p == 7
+    assert parse_code("q=49 n=2\n1 48\n").spec.e == 2
+    assert parse_code("q=65521 n=1\n1\n").spec.p == 65521
+    with pytest.raises(ParseError):
+        parse_code("q=35 n=1\n1\n")
+    for q in (65537, 100000000003):
+        with pytest.raises(TooLarge):
+            parse_code(f"q={q} n=3\n")
+
+
 def test_render_roundtrip():
     for code in (ex44(), hamming74(), parse_code("q=3 n=4\n1012\n0111\n")):
         assert parse_code(render_code(code)) == code

@@ -1,0 +1,57 @@
+"""Each identity check must be able to fail: corrupt one route and the
+check that compares it with an independent route must report it."""
+
+from collections import Counter
+
+from helpers import golay24, hamming74
+from jacobiforge import BlockMultiset, delsarte_design_check, is_t_design, verify_all
+from jacobiforge import enumerators
+from jacobiforge.designs import support_shells
+
+
+def bumped(fn):
+    """fn with one more object at its first support mask, cache untouched."""
+
+    def corrupt(*args):
+        hist = Counter(fn(*args))
+        hist[next(iter(hist))] += 1
+        return hist
+
+    return corrupt
+
+
+def failing_labels(lines):
+    return [line for line in lines if line.startswith("FAIL ")]
+
+
+def test_extension_histogram_corruption_fails_ejac_direct(monkeypatch):
+    monkeypatch.setattr(
+        enumerators, "_extension_supports", bumped(enumerators._extension_supports)
+    )
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=2, t_max=1, seed=1)
+    assert not ok
+    assert lines[-1].startswith("verify: IDENTITY VIOLATION FOUND")
+    fails = failing_labels(lines)
+    assert any(line.startswith("FAIL ejac-direct m=2 ") for line in fails), fails
+
+
+def test_subcode_histogram_corruption_fails_hjac_via_dims(monkeypatch):
+    monkeypatch.setattr(
+        enumerators, "_subcode_supports", bumped(enumerators._subcode_supports)
+    )
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    assert any(line.startswith("FAIL hjac-via-dims r=1 ") for line in fails), fails
+    # a transform that no longer comes out integral is reported, not raised
+    assert any(
+        line.startswith("FAIL mw-hjac r=1 ") and "non-integer result" in line
+        for line in fails
+    ), fails
+
+
+def test_golay_shell_missing_one_block_is_not_a_5_design():
+    shell = support_shells(golay24(), 1)[8]
+    damaged = BlockMultiset(shell.n, shell.blocks[1:])
+    assert is_t_design(damaged, 5).is_design is False
+    assert delsarte_design_check(damaged, 5) is False

@@ -2,6 +2,7 @@ import random
 
 from helpers import ex44, hamming74, random_code
 from jacobiforge import verify_all
+from jacobiforge.verify import worker_count
 
 
 def test_verify_all_golden_code():
@@ -33,3 +34,19 @@ def test_verify_all_deterministic_lines():
     assert a == b
     c, _ = verify_all(ex44(), seed=6)
     assert c != a  # different reference-set samples
+
+
+def test_worker_count_is_clamped_to_items_and_cpus():
+    assert worker_count(2, 131, cpus=2) == 2
+    assert worker_count(10 ** 6, 131, cpus=2) == 2
+    assert worker_count(8, 3, cpus=16) == 3
+    assert worker_count(0, 5, cpus=4) == 1
+    assert worker_count(-3, 5, cpus=4) == 1
+    assert 1 <= worker_count(4, 10) <= 4
+
+
+def test_verify_all_same_lines_for_any_jobs():
+    code = hamming74()
+    one, _ = verify_all(code, r_max=1, m_max=1, t_max=1, seed=2, jobs=1)
+    many, _ = verify_all(code, r_max=1, m_max=1, t_max=1, seed=2, jobs=10 ** 6)
+    assert one == many
