@@ -10,28 +10,32 @@ blocks), matching the usual [n] = {1, ..., n} convention.
 Supports are int bitmasks (bit i-1 set when coordinate i is nonzero) and
 are counted in a Counter{mask: multiplicity} histogram, for every q:
 
-  * codewords: a message-indexed list of codeword masks, built by XOR
-    span doubling over GF(2) and by one pass over the codewords otherwise;
+  * codewords: one mask per monic message (first nonzero digit 1), built
+    by XOR span doubling over GF(2) and word by word otherwise; each
+    stands for its q - 1 nonzero scalar multiples, so the list has
+    (q^k - 1)/(q - 1) entries, no more than the r-dim subcodes for any
+    0 < r < k;
   * r-dim subcodes: subspaces of the message space GF(q)^k are enumerated
     by RREF pivot pattern, so each subcode is produced exactly once and
-    the count matches the Gaussian binomial by construction.  A subcode's
-    support is the OR of its RREF rows' codeword masks, and each row of a
-    pivot pattern ranges over a pivot plus the span of its free entries,
-    so a pattern is the OR-convolution of its rows' mask histograms;
+    the count matches the Gaussian binomial by construction.  Every RREF
+    row is monic, a subcode's support is the OR of its rows' masks, and
+    each row of a pivot pattern ranges over a pivot plus the span of its
+    free entries, so a pattern is the OR-convolution of its rows' mask
+    histograms;
   * degree-m extension words: C (x) GF(q^m) is isomorphic to C^m as a
     GF(q)-space, so an extension word's support is the union of m
     codeword supports and the histogram is the m-fold OR-convolution of
     the codeword histogram, with no GF(q^m) arithmetic.
 
-Literal enumeration (``codewords``, ``subcodes``, ``extension_codewords``)
-is kept as an independent route for the tests.
+Literal enumeration (``codewords``, ``subcodes``, ``iter_subcode_supports``,
+``extension_codewords``) is kept as an independent route for the tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -287,19 +291,20 @@ def codewords(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> Iterator[
     spec, k, n = code.spec, code.k, code.n
     if spec.q ** k > max_words:
         raise TooLarge(f"{spec.q}^{k} codewords exceed the guard {max_words}")
-    if k == 0:
-        yield (0,) * n
-        return
-    scaled = [
-        [tuple(spec.mul(a, x) for x in row) for a in range(spec.q)] for row in code.gen
-    ]
-    for msg in product(range(spec.q), repeat=k):
+    for word in _span_words(spec, n, code.gen):
+        yield tuple(word)
+
+
+def _span_words(spec: FieldSpec, n: int, rows) -> Iterator[list[int]]:
+    """Every GF(q)-combination of the rows, coefficients in lexicographic order."""
+    scaled = [[tuple(spec.mul(a, x) for x in row) for a in range(spec.q)] for row in rows]
+    for msg in product(range(spec.q), repeat=len(rows)):
         word = [0] * n
         for a, row_mult in zip(msg, scaled):
             if a:
                 mult = row_mult[a]
                 word = [spec.add(x, y) for x, y in zip(word, mult)]
-        yield tuple(word)
+        yield word
 
 
 def _iter_rref_messages(q: int, k: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -398,19 +403,33 @@ def mask_support(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def codeword_masks(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> list[int]:
-    """Support mask of every codeword, indexed by message in ``codewords`` order."""
-    spec, k = code.spec, code.k
-    if spec.q ** k > max_words:
-        raise TooLarge(f"{spec.q}^{k} codewords exceed the guard {max_words}")
+def monic_masks(code: LinearCode) -> list[int]:
+    """Support mask of every monic message: first nonzero digit 1.
+
+    A nonzero codeword is one of q - 1 scalar multiples of the image of a
+    monic message, and scaling keeps the support, so these (q^k - 1)/(q - 1)
+    masks stand for all nonzero codewords.  The list runs over the leading
+    position p = 0..k-1 and, inside each block, over the digits after p read
+    as a base-q number, most significant first.
+    """
+    spec, n, gen = code.spec, code.n, code.gen
+    blocks = []
     if spec.q == 2:
-        # the last generator row is the least significant message digit
+        # XOR span doubling; the last generator row is the least significant digit
         span = [0]
-        for row in reversed(code.gen):
+        for row in reversed(gen):
             rmask = support_mask(row)
-            span += [x ^ rmask for x in span]
-        return span
-    return [support_mask(word) for word in codewords(code, max_words)]
+            block = [x ^ rmask for x in span]
+            blocks.append(block)
+            span += block
+        blocks.reverse()
+    else:
+        for p, lead in enumerate(gen):
+            blocks.append([
+                support_mask([spec.add(x, y) for x, y in zip(lead, tail)])
+                for tail in _span_words(spec, n, gen[p + 1:])
+            ])
+    return [mask for block in blocks for mask in block]
 
 
 def or_convolve(a: Counter, b: Counter, out: Counter | None = None) -> Counter:
@@ -423,25 +442,26 @@ def or_convolve(a: Counter, b: Counter, out: Counter | None = None) -> Counter:
     return out
 
 
-def subcode_histogram(code: LinearCode, r: int, word_masks) -> Counter:
+def subcode_histogram(code: LinearCode, r: int, masks: Sequence[int]) -> Counter:
     """Counter{support mask: number of r-dim subcodes with that support}.
 
-    word_masks(code) must return the message-indexed codeword masks; it is
-    only called for 0 < r < k, where the subcode count bounds its size.
+    Every RREF row is a monic message, so masks is ``monic_masks(code)``.  It
+    is read only for 0 < r < k, where the (q^k - 1)/(q - 1) monic messages
+    are no more than the r-dim subcodes.
     """
     q, k = code.spec.q, code.k
     if r == 0:
         return Counter({0: 1})
     if r == k:
         return Counter({support_mask(map(any, zip(*code.gen))): 1})
-    masks = word_masks(code)
     place = [q ** (k - 1 - c) for c in range(k)]
+    block_start = [(q ** k - q ** (k - p)) // (q - 1) for p in range(k)]
     out: Counter = Counter()
     for pivots in combinations(range(k), r):
         pivot_set = set(pivots)
         rows = []
         for p in pivots:
-            idx = [place[p]]
+            idx = [block_start[p]]
             for c in range(p + 1, k):
                 if c not in pivot_set:
                     step = place[c]
@@ -464,9 +484,8 @@ def iter_subcode_supports(
         raise TooLarge(
             f"{subcode_count(code, r)} subcodes exceed the guard {max_subcodes}"
         )
-    hist = subcode_histogram(code, r, lambda c: codeword_masks(c, 1 << 62))
-    for mask, mult in hist.items():
-        yield from repeat(mask_support(mask), mult)
+    for msg in _iter_rref_messages(code.spec.q, code.k, r):
+        yield rows_support(_message_image(code, msg))
 
 
 def shortened_dim(code: LinearCode, tset: RefSet, x_set, y_set) -> int:

@@ -38,8 +38,8 @@ from .code import (
     MAX_WORDS_DEFAULT,
     LinearCode,
     RefSet,
-    codeword_masks,
     column_set_dim,
+    monic_masks,
     or_convolve,
     subcode_count,
     subcode_histogram,
@@ -153,18 +153,23 @@ def table_from_bipoly(
 
 
 @lru_cache(maxsize=64)
-def _codeword_masks(code: LinearCode) -> list[int]:
-    return codeword_masks(code, max_words=1 << 62)
+def _monic_masks(code: LinearCode) -> list[int]:
+    return monic_masks(code)
 
 
 @lru_cache(maxsize=64)
 def _codeword_supports(code: LinearCode) -> Counter:
-    return Counter(_codeword_masks(code))
+    """The zero word, and q - 1 nonzero multiples of every monic message."""
+    hist = Counter({0: 1})
+    for mask in _monic_masks(code):
+        hist[mask] += code.spec.q - 1
+    return hist
 
 
 @lru_cache(maxsize=128)
 def _subcode_supports(code: LinearCode, r: int) -> Counter:
-    return subcode_histogram(code, r, _codeword_masks)
+    masks = _monic_masks(code) if 0 < r < code.k else ()
+    return subcode_histogram(code, r, masks)
 
 
 @lru_cache(maxsize=64)

@@ -165,3 +165,14 @@ def test_oversized_field_order_exits_promptly(tmp_path):
     res = run_cli("wenum", "--code", str(big), timeout=2)
     assert res.returncode == 2
     assert "TooLarge" in res.stderr
+
+
+def test_large_field_subcode_enumerator_is_bounded_by_subcodes(tmp_path):
+    # 65522 one-dim subcodes but 65521^2 codewords: the subcode route must
+    # never touch every codeword
+    code = tmp_path / "bigq.txt"
+    code.write_text("q=65521 n=3\n1 0 5\n0 1 7\n")
+    res = run_cli("hwenum", "-r", "1", "--code", str(code), timeout=10)
+    assert res.returncode == 0, res.stderr
+    # (1,t) has weight 2 at t = 0 and at 5 + 7t = 0; (0,1) has weight 2
+    assert res.stdout.strip() == "3*x*y^2 + 65519*y^3"

@@ -18,9 +18,9 @@ from jacobiforge import (
     subcodes,
 )
 from jacobiforge.code import (
-    codeword_masks,
     coords_mask,
     mask_support,
+    monic_masks,
     or_convolve,
     rows_support,
     support_mask,
@@ -71,9 +71,19 @@ def test_or_convolve_counts_pairs():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_codeword_masks_follow_codeword_order(q):
+def test_monic_masks_follow_monic_message_order(q):
     for code in small_codes(q):
-        assert codeword_masks(code) == [support_mask(w) for w in codewords(code)]
+        words = [support_mask(w) for w in codewords(code)]
+        k = code.k
+        # in codewords order, the monic message with leading 1 at digit p
+        # and trailing digits `tail` (base q) sits at q^(k-1-p) + tail
+        literal = [
+            words[q ** (k - 1 - p) + tail]
+            for p in range(k)
+            for tail in range(q ** (k - 1 - p))
+        ]
+        assert monic_masks(code) == literal
+        assert len(literal) == (q ** k - 1) // (q - 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
