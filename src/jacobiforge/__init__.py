@@ -39,8 +39,6 @@ from .enumerators import (
     higher_jacobi_via_q,
     higher_weight_enum,
     jacobi,
-    q_st,
-    q_st_ext,
     weight_enum,
 )
 from .errors import (

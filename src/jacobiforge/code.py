@@ -488,19 +488,6 @@ def iter_subcode_supports(
         yield rows_support(_message_image(code, msg))
 
 
-def shortened_dim(code: LinearCode, tset: RefSet, x_set, y_set) -> int:
-    """dim of the subcode vanishing on X union Y, for X in T-bar and Y in T."""
-    x_set = frozenset(x_set)
-    y_set = frozenset(y_set)
-    if not x_set <= tset.complement:
-        raise ValueError("X must lie in the complement of T")
-    if not y_set <= tset.members:
-        raise ValueError("Y must lie inside T")
-    cols = sorted(x_set | y_set)
-    sub = [[row[c - 1] for c in cols] for row in code.gen]
-    return code.k - _rank(code.spec, sub)
-
-
 def column_set_dim(code: LinearCode, cols: frozenset[int]) -> int:
     """dim of the subcode vanishing on the given 1-based coordinate set."""
     ordered = sorted(cols)
@@ -515,7 +502,8 @@ def extension_codewords(
 
     The base field embeds as the constant polynomials, so only prime base
     fields are supported; extension invariants over GF(p^e) with e > 1 are
-    reached through the rank-decomposition identity instead.
+    reached through the C^m support histogram and the rank-decomposition
+    identity instead.
     """
     if code.spec.e != 1:
         raise UnsupportedBaseField("direct extension needs a prime base field")

@@ -21,6 +21,12 @@ and extension words are reduced to a cached Counter{support mask:
 multiplicity} (see ``code``), and every table is read off that histogram
 with popcount(mask & tmask) for the T-weight and popcount(mask) for the
 total weight.
+
+The sweep takes the vanishing dimensions of all 2^n subsets at once:
+k minus the rank of the columns in U, i.e. the matroid rank function of
+the code (Greene 1976).  A DFS over subsets extends an echelon basis by
+one column at a time, in int bitmasks over GF(2) and field-table tuples
+otherwise, and keeps one byte per subset.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .bipoly import BiHomPoly, _pair_power
@@ -38,13 +43,12 @@ from .code import (
     MAX_WORDS_DEFAULT,
     LinearCode,
     RefSet,
-    column_set_dim,
     monic_masks,
     or_convolve,
     subcode_count,
     subcode_histogram,
 )
-from .errors import NonIntegerResult, TooLarge, UnsupportedBaseField
+from .errors import NonIntegerResult, TooLarge
 from .qcomb import gauss_binom, qbracket, qfact
 
 _ELL_SWEEP_CAP = 20  # 2^n column subsets; desk scale
@@ -201,16 +205,79 @@ def subcode_support_histogram(
 
 
 @lru_cache(maxsize=64)
-def _vanishing_dims(code: LinearCode) -> tuple[int, ...]:
-    """dim of the subcode vanishing on U, for every coordinate bitmask U."""
-    n = code.n
+def _vanishing_dims(code: LinearCode) -> bytes:
+    """dim of the subcode vanishing on U, for every coordinate bitmask U.
+
+    This is k minus the rank of the columns in U: the matroid rank
+    function of the code, one byte per subset.  A DFS adds columns in
+    increasing index order and carries an echelon basis of the columns
+    chosen so far, so each subset costs one column reduction against at
+    most k basis vectors.  A subset whose columns span GF(q)^k has dim 0,
+    and so has every superset: that subtree is never entered.
+    """
+    n, k = code.n, code.k
     if n > _ELL_SWEEP_CAP:
         raise TooLarge(f"vanishing-dimension sweep needs n <= {_ELL_SWEEP_CAP}")
-    out = []
-    for mask in range(1 << n):
-        cols = frozenset(i + 1 for i in range(n) if (mask >> i) & 1)
-        out.append(column_set_dim(code, cols))
-    return tuple(out)
+    dims = bytearray(1 << n)
+    if k == 0:
+        return bytes(dims)
+    cols, reduce = _column_elimination(code)
+    dims[0] = k
+
+    def extend(mask: int, start: int, basis: list) -> None:
+        rank = len(basis)
+        for c in range(start, n):
+            child = mask | (1 << c)
+            pivot = reduce(cols[c], basis)
+            if pivot is None:
+                dims[child] = k - rank
+                if c + 1 < n:
+                    extend(child, c + 1, basis)
+            elif rank + 1 < k:
+                dims[child] = k - rank - 1
+                if c + 1 < n:
+                    extend(child, c + 1, basis + [pivot])
+
+    extend(0, 0, [])
+    return bytes(dims)
+
+
+def _column_elimination(code: LinearCode):
+    """The generator's columns, and reduce(v, basis): the (pivot, vector)
+    that column v adds to an echelon basis, or None when v lies in its span.
+
+    Every basis vector is zero at the pivots of the vectors before it, so
+    one pass in insertion order clears all pivots.  Over GF(2) a column is
+    a k-bit int and its pivot the lowest set bit; otherwise it is a k-tuple,
+    its pivot the index of the first nonzero entry, and the new vector is
+    scaled so that entry is 1.
+    """
+    spec, gen = code.spec, code.gen
+    if spec.q == 2:
+        def reduce(v, basis):
+            for piv, b in basis:
+                if v & piv:
+                    v ^= b
+            return (v & -v, v) if v else None
+
+        cols = [sum(row[c] << s for s, row in enumerate(gen)) for c in range(code.n)]
+        return cols, reduce
+
+    add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
+
+    def reduce(v, basis):
+        for p, b in basis:
+            a = v[p]
+            if a:
+                a = neg(a)
+                v = tuple(add(x, mul(a, y)) for x, y in zip(v, b))
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return None
+        a = inv(v[p])
+        return p, tuple(mul(a, x) for x in v)
+
+    return list(zip(*gen)), reduce
 
 
 # ---------------------------------------------------------------------------
@@ -272,31 +339,6 @@ def _check_tset(code: LinearCode, tset: RefSet):
 
 # ---------------------------------------------------------------------------
 # vanishing-dimension route
-
-
-def q_st(code: LinearCode, tset: RefSet, r: int, s: int, t: int) -> int:
-    """Sum over |X| = s in the complement and |Y| = t in T of the number of
-    r-dim subcodes vanishing on X union Y."""
-    _check_tset(code, tset)
-    q = code.spec.q
-    total = 0
-    for x_cols in combinations(sorted(tset.complement), s):
-        for y_cols in combinations(sorted(tset.members), t):
-            ell = column_set_dim(code, frozenset(x_cols) | frozenset(y_cols))
-            total += gauss_binom(ell, r, q)
-    return total
-
-
-def q_st_ext(code: LinearCode, tset: RefSet, m: int, s: int, t: int) -> int:
-    """Extension analogue: each (X, Y) contributes (q^m)^dim of the vanishing subcode."""
-    _check_tset(code, tset)
-    qm = code.spec.q ** m
-    total = 0
-    for x_cols in combinations(sorted(tset.complement), s):
-        for y_cols in combinations(sorted(tset.members), t):
-            ell = column_set_dim(code, frozenset(x_cols) | frozenset(y_cols))
-            total += qm ** ell
-    return total
 
 
 def _q_grid(code: LinearCode, tset: RefSet, weight_of_dim) -> list[list[int]]:
@@ -370,11 +412,11 @@ def extended_jacobi_via_q(code: LinearCode, tset: RefSet, m: int) -> JacobiTable
 def extended_jacobi_direct(
     code: LinearCode, tset: RefSet, m: int, max_words: int = MAX_WORDS_DEFAULT
 ) -> JacobiTable:
-    """Extension table counted word by word: each of the q^(mk) extension
-    words is an m-tuple of codewords, and its support is their union."""
+    """Extension table counted word by word: C (x) GF(q^m) is C^m as a
+    GF(q)-space, so each of the q^(mk) extension words is an m-tuple of
+    codewords and its support is their union.  This holds over any base
+    field GF(p^e)."""
     _check_tset(code, tset)
-    if code.spec.e != 1:
-        raise UnsupportedBaseField("direct extension needs a prime base field")
     if m < 1:
         raise ValueError("extension degree m must be at least 1")
     if code.spec.q ** (m * code.k) > max_words:

@@ -22,6 +22,7 @@ weighted weight enumerators back into split-weight coefficient grids.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -188,13 +189,19 @@ def harmonic_higher_wenum(
 
 def delsarte_design_check(blocks, t: int) -> bool:
     """Delsarte criterion: the blocks form a t-design iff the f-tilde sum
-    vanishes for every harmonic basis function of degree 1..t."""
+    vanishes for every harmonic basis function f of degree 1..t.
+
+    That sum is sum_b f-tilde(b) = sum_Z f(Z) lambda_d(Z), where
+    lambda_d(Z) counts the blocks containing the d-set Z.  So for each
+    degree the incidence counts are taken once, with sum_b C(|b|, d)
+    increments, and each basis function costs one pass over its values.
+    """
     for d in range(1, t + 1):
+        lam = Counter(
+            frozenset(z) for b in blocks.blocks for z in combinations(b, d)
+        )
         for f in harm_basis(blocks.n, d):
-            total = Fraction(0)
-            for b in blocks.blocks:
-                total += f_tilde(f, b)
-            if total != 0:
+            if sum(v * lam[z] for z, v in f.values.items() if z in lam):
                 return False
     return True
 

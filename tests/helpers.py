@@ -1,8 +1,11 @@
-"""Shared builders for the test suite: golden codes and seeded random codes."""
+"""Shared builders for the test suite: golden codes, seeded random codes,
+and brute-force oracles for the vanishing-dimension route."""
 
 import random
+from itertools import combinations
 
-from jacobiforge import LinearCode, field_new, parse_code
+from jacobiforge import LinearCode, RefSet, field_new, gauss_binom, parse_code
+from jacobiforge.code import column_set_dim
 
 EX44_TEXT = "q=2 n=6\n110000\n001100\n000011\n"
 HAMMING74_TEXT = "q=2 n=7\n1000110\n0100101\n0010011\n0001111\n"
@@ -57,3 +60,35 @@ def sample_tsets(rng: random.Random, n: int, max_size: int, per_size: int = 2):
             attempts += 1
         out.extend(sorted(seen))
     return out
+
+
+def shortened_dim(code: LinearCode, tset: RefSet, x_set, y_set) -> int:
+    """dim of the subcode vanishing on X union Y, for X in T-bar and Y in T."""
+    x_set = frozenset(x_set)
+    y_set = frozenset(y_set)
+    if not x_set <= tset.complement:
+        raise ValueError("X must lie in the complement of T")
+    if not y_set <= tset.members:
+        raise ValueError("Y must lie inside T")
+    return column_set_dim(code, x_set | y_set)
+
+
+def _vanishing_pairs(code: LinearCode, tset: RefSet, s: int, t: int):
+    """dim of the subcode vanishing on X union Y, for every |X| = s in the
+    complement and |Y| = t in T."""
+    for x_cols in combinations(sorted(tset.complement), s):
+        for y_cols in combinations(sorted(tset.members), t):
+            yield shortened_dim(code, tset, x_cols, y_cols)
+
+
+def q_st(code: LinearCode, tset: RefSet, r: int, s: int, t: int) -> int:
+    """Sum over |X| = s in the complement and |Y| = t in T of the number of
+    r-dim subcodes vanishing on X union Y."""
+    q = code.spec.q
+    return sum(gauss_binom(ell, r, q) for ell in _vanishing_pairs(code, tset, s, t))
+
+
+def q_st_ext(code: LinearCode, tset: RefSet, m: int, s: int, t: int) -> int:
+    """Extension analogue: each (X, Y) contributes (q^m)^dim of the vanishing subcode."""
+    qm = code.spec.q ** m
+    return sum(qm ** ell for ell in _vanishing_pairs(code, tset, s, t))

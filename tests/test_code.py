@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import ex44, hamming74, random_code
+from helpers import ex44, hamming74, random_code, shortened_dim
 from jacobiforge import (
     FieldMismatch,
     LinearCode,
@@ -25,7 +25,6 @@ from jacobiforge.code import (
     column_set_dim,
     iter_subcode_supports,
     rows_support,
-    shortened_dim,
     subcode_count,
 )
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from helpers import ex44, hamming74, random_code, sample_tsets
+from helpers import ex44, hamming74, q_st, q_st_ext, random_code, sample_tsets
 from jacobiforge import (
     BiHomPoly,
     JacobiTable,
@@ -21,8 +21,6 @@ from jacobiforge import (
     higher_weight_enum,
     jacobi,
     parse_code,
-    q_st,
-    q_st_ext,
     weight_enum,
 )
 from jacobiforge.code import rows_support, support
@@ -221,11 +219,9 @@ def test_extended_three_routes_agree():
 
 
 def test_gf4_base_field_uses_conversion_routes():
-    # over an extension base field there is no direct extension
-    # enumeration; the rank-decomposition and dimension-sweep routes must
-    # still agree with each other and with subcode enumeration
-    from jacobiforge import UnsupportedBaseField
-
+    # over an extension base field the rank-decomposition, dimension-sweep
+    # and direct (C^m) extension routes must agree with each other and
+    # with subcode enumeration
     spec4 = field_new(2, 2)
     code = LinearCode(spec4, 4, [[1, 2, 0, 3], [0, 1, 1, 2]])
     tset = RefSet.of(4, [1, 3])
@@ -237,9 +233,8 @@ def test_gf4_base_field_uses_conversion_routes():
         c = extended_jacobi(code, tset, m)
         assert c.grid == extended_jacobi_via_q(code, tset, m).grid
         assert c.mass() == 4 ** (m * code.k)
+        assert c.grid == extended_jacobi_direct(code, tset, m).grid
     assert extended_jacobi(code, tset, 1).grid == jacobi(code, tset).grid
-    with pytest.raises(UnsupportedBaseField):
-        extended_jacobi_direct(code, tset, 2)
 
 
 def test_extension_supports_match_row_space_supports():

@@ -1,5 +1,7 @@
-"""Oracle tests for the int-mask support kernel: every histogram must equal
-the one counted from literal codewords, subcodes and extension words."""
+"""Oracle tests for the integer kernels: every support histogram must equal
+the one counted from literal codewords, subcodes and extension words, the
+rank sweep must equal one elimination per column set, and the Delsarte
+check must equal the literal f-tilde sums."""
 
 import random
 from collections import Counter
@@ -7,17 +9,27 @@ from itertools import combinations
 
 import pytest
 
-from helpers import golay24, hamming74
+from helpers import golay24, hamming74, q_st, q_st_ext, sweep_codes
 from jacobiforge import (
     BlockMultiset,
     LinearCode,
+    RefSet,
+    TooLarge,
     codewords,
+    delsarte_design_check,
+    extended_jacobi,
+    extended_jacobi_direct,
+    extended_jacobi_via_q,
     extension_codewords,
+    f_tilde,
     field_new,
+    gauss_binom,
+    harm_basis,
     is_t_design,
     subcodes,
 )
 from jacobiforge.code import (
+    column_set_dim,
     coords_mask,
     mask_support,
     monic_masks,
@@ -28,6 +40,8 @@ from jacobiforge.code import (
 from jacobiforge.designs import support_shells
 from jacobiforge.enumerators import (
     _extension_supports,
+    _q_grid,
+    _vanishing_dims,
     codeword_support_histogram,
     subcode_support_histogram,
 )
@@ -144,3 +158,110 @@ def test_golay_weight8_shell_is_steiner_5_design():
     assert len(shell) == 759
     v = is_t_design(shell, 5)
     assert (v.is_design, v.lam) == (True, 1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+def test_direct_extension_over_prime_power_base_field(p, e):
+    rng = random.Random(10 * p + e)
+    spec = field_new(p, e)
+    for _ in range(3):
+        n = rng.randrange(3, 6)
+        code = LinearCode(
+            spec, n, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(2)]
+        )
+        for T in ((), (1,), (1, n)):
+            tset = RefSet.of(n, T)
+            for m in (1, 2):
+                direct = extended_jacobi_direct(code, tset, m).grid
+                assert direct == extended_jacobi(code, tset, m).grid, (code, T, m)
+                assert direct == extended_jacobi_via_q(code, tset, m).grid, (code, T, m)
+
+
+def assert_sweep_is_rank_function(code: LinearCode):
+    dims = _vanishing_dims(code)
+    assert isinstance(dims, bytes) and len(dims) == 1 << code.n
+    for mask in range(1 << code.n):
+        assert dims[mask] == column_set_dim(code, mask_support(mask)), (code, mask)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sweep_matches_column_set_dim(q):
+    if q in (2, 3):
+        codes = [c for c in sweep_codes() if c.spec.q == q]
+    else:
+        codes = small_codes(q, count=8)
+    assert codes
+    for code in codes:
+        assert_sweep_is_rank_function(code)
+
+
+def test_sweep_edge_cases():
+    gf2, gf3, gf4 = field_new(2), field_new(3), field_new(2, 2)
+    zero = LinearCode(gf2, 5, [])
+    assert _vanishing_dims(zero) == bytes(1 << 5)
+    full = LinearCode(gf3, 4, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    assert list(_vanishing_dims(full)) == [4 - u.bit_count() for u in range(1 << 4)]
+    zero_column = LinearCode(gf3, 4, [[1, 0, 2, 1], [0, 0, 1, 1]])
+    repeated_column = LinearCode(gf4, 5, [[1, 1, 0, 3, 2], [0, 0, 1, 2, 2]])
+    for code in (zero, full, zero_column, repeated_column):
+        assert_sweep_is_rank_function(code)
+    # coordinate 2 is zero, and coordinates 1 and 2 of the GF(4) code agree
+    assert _vanishing_dims(zero_column)[0b0010] == 2
+    assert _vanishing_dims(repeated_column)[0b00011] == 1
+
+
+def test_sweep_keeps_its_length_cap():
+    code = LinearCode(field_new(2), 21, [[1] * 21])
+    with pytest.raises(TooLarge, match="n <= 20"):
+        _vanishing_dims(code)
+
+
+def test_q_grid_matches_brute_q_st():
+    rng = random.Random(5)
+    for code in sweep_codes(count=12):
+        q = code.spec.q
+        tset = RefSet.of(code.n, sorted(rng.sample(range(1, code.n + 1), 2)))
+        for r in range(code.k + 1):
+            grid = _q_grid(code, tset, lambda d: gauss_binom(d, r, q))
+            for s in range(code.n - 1):
+                for t in range(3):
+                    assert grid[s][t] == q_st(code, tset, r, s, t), (code, r, s, t)
+        grid = _q_grid(code, tset, lambda d: q ** (2 * d))
+        for s in range(code.n - 1):
+            for t in range(3):
+                assert grid[s][t] == q_st_ext(code, tset, 2, s, t), (code, s, t)
+
+
+def literal_delsarte(blocks: BlockMultiset, t: int) -> bool:
+    """The criterion as stated: sum_b f-tilde(b) = 0 for every harmonic basis
+    function f of degree 1..t."""
+    return all(
+        sum(f_tilde(f, b) for b in blocks.blocks) == 0
+        for d in range(1, t + 1)
+        for f in harm_basis(blocks.n, d)
+    )
+
+
+def test_delsarte_matches_literal_sum_and_brute_design_check():
+    rng = random.Random(11)
+    cases = [
+        BlockMultiset(5, []),
+        BlockMultiset(3, [{1}, {2}, {3}]),  # a 1-design, vacuous at t = 2
+        BlockMultiset(3, [{1}, {1}]),  # not a 1-design, vacuous at t = 2
+        BlockMultiset(4, [{1, 2}, {1, 2}, {3, 4}, {3, 4}]),
+    ]
+    for _ in range(80):
+        n = rng.randrange(1, 8)
+        pool = list(combinations(range(1, n + 1), rng.randrange(0, n + 1)))
+        blocks = [rng.choice(pool) for _ in range(rng.randrange(0, 6))]
+        if blocks and rng.random() < 0.5:
+            blocks += blocks[: rng.randrange(1, len(blocks) + 1)]
+        cases.append(BlockMultiset(n, blocks))
+    for shell in cases:
+        for t in range(shell.n + 1):
+            got = delsarte_design_check(shell, t)
+            assert got == literal_delsarte(shell, t), (shell.blocks, t)
+            # above the block size the brute definition is vacuous, while the
+            # criterion still asks for a d-design at every d <= block size
+            if t <= shell.block_size or not shell.blocks:
+                assert got == is_t_design(shell, t).is_design, (shell.blocks, t)

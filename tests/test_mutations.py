@@ -55,3 +55,12 @@ def test_golay_shell_missing_one_block_is_not_a_5_design():
     damaged = BlockMultiset(shell.n, shell.blocks[1:])
     assert is_t_design(damaged, 5).is_design is False
     assert delsarte_design_check(damaged, 5) is False
+
+
+def test_delsarte_fails_above_degree_one():
+    # every point lies on two blocks, but the pairs {1,4} and {2,3} on none
+    blocks = BlockMultiset(4, [{1, 2}, {3, 4}, {1, 3}, {2, 4}])
+    assert is_t_design(blocks, 1).is_design is True
+    assert delsarte_design_check(blocks, 1) is True
+    assert is_t_design(blocks, 2).is_design is False
+    assert delsarte_design_check(blocks, 2) is False
