@@ -4,11 +4,21 @@ A BiHomPoly of bidegree (s, n) is a sum of monomials
 
     c[j][i] * w^(s-j) z^j x^(n-i) y^i,      0 <= j <= s, 0 <= i <= n,
 
-held as a dense grid of exact rationals.  A plain bivariate polynomial
+held as a dense grid of exact numbers: each entry is a Python int when
+it is integral and a Fraction otherwise.  A plain bivariate polynomial
 in (x, y) is the s = 0 case.  The two operations that matter are
-pairwise linear substitution (each pair replaced by a 2x2 linear image
-and re-expanded) and polarization w*d/dx + z*d/dy, which moves one
-degree from the (x, y) pair to the (w, z) pair.
+pairwise linear substitution and polarization w*d/dx + z*d/dy, which
+moves one degree from the (x, y) pair to the (w, z) pair.
+
+Substitution replaces each pair by a 2x2 linear image.  The image of
+the monomial u^(deg-j) v^j of one pair is a fixed vector that depends
+only on the 2x2 map and the degree, so those vectors are cached as one
+matrix per (map, degree), with int entries where they are integral.
+The grid is then contracted with the two matrices one pair at a time,
+first over i with the (x, y) matrix and then over j with the (w, z)
+matrix: O(s n^2 + s^2 n) products instead of O(s^2 n^2).  An integral
+grid under an integral map is expanded entirely in ints; Fractions enter
+only where an entry or a matrix is fractional.
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .errors import DegreeMismatch, DegreeUnderflow
 from .exactmath import format_rational, parse_rational
@@ -46,39 +58,45 @@ class PairSubstitution:
         m = tuple(Fraction(v) for v in (a, b, c, d))
         return cls(m, m)
 
-    def then(self, second: "PairSubstitution") -> "PairSubstitution":
-        """The single map equivalent to substituting self first, then second."""
 
-        def compose(m1, m2):
-            a1, b1, c1, d1 = m1
-            a2, b2, c2, d2 = m2
-            return (
-                a1 * a2 + b1 * c2,
-                a1 * b2 + b1 * d2,
-                c1 * a2 + d1 * c2,
-                c1 * b2 + d1 * d2,
-            )
-
-        return PairSubstitution(compose(self.wz, second.wz), compose(self.xy, second.xy))
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def _pair_power(m, deg: int, j: int) -> list[Fraction]:
+def _pair_power(m, deg: int, j: int) -> list:
     """Coefficient vector of (a u + b v)^(deg-j) (c u + d v)^j over v-degree.
 
     Entry [t] is the coefficient of u^(deg-t) v^t.
     """
-    a, b, c, d = m
+    a, b, c, d = map(_exact, m)
     first = [
         math.comb(deg - j, t) * a ** (deg - j - t) * b ** t for t in range(deg - j + 1)
     ]
     second = [math.comb(j, t) * c ** (j - t) * d ** t for t in range(j + 1)]
-    out = [Fraction(0)] * (deg + 1)
+    out = [0] * (deg + 1)
     for t1, f1 in enumerate(first):
         if f1 == 0:
             continue
         for t2, f2 in enumerate(second):
             out[t1 + t2] += f1 * f2
     return out
+
+
+@lru_cache(maxsize=256)
+def _pair_matrix(m, deg: int) -> tuple[tuple, ...]:
+    """The substitution matrix of one pair at one degree, by columns.
+
+    Entry [t][j] is the coefficient of u^(deg-t) v^t in the image
+    (a u + b v)^(deg-j) (c u + d v)^j of u^(deg-j) v^j, an int where it is
+    integral.
+    """
+    rows = [_pair_power(m, deg, j) for j in range(deg + 1)]
+    return tuple(tuple(map(_exact, col)) for col in zip(*rows))
 
 
 class BiHomPoly:
@@ -89,7 +107,7 @@ class BiHomPoly:
     def __init__(self, deg_wz: int, deg_xy: int, coeff):
         if deg_wz < 0 or deg_xy < 0:
             raise ValueError("bidegrees must be nonnegative")
-        grid = tuple(tuple(Fraction(x) for x in row) for row in coeff)
+        grid = tuple(tuple(map(_exact, row)) for row in coeff)
         if len(grid) != deg_wz + 1 or any(len(row) != deg_xy + 1 for row in grid):
             raise ValueError("coefficient grid does not match bidegree")
         self.deg_wz = deg_wz
@@ -98,14 +116,12 @@ class BiHomPoly:
 
     @classmethod
     def zero(cls, deg_wz: int, deg_xy: int) -> "BiHomPoly":
-        return cls(
-            deg_wz, deg_xy, [[Fraction(0)] * (deg_xy + 1) for _ in range(deg_wz + 1)]
-        )
+        return cls(deg_wz, deg_xy, [[0] * (deg_xy + 1) for _ in range(deg_wz + 1)])
 
     @classmethod
     def from_terms(cls, deg_wz: int, deg_xy: int, terms: dict) -> "BiHomPoly":
         """Build from a {(j, i): coefficient} mapping."""
-        grid = [[Fraction(0)] * (deg_xy + 1) for _ in range(deg_wz + 1)]
+        grid = [[0] * (deg_xy + 1) for _ in range(deg_wz + 1)]
         for (j, i), c in terms.items():
             grid[j][i] += Fraction(c)
         return cls(deg_wz, deg_xy, grid)
@@ -137,7 +153,7 @@ class BiHomPoly:
         return self + other.scale(-1)
 
     def scale(self, c) -> "BiHomPoly":
-        c = Fraction(c)
+        c = _exact(c)
         return BiHomPoly(
             self.deg_wz, self.deg_xy, [[c * x for x in row] for row in self.coeff]
         )
@@ -145,36 +161,27 @@ class BiHomPoly:
     def substitute(self, sub: PairSubstitution) -> "BiHomPoly":
         """Replace each variable pair by its linear image and re-expand.
 
-        Bidegree is preserved; the expansion is a binomial convolution on
-        the coefficient grid, done exactly.
+        Bidegree is preserved.  The grid is contracted with the cached
+        (x, y) matrix over i, then with the (w, z) matrix over j.
         """
         s, n = self.deg_wz, self.deg_xy
-        wz_rows = [_pair_power(sub.wz, s, j) for j in range(s + 1)]
-        xy_rows = [_pair_power(sub.xy, n, i) for i in range(n + 1)]
-        out = [[Fraction(0)] * (n + 1) for _ in range(s + 1)]
-        for j in range(s + 1):
-            for i in range(n + 1):
-                c = self.coeff[j][i]
-                if c == 0:
-                    continue
-                wrow = wz_rows[j]
-                xrow = xy_rows[i]
-                for j2, wv in enumerate(wrow):
-                    if wv == 0:
-                        continue
-                    cw = c * wv
-                    row_out = out[j2]
-                    for i2, xv in enumerate(xrow):
-                        if xv != 0:
-                            row_out[i2] += cw * xv
-        return BiHomPoly(s, n, out)
+        xy_cols = _pair_matrix(sub.xy, n)
+        wz_cols = _pair_matrix(sub.wz, s)
+        # half[j][i2]: the grid with only the (x, y) pair substituted
+        half = [[sum(map(mul, row, col)) for col in xy_cols] for row in self.coeff]
+        half_cols = list(zip(*half))
+        return BiHomPoly(
+            s,
+            n,
+            [[sum(map(mul, wcol, hcol)) for hcol in half_cols] for wcol in wz_cols],
+        )
 
     def polarize(self) -> "BiHomPoly":
         """w * d/dx + z * d/dy: bidegree (s, n) becomes (s+1, n-1)."""
         s, n = self.deg_wz, self.deg_xy
         if n == 0:
             raise DegreeUnderflow("cannot polarize at (x, y)-degree zero")
-        out = [[Fraction(0)] * n for _ in range(s + 2)]
+        out = [[0] * n for _ in range(s + 2)]
         for j in range(s + 1):
             for i in range(n + 1):
                 c = self.coeff[j][i]

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .bipoly import BiHomPoly, _pair_power
+from .bipoly import BiHomPoly, PairSubstitution
 from .code import (
     MAX_SUBCODES_DEFAULT,
     MAX_WORDS_DEFAULT,
@@ -78,11 +78,7 @@ class JacobiTable:
 
     def to_bipoly(self) -> BiHomPoly:
         s = self.tsize()
-        coeff = [
-            [Fraction(self.grid[i][j]) for i in range(self.n - s + 1)]
-            for j in range(s + 1)
-        ]
-        return BiHomPoly(s, self.n - s, coeff)
+        return BiHomPoly(s, self.n - s, list(zip(*self.grid)))
 
     def render(self) -> str:
         return self.to_bipoly().render()
@@ -341,47 +337,34 @@ def _check_tset(code: LinearCode, tset: RefSet):
 # vanishing-dimension route
 
 
-def _q_grid(code: LinearCode, tset: RefSet, weight_of_dim) -> list[list[int]]:
-    """Q[s][t] for all (s, t) in one sweep over coordinate subsets."""
-    n = code.n
+@lru_cache(maxsize=128)
+def _dims_by_split(code: LinearCode, tmask: int) -> Counter:
+    """Counter{(|U - T|, |U & T|, dim): subsets U} of the vanishing dims."""
     dims = _vanishing_dims(code)
-    tmask = 0
-    for c in tset.members:
-        tmask |= 1 << (c - 1)
+    outside = [(mask & ~tmask).bit_count() for mask in range(len(dims))]
+    inside = [(mask & tmask).bit_count() for mask in range(len(dims))]
+    return Counter(zip(outside, inside, dims))
+
+
+def _q_grid(code: LinearCode, tset: RefSet, weight_of_dim) -> list[list[int]]:
+    """Q[s][t]: weight_of_dim summed over the subsets U with |U - T| = s
+    and |U & T| = t, read off the dims grouped once per T."""
     tsize = tset.size
     by_dim = [weight_of_dim(d) for d in range(code.k + 1)]
-    grid = [[0] * (tsize + 1) for _ in range(n - tsize + 1)]
-    for mask in range(1 << n):
-        t = (mask & tmask).bit_count()
-        s = mask.bit_count() - t
-        grid[s][t] += by_dim[dims[mask]]
+    grid = [[0] * (tsize + 1) for _ in range(code.n - tsize + 1)]
+    for (s, t, dim), count in _dims_by_split(code, tset.mask).items():
+        grid[s][t] += count * by_dim[dim]
     return grid
 
 
+_FROM_Q = PairSubstitution.both(1, -1, 0, 1)  # u^(deg-j) v^j -> (u - v)^(deg-j) v^j
+
+
 def _assemble_from_q(code, tset: RefSet, qgrid) -> BiHomPoly:
-    """Expand sum_{s,t} Q[s][t] (w-z)^t z^(|T|-t) (x-y)^s y^(n-|T|-s)."""
-    tsize = tset.size
-    nc = code.n - tsize
-    diff = (1, -1, 0, 1)  # (u - v)^(deg-j) v^j
-    wz_vecs = [_pair_power(diff, tsize, tsize - t) for t in range(tsize + 1)]
-    xy_vecs = [_pair_power(diff, nc, nc - s) for s in range(nc + 1)]
-    out = [[Fraction(0)] * (nc + 1) for _ in range(tsize + 1)]
-    for s in range(nc + 1):
-        for t in range(tsize + 1):
-            qv = qgrid[s][t]
-            if qv == 0:
-                continue
-            wv = wz_vecs[t]
-            xv = xy_vecs[s]
-            for j, a in enumerate(wv):
-                if a == 0:
-                    continue
-                qa = qv * a
-                row = out[j]
-                for i, b in enumerate(xv):
-                    if b != 0:
-                        row[i] += qa * b
-    return BiHomPoly(tsize, nc, out)
+    """Expand sum_{s,t} Q[s][t] (w-z)^t z^(|T|-t) (x-y)^s y^(n-|T|-s): the
+    Q-grid, both indices flipped, substituted by (u, v) -> (u - v, v)."""
+    flipped = [[row[t] for row in reversed(qgrid)] for t in reversed(range(tset.size + 1))]
+    return BiHomPoly(tset.size, code.n - tset.size, flipped).substitute(_FROM_Q)
 
 
 def higher_jacobi_via_q(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
@@ -476,11 +459,9 @@ def higher_from_extended(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
     q = code.spec.q
     rows = code.n - tset.size + 1
     cols = tset.size + 1
-    acc = [[Fraction(0)] * cols for _ in range(rows)]
+    acc = [[0] * cols for _ in range(rows)]
     for j in range(r + 1):
-        coeff = Fraction(
-            gauss_binom(r, j, q) * (-1) ** (r - j) * q ** comb(r - j, 2)
-        )
+        coeff = gauss_binom(r, j, q) * (-1) ** (r - j) * q ** comb(r - j, 2)
         if j == 0:
             ext = _trivial_table(code, tset, "extended", 0)
         else:
@@ -493,12 +474,12 @@ def higher_from_extended(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
     for i in range(rows):
         row = []
         for jj in range(cols):
-            val = acc[i][jj] / denom
-            if val.denominator != 1:
+            val, rem = divmod(acc[i][jj], denom)
+            if rem:
                 raise NonIntegerResult(
-                    f"entry ({i},{jj}) = {val} is not an integer"
+                    f"entry ({i},{jj}) = {Fraction(acc[i][jj], denom)} is not an integer"
                 )
-            row.append(int(val))
+            row.append(val)
         grid.append(tuple(row))
     return JacobiTable(
         kind="higher",
@@ -508,13 +489,3 @@ def higher_from_extended(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
         tset=tset,
         grid=tuple(grid),
     )
-
-
-def marginal_weight_poly(table: JacobiTable) -> BiHomPoly:
-    """Collapse the split grid to total weight: coefficient of y^l is the
-    sum of entries with i + j = l."""
-    counts = [0] * (table.n + 1)
-    for i, row in enumerate(table.grid):
-        for j, c in enumerate(row):
-            counts[i + j] += c
-    return BiHomPoly(0, table.n, [counts])

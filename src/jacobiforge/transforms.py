@@ -11,16 +11,19 @@ double sum over j and l of substituted rank-l grids with coefficients
 
     (-1)^(r-j) q^(C(r-j,2) - j(r-j) - l(j-l) - jk) / ([r-j]_q [j-l]_q).
 
-The individual summands are fractional; only the total is integral, so
-the combination is done over exact rationals and converted back with an
-integrality check.
+By linearity the inner sum over l is taken before the substitution, so
+rank r costs r + 1 substitutions.  The individual summands are
+fractional and only the total is integral, so every coefficient is
+scaled by the lcm of their denominators: the substitutions run on
+integer grids, and the total is divided by that lcm once and converted
+back with an integrality check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .bipoly import BiHomPoly, PairSubstitution
@@ -64,16 +67,31 @@ def _dual_coeff(ctx: MWContext, r: int, j: int, ell: int) -> Fraction:
     )
 
 
+def _fold(polys: Sequence[BiHomPoly], ctx: MWContext) -> BiHomPoly:
+    """sum_j S_j(sum_l c(r, j, l) P_l) for the rank-l polynomials P_l, l <= r.
+
+    By linearity the rank-l terms under one substitution S_j are summed
+    before it is applied: r + 1 substitutions instead of (r+1)(r+2)/2.
+    Every coefficient is first multiplied by the lcm D of their
+    denominators, so integral inputs are substituted in ints, and the sum
+    is divided by D once at the end.
+    """
+    r = len(polys) - 1
+    coeffs = [[_dual_coeff(ctx, r, j, ell) for ell in range(j + 1)] for j in range(r + 1)]
+    denom = lcm(*(c.denominator for row in coeffs for c in row))
+    acc = zero = BiHomPoly.zero(polys[0].deg_wz, polys[0].deg_xy)
+    for j, row in enumerate(coeffs):
+        inner = zero
+        for poly, c in zip(polys, row):
+            inner = inner + poly.scale(c * denom)
+        acc = acc + inner.substitute(_dual_substitution(ctx.q ** j))
+    return acc.scale(Fraction(1, denom))
+
+
 def mw_higher_weight(enums: Sequence[BiHomPoly], ctx: MWContext) -> BiHomPoly:
     """Dual weight enumerator of rank r from the primal enumerators of
     rank 0..r; enums[l] must be the rank-l weight enumerator."""
-    r = len(enums) - 1
-    acc = BiHomPoly.zero(0, ctx.n)
-    for j in range(r + 1):
-        sub = _dual_substitution(ctx.q ** j)
-        for ell in range(j + 1):
-            term = enums[ell].substitute(sub).scale(_dual_coeff(ctx, r, j, ell))
-            acc = acc + term
+    acc = _fold(enums, ctx)
     if not acc.is_integral():
         bad = next(
             (j, i, c)
@@ -88,14 +106,8 @@ def mw_higher_weight(enums: Sequence[BiHomPoly], ctx: MWContext) -> BiHomPoly:
 def mw_higher_jacobi(tables: Sequence[JacobiTable], ctx: MWContext) -> JacobiTable:
     """Dual split-weight table of rank r from the primal tables of rank 0..r."""
     r = len(tables) - 1
-    tset = tables[0].tset
-    acc = BiHomPoly.zero(ctx.tsize, ctx.n - ctx.tsize)
-    for j in range(r + 1):
-        sub = _dual_substitution(ctx.q ** j)
-        for ell in range(j + 1):
-            poly = tables[ell].to_bipoly().substitute(sub)
-            acc = acc + poly.scale(_dual_coeff(ctx, r, j, ell))
-    return table_from_bipoly("higher", r, ctx.q, ctx.n, tset, acc)
+    acc = _fold([table.to_bipoly() for table in tables], ctx)
+    return table_from_bipoly("higher", r, ctx.q, ctx.n, tables[0].tset, acc)
 
 
 def mw_extended_jacobi(table: JacobiTable, ctx: MWContext) -> JacobiTable:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobiforge import BiHomPoly, DegreeMismatch, DegreeUnderflow, PairSubstitution
 
@@ -24,6 +26,22 @@ def random_poly(rng, s, n):
 def random_sub(rng):
     vals = lambda: tuple(Fraction(rng.randrange(-3, 4)) for _ in range(4))
     return PairSubstitution(vals(), vals())
+
+
+def then(first, second):
+    """The single map equivalent to substituting first, then second."""
+
+    def compose(m1, m2):
+        a1, b1, c1, d1 = m1
+        a2, b2, c2, d2 = m2
+        return (
+            a1 * a2 + b1 * c2,
+            a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2,
+            c1 * b2 + d1 * d2,
+        )
+
+    return PairSubstitution(compose(first.wz, second.wz), compose(first.xy, second.xy))
 
 
 def test_add_scale_trivial():
@@ -63,7 +81,7 @@ def test_substitution_monoid_action():
     for _ in range(20):
         p = random_poly(rng, rng.randrange(0, 3), rng.randrange(0, 4))
         s1, s2 = random_sub(rng), random_sub(rng)
-        assert p.substitute(s1).substitute(s2) == p.substitute(s1.then(s2))
+        assert p.substitute(s1).substitute(s2) == p.substitute(then(s1, s2))
 
 
 def test_eval_substitute_consistency():
@@ -82,6 +100,59 @@ def test_eval_substitute_consistency():
             c2 * x + d2 * y,
         )
         assert p.substitute(s).evaluate(w, z, x, y) == p.evaluate(*moved)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small_ints = st.integers(-6, 6)
+
+
+@st.composite
+def grids(draw):
+    """(s, n, grid) with s <= 4, n <= 12; all ints or mixed ints and Fractions."""
+    s, n = draw(st.integers(0, 4)), draw(st.integers(0, 12))
+    entry = draw(st.sampled_from([small_ints, st.one_of(small_ints, rationals)]))
+    row = st.lists(entry, min_size=n + 1, max_size=n + 1)
+    return s, n, draw(st.lists(row, min_size=s + 1, max_size=s + 1))
+
+
+def singular(a, b, t):
+    """A rank <= 1 map: its second row is t times the first."""
+    return (a, b, a * t, b * t)
+
+
+def maps_over(entry):
+    return st.one_of(
+        st.tuples(entry, entry, entry, entry), st.builds(singular, entry, entry, entry)
+    )
+
+
+map_ints = st.integers(-3, 3)
+maps = st.one_of(
+    maps_over(map_ints),
+    maps_over(st.one_of(map_ints, st.fractions(-3, 3, max_denominator=3))),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grids(), maps, maps, st.lists(rationals, min_size=4, max_size=4))
+def test_substitute_property(grid, wz, xy, point):
+    s, n, coeff = grid
+    p = BiHomPoly(s, n, coeff)
+    sub = PairSubstitution.of(wz, xy)
+    w, z, x, y = point
+    a1, b1, c1, d1 = sub.wz
+    a2, b2, c2, d2 = sub.xy
+    moved = (a1 * w + b1 * z, c1 * w + d1 * z, a2 * x + b2 * y, c2 * x + d2 * y)
+    image = p.substitute(sub)
+    assert image.evaluate(w, z, x, y) == p.evaluate(*moved)
+    # the same grid given as Fractions is the same polynomial with the same image
+    as_fractions = BiHomPoly(s, n, [[Fraction(c) for c in row] for row in coeff])
+    assert as_fractions == p
+    assert as_fractions.substitute(sub) == image
+    # an integral grid under an integral map is expanded in ints alone
+    values = [c for row in coeff for c in row] + [*wz, *xy]
+    if all(type(c) is int for c in values):
+        assert all(type(c) is int for row in image.coeff for c in row)
 
 
 def test_polarize_examples():

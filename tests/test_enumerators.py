@@ -24,7 +24,6 @@ from jacobiforge import (
     weight_enum,
 )
 from jacobiforge.code import rows_support, support
-from jacobiforge.enumerators import marginal_weight_poly
 
 from math import comb
 
@@ -35,6 +34,16 @@ def xy_poly(terms, n):
 
 def grid_of(table):
     return [list(row) for row in table.grid]
+
+
+def marginal_weight_poly(table):
+    """Collapse the split grid to total weight: coefficient of y^l is the
+    sum of entries with i + j = l."""
+    counts = [0] * (table.n + 1)
+    for i, row in enumerate(table.grid):
+        for j, c in enumerate(row):
+            counts[i + j] += c
+    return BiHomPoly(0, table.n, [counts])
 
 
 # --- frozen golden grids for the [6,3] code with T = {i} ---
