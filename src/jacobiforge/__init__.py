@@ -18,7 +18,6 @@ from .code import (
     render_code,
     subcodes,
     support,
-    wt_on,
 )
 from .designs import (
     BlockMultiset,
@@ -53,12 +52,11 @@ from .errors import (
     ParseError,
     PochhammerZeroDenominator,
     SingularMatrix,
-    SpecMismatch,
     TooLarge,
     UnsupportedBaseField,
 )
-from .exactmath import RatMatrix, Rational, rat_solve
-from .gf import FieldElement, FieldSpec, field_elements, field_new
+from .exactmath import RatMatrix, rat_solve
+from .gf import FieldSpec, field_new
 from .harmonic import (
     HahnParams,
     HarmonicFn,

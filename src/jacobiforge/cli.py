@@ -134,6 +134,18 @@ def _check_rank(code: LinearCode, r: int):
         raise UsageError(f"r exceeds dimension k={code.k}")
 
 
+def _check_range(name: str, value: int, low: int, high: int):
+    if not low <= value <= high:
+        raise UsageError(f"{name} must lie in {low}..{high}")
+
+
+def _parse_rational_arg(name: str, text: str):
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad {name} value {text!r}") from exc
+
+
 def _emit_poly(poly, as_json: bool):
     if as_json:
         print(json.dumps(poly.to_json_dict()))
@@ -216,8 +228,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "hahn":
+            if not 0 <= args.m < args.N:
+                raise UsageError("hahn needs 0 <= m < N")
             params = HahnParams(
-                parse_rational(args.alpha), parse_rational(args.beta), args.N, args.m
+                _parse_rational_arg("--alpha", args.alpha),
+                _parse_rational_arg("--beta", args.beta),
+                args.N,
+                args.m,
             )
             print(format_rational(hahn_eval(params, args.x)))
             return 0
@@ -248,8 +265,7 @@ def main(argv=None) -> int:
             return _cmd_mw_check(args, code)
         if args.command == "design-check":
             _check_rank(code, args.r)
-            if args.t < 0 or args.t > code.n:
-                raise UsageError(f"t must lie in 0..{code.n}")
+            _check_range("t", args.t, 0, code.n)
             for w, shell in support_shells(code, args.r, args.max_subcodes).items():
                 verdict = is_t_design(shell, args.t)
                 if verdict.is_design:
@@ -259,6 +275,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "polarize":
             _check_rank(code, args.r)
+            _check_range("t", args.t, 0, code.n)
             try:
                 poly = jacobi_by_polarization(code, args.r, args.t, args.max_subcodes)
             except DesignHypothesisFails as exc:
@@ -268,6 +285,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "harm-wenum":
             _check_rank(code, args.r)
+            _check_range("d", args.d, 0, code.n)
             basis = harm_basis(code.n, args.d)
             if not 0 <= args.basis_index < len(basis):
                 raise UsageError(
@@ -281,6 +299,8 @@ def main(argv=None) -> int:
         if args.command == "recover":
             _check_rank(code, args.r)
             tset = _parse_tset(code, args.T)
+            if 2 * tset.size > code.n:
+                raise UsageError(f"recover needs |T| <= n/2 = {code.n // 2}")
             lhs = recover_jacobi(code, args.r, tset, args.max_subcodes)
             rhs = higher_jacobi(code, tset, args.r, args.max_subcodes)
             _emit_table(lhs, args.json)

@@ -45,6 +45,7 @@ from .errors import (
     TooLarge,
     UnsupportedBaseField,
 )
+from .exactmath import nullspace, rref
 from .gf import _ORDER_CAP, FieldSpec, field_new
 from .qcomb import gauss_binom
 
@@ -87,39 +88,6 @@ class RefSet:
         return f"RefSet({{{inner}}}/{self.n})"
 
 
-def _rref(spec: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(q); returns (nonzero rows, pivot cols)."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    piv = 0
-    pivots = []
-    for col in range(n):
-        if piv >= m:
-            break
-        sel = next((r for r in range(piv, m) if rows[r][col] != 0), None)
-        if sel is None:
-            continue
-        rows[piv], rows[sel] = rows[sel], rows[piv]
-        inv = spec.inv(rows[piv][col])
-        if inv != 1:
-            rows[piv] = [spec.mul(inv, x) for x in rows[piv]]
-        for r in range(m):
-            if r != piv and rows[r][col] != 0:
-                c = rows[r][col]
-                prow = rows[piv]
-                rows[r] = [spec.sub(x, spec.mul(c, y)) for x, y in zip(rows[r], prow)]
-        pivots.append(col)
-        piv += 1
-    return rows[:piv], pivots
-
-
-def _rank(spec: FieldSpec, rows: list[list[int]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    return len(_rref(spec, rows)[0])
-
-
 class LinearCode:
     """An [n, k] code over GF(q), canonically represented by its RREF generator."""
 
@@ -133,7 +101,7 @@ class LinearCode:
             for x in r:
                 if not 0 <= x < spec.q:
                     raise FieldMismatch(f"entry {x} is not an element of GF({spec.q})")
-        reduced, _ = _rref(spec, rows) if rows else ([], [])
+        reduced, _ = rref(spec, rows, n)
         self.spec = spec
         self.n = n
         self.k = len(reduced)
@@ -155,18 +123,7 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """The [n, n-k] code orthogonal to every generator row."""
-        spec, n, k = self.spec, self.n, self.k
-        _, pivots = _rref(spec, [list(r) for r in self.gen])
-        pivot_set = set(pivots)
-        free = [c for c in range(n) if c not in pivot_set]
-        rows = []
-        for f in free:
-            v = [0] * n
-            v[f] = 1
-            for s, p in enumerate(pivots):
-                v[p] = spec.neg(self.gen[s][f])
-            rows.append(v)
-        return LinearCode(spec, n, rows)
+        return LinearCode(self.spec, self.n, nullspace(self.spec, self.gen, self.n))
 
     def permute_coordinates(self, perm: Sequence[int]) -> "LinearCode":
         """Relabel coordinates; perm[i-1] is the new home of coordinate i (1-based)."""
@@ -274,18 +231,6 @@ def rows_support(rows: Iterable[Sequence[int]]) -> frozenset[int]:
     return frozenset(out)
 
 
-def wt_on(obj, tset: RefSet) -> tuple[int, int]:
-    """(weight on T, weight on the complement) of a vector, Subcode, or support set."""
-    if isinstance(obj, Subcode):
-        supp = rows_support(obj.basis)
-    elif isinstance(obj, frozenset) or isinstance(obj, set):
-        supp = frozenset(obj)
-    else:
-        supp = support(obj)
-    on_t = len(supp & tset.members)
-    return on_t, len(supp) - on_t
-
-
 def codewords(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> Iterator[tuple[int, ...]]:
     """All q^k codewords, in message lexicographic order (m * G)."""
     spec, k, n = code.spec, code.k, code.n
@@ -359,7 +304,7 @@ def subcodes(
     spec = code.spec
     for msg in _iter_rref_messages(spec.q, code.k, r):
         rows = _message_image(code, msg)
-        reduced, _ = _rref(spec, rows)
+        reduced, _ = rref(spec, rows, code.n)
         yield Subcode(code, r, tuple(tuple(row) for row in reduced))
 
 
@@ -492,7 +437,7 @@ def column_set_dim(code: LinearCode, cols: frozenset[int]) -> int:
     """dim of the subcode vanishing on the given 1-based coordinate set."""
     ordered = sorted(cols)
     sub = [[row[c - 1] for c in ordered] for row in code.gen]
-    return code.k - _rank(code.spec, sub)
+    return code.k - len(rref(code.spec, sub, len(ordered))[0])
 
 
 def extension_codewords(

@@ -21,10 +21,6 @@ class DivisionByZero(JacobiForgeError):
     """Multiplicative inverse of the zero field element."""
 
 
-class SpecMismatch(JacobiForgeError):
-    """Field elements from different field specs were mixed."""
-
-
 class DegreeMismatch(JacobiForgeError):
     """Bihomogeneous polynomials of different bidegrees were combined."""
 

@@ -13,7 +13,7 @@ polynomial reduction.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, NotPrime, SpecMismatch, TooLarge
+from .errors import DivisionByZero, NotPrime, TooLarge
 
 _ORDER_CAP = 1 << 16
 _TABLE_CAP = 256
@@ -80,58 +80,6 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
             if _poly_divisible(coeffs, div, p):
                 return False
     return True
-
-
-class FieldElement:
-    """An element of a specific FieldSpec; elements of different specs never mix."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: "FieldSpec", value: int):
-        if not 0 <= value < spec.q:
-            raise ValueError(f"encoding {value} out of range for GF({spec.q})")
-        self.spec = spec
-        self.value = value
-
-    def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected a FieldElement")
-        if other.spec != self.spec:
-            raise SpecMismatch("elements belong to different field specs")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.spec == self.spec
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"GF({self.spec.q}):{self.value}"
 
 
 class FieldSpec:
@@ -225,17 +173,6 @@ class FieldSpec:
             exp >>= 1
         return result
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(self, value)
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldSpec)
@@ -267,8 +204,3 @@ def field_new(p: int, e: int = 1) -> FieldSpec:
         if _is_irreducible(coeffs, p):
             return FieldSpec(p, e, tuple(coeffs))
     raise AssertionError("no irreducible modulus found; unreachable")
-
-
-def field_elements(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements in increasing encoding order, zero first."""
-    return [spec.element(v) for v in range(spec.q)]

@@ -37,7 +37,7 @@ from .errors import (
     NonIntegerResult,
     PochhammerZeroDenominator,
 )
-from .exactmath import RatMatrix, rat_solve
+from .exactmath import QQ, RatMatrix, nullspace, rat_solve
 
 
 class SubsetFn:
@@ -98,9 +98,11 @@ class HarmonicFn(SubsetFn):
 def harm_basis(n: int, d: int) -> tuple[HarmonicFn, ...]:
     """Exact rational basis of the degree-d harmonic space.
 
-    Computed as the nullspace of the gamma matrix with deterministic
-    pivot order, so the basis is reproducible.  Degree 0 is the
-    one-dimensional space of constants.
+    Computed as ``nullspace(QQ, ...)`` of the 0/1 gamma matrix, whose
+    rows are the (d-1)-subsets and whose columns are the d-subsets in
+    lexicographic order.  There is one basis function per free column of
+    the matrix's unique RREF, so the basis and its order are reproducible.
+    Degree 0 is the one-dimensional space of constants.
     """
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
@@ -109,52 +111,17 @@ def harm_basis(n: int, d: int) -> tuple[HarmonicFn, ...]:
     cols = list(combinations(range(1, n + 1), d))
     rows = list(combinations(range(1, n + 1), d - 1))
     col_index = {frozenset(c): idx for idx, c in enumerate(cols)}
-    matrix = [[Fraction(0)] * len(cols) for _ in rows]
+    matrix = [[0] * len(cols) for _ in rows]
     for ridx, y in enumerate(rows):
         yset = frozenset(y)
         for extra in range(1, n + 1):
             if extra not in yset:
-                matrix[ridx][col_index[yset | {extra}]] = Fraction(1)
-    basis_vectors = _nullspace(matrix)
+                matrix[ridx][col_index[yset | {extra}]] = 1
     out = []
-    for vec in basis_vectors:
+    for vec in nullspace(QQ, matrix, len(cols)):
         values = {frozenset(c): vec[idx] for idx, c in enumerate(cols) if vec[idx]}
         out.append(HarmonicFn(n, d, values))
     return tuple(out)
-
-
-def _nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the nullspace via exact RREF; one vector per free column."""
-    m = [row[:] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    piv = 0
-    for col in range(ncols):
-        if piv >= nrows:
-            break
-        sel = next((r for r in range(piv, nrows) if m[r][col] != 0), None)
-        if sel is None:
-            continue
-        m[piv], m[sel] = m[sel], m[piv]
-        inv = 1 / m[piv][col]
-        m[piv] = [x * inv for x in m[piv]]
-        for r in range(nrows):
-            if r != piv and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[piv])]
-        pivots.append(col)
-        piv += 1
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for ridx, p in enumerate(pivots):
-            vec[p] = -m[ridx][f]
-        basis.append(vec)
-    return basis
 
 
 def f_tilde(f: SubsetFn, x_set) -> Fraction:

@@ -142,6 +142,32 @@ def test_hahn_subcommand():
     assert res.stdout.strip() == "-1/5"
 
 
+HAHN = ("hahn", "-x", "1", "--beta", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        HAHN + ("-m", "5", "-N", "3", "--alpha", "1"),
+        HAHN + ("-m", "1", "-N", "3", "--alpha", "abc"),
+        HAHN + ("-m", "1", "-N", "3", "--alpha", "1/0"),
+        ("harm-wenum", "--code", "{code}", "-r", "1", "-d", "9"),
+        ("harm-wenum", "--code", "{code}", "-r", "1", "-d", "-1"),
+        ("recover", "--code", "{code}", "-r", "1", "-T", "1,2,3,4"),
+        ("polarize", "--code", "{code}", "-r", "1", "-t", "9"),
+        ("polarize", "--code", "{code}", "-r", "1", "-t", "-1"),
+    ],
+    ids=["hahn-m-ge-N", "hahn-alpha-abc", "hahn-alpha-div0", "harm-d-9", "harm-d-neg",
+         "recover-T-4", "polarize-t-9", "polarize-t-neg"],
+)
+def test_malformed_input_is_a_usage_error(hamming_path, argv):
+    # exit 1 is reserved for DIFFER; bad arguments on the [7,4] code exit 2
+    res = run_cli(*(hamming_path if a == "{code}" else a for a in argv))
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_recover_equal(hamming_path):
     res = run_cli("recover", "--code", hamming_path, "-r", "1", "-T", "1,2")
     assert res.returncode == 0

@@ -19,7 +19,6 @@ from jacobiforge import (
     render_code,
     subcodes,
     support,
-    wt_on,
 )
 from jacobiforge.code import (
     column_set_dim,
@@ -176,9 +175,6 @@ def test_subcode_rows_lie_in_parent():
 def test_support_and_split():
     assert support((0, 0, 0)) == frozenset()
     assert support((1, 0, 2)) == {1, 3}
-    tset = RefSet.of(6, [1, 4])
-    assert wt_on((1, 1, 0, 0, 0, 1), tset) == (1, 2)
-    assert wt_on(frozenset({1, 4, 5}), tset) == (2, 1)
 
 
 def test_support_sets_golden():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 from helpers import golay24, hamming74
 from jacobiforge import BlockMultiset, delsarte_design_check, is_t_design, verify_all
-from jacobiforge import bipoly, enumerators
+from jacobiforge import bipoly, code, enumerators
 from jacobiforge.designs import support_shells
 
 
@@ -94,6 +94,16 @@ def test_extension_grid_corruption_is_a_non_integer_fail(monkeypatch):
     # [2]_2 = 6 does not divide the alternating sum 2 - 3*2 + 1*2 = -2
     want = "FAIL hjac-from-ext r=2 T={}: non-integer result: entry (0,0) = -1/3 is not an integer"
     assert want in lines, failing_labels(lines)
+
+
+def test_short_nullspace_fails_the_dual_checks(monkeypatch):
+    real = code.nullspace
+    monkeypatch.setattr(code, "nullspace", lambda *args: real(*args)[:-1])
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    for label in ("dual-involution", "mw-hweight r=1", "mw-hjac r=1 ", "mw-ejac m=1 "):
+        assert any(line.startswith("FAIL " + label) for line in fails), (label, fails)
 
 
 def test_golay_shell_missing_one_block_is_not_a_5_design():
