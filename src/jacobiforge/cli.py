@@ -28,9 +28,8 @@ from .enumerators import (
 )
 from .errors import DesignHypothesisFails, JacobiForgeError
 from .exactmath import format_rational, parse_rational
-from .harmonic import HahnParams, hahn_eval, harm_basis, harmonic_higher_wenum, recover_jacobi
-from .transforms import MWContext, mw_extended_jacobi, mw_higher_jacobi, mw_higher_weight
-from .verify import verify_all
+from .harmonic import HahnParams, hahn_eval, harm_basis, harmonic_higher_wenum
+from .verify import CHECKS, verify_all
 
 
 class UsageError(Exception):
@@ -44,13 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, code=True, r=False, m=False, t=False, T=False):
+    def add(name, help_text, *, json=False, r=False, m=False, t=False, T=False):
         p = sub.add_parser(name, help=help_text)
-        if code:
-            p.add_argument("--code", required=True, help="path to a matrix file")
+        p.add_argument("--code", required=True, help="path to a matrix file")
+        if json:
             p.add_argument("--json", action="store_true", help="emit JSON")
-            p.add_argument("--max-subcodes", type=int, default=MAX_SUBCODES_DEFAULT)
-            p.add_argument("--max-words", type=int, default=MAX_WORDS_DEFAULT)
+        p.add_argument("--max-subcodes", type=int, default=MAX_SUBCODES_DEFAULT)
+        p.add_argument("--max-words", type=int, default=MAX_WORDS_DEFAULT)
         if r:
             p.add_argument("-r", type=int, required=r == "required", default=None)
         if m:
@@ -65,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    add("wenum", "weight enumerator")
-    add("hwenum", "subcode weight enumerator of rank r", r="required")
-    add("jacobi", "split-weight table relative to T", T=True)
-    add("hjacobi", "rank-r split-weight table relative to T", r="required", T=True)
-    add("ejacobi", "degree-m extension split-weight table", m="required", T=True)
+    add("wenum", "weight enumerator", json=True)
+    add("hwenum", "subcode weight enumerator of rank r", json=True, r="required")
+    add("jacobi", "split-weight table relative to T", json=True, T=True)
+    add("hjacobi", "rank-r split-weight table relative to T", json=True, r="required", T=True)
+    add("ejacobi", "degree-m extension split-weight table", json=True, m="required", T=True)
     p = add(
         "mw-check",
         "apply a duality transform and compare with direct dual enumeration",
@@ -79,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kind", choices=("hw", "hjac", "ejac"), required=True)
     add("design-check", "design verdicts of the rank-r support shells", r="required", t="required")
-    add("polarize", "rank-r split-weight polynomial via polarization", r="required", t="required")
-    p = add("harm-wenum", "harmonically weighted rank-r weight enumerator", r="required")
+    add("polarize", "rank-r split-weight polynomial via polarization",
+        json=True, r="required", t="required")
+    p = add("harm-wenum", "harmonically weighted rank-r weight enumerator", json=True, r="required")
     p.add_argument("-d", type=int, required=True, help="harmonic degree")
     p.add_argument("--basis-index", type=int, default=0)
     p = sub.add_parser("hahn", help="evaluate a Hahn polynomial exactly")
@@ -89,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("-N", type=int, required=True)
-    add("recover", "recover the rank-r table from weighted enumerators", r="required", T=True)
+    add("recover", "recover the rank-r table from weighted enumerators",
+        json=True, r="required", T=True)
     p = add("verify", "run the full identity suite on the code")
     p.add_argument("--all", action="store_true", help="use the default sweep caps")
     p.add_argument("-r", type=int, default=2, help="rank cap")
@@ -146,68 +147,53 @@ def _parse_rational_arg(name: str, text: str):
         raise UsageError(f"bad {name} value {text!r}") from exc
 
 
-def _emit_poly(poly, as_json: bool):
+def _emit(poly_or_table, as_json: bool):
     if as_json:
-        print(json.dumps(poly.to_json_dict()))
+        print(json.dumps(poly_or_table.to_json_dict()))
     else:
-        print(poly.render())
+        print(poly_or_table.render())
 
 
-def _emit_table(table, as_json: bool):
-    if as_json:
-        print(json.dumps(table.to_json_dict()))
-    else:
-        print(table.render())
-
-
-def _cmd_mw_check(args, code: LinearCode) -> int:
-    tset = _parse_tset(code, getattr(args, "T", ""))
-    ctx = MWContext(q=code.spec.q, n=code.n, k=code.k, tsize=tset.size)
-    dual = code.dual()
-    if args.kind == "hw":
-        _check_rank(code, args.r)
-        if args.r > min(code.k, dual.k):
-            raise UsageError(f"r exceeds min(k, n-k) = {min(code.k, dual.k)}")
-        enums = [
-            higher_weight_enum(code, ell, args.max_subcodes) for ell in range(args.r + 1)
-        ]
-        lhs = mw_higher_weight(enums, ctx)
-        rhs = higher_weight_enum(dual, args.r, args.max_subcodes)
-        print(f"transform: {lhs.render()}")
-        print(f"dual:      {rhs.render()}")
-        if lhs == rhs:
-            print("EQUAL")
-            return 0
-        print("DIFFER")
-        return 1
-    if args.kind == "hjac":
-        _check_rank(code, args.r)
-        if args.r > min(code.k, dual.k):
-            raise UsageError(f"r exceeds min(k, n-k) = {min(code.k, dual.k)}")
-        tables = [
-            higher_jacobi(code, tset, ell, args.max_subcodes) for ell in range(args.r + 1)
-        ]
-        lhs = mw_higher_jacobi(tables, ctx)
-        rhs = higher_jacobi(dual, tset, args.r, args.max_subcodes)
-    else:
-        if args.m is None or args.m < 1:
-            raise UsageError("mw-check --kind ejac needs -m >= 1")
-        lhs = mw_extended_jacobi(
-            extended_jacobi(code, tset, args.m, args.max_subcodes), ctx
-        )
-        rhs = extended_jacobi(dual, tset, args.m, args.max_subcodes)
-    print(f"transform: {lhs.render()}")
-    print(f"dual:      {rhs.render()}")
-    diff = lhs.first_difference(rhs)
-    if diff is None:
+def _verdict(check, lhs, rhs, names=None) -> int:
+    """Print EQUAL (exit 0) or DIFFER (exit 1) by the check's comparison;
+    names label the two sides of the first differing grid entry."""
+    ok, diff = check.compare(lhs, rhs)
+    if ok:
         print("EQUAL")
         return 0
-    i, j, a, b = diff
-    print(f"DIFFER at (i={i}, j={j}): transform={a} dual={b}")
+    if names is None:
+        print("DIFFER")
+    else:
+        i, j, a, b = diff
+        print(f"DIFFER at (i={i}, j={j}): {names[0]}={a} {names[1]}={b}")
     return 1
 
 
+def _cmd_mw_check(args, code: LinearCode) -> int:
+    T = _parse_tset(code, args.T).sorted()
+    if args.kind == "ejac":
+        if args.m is None or args.m < 1:
+            raise UsageError("mw-check --kind ejac needs -m >= 1")
+        params = (args.m, T)
+    else:
+        _check_rank(code, args.r)
+        cap = min(code.k, code.n - code.k)
+        if args.r > cap:
+            raise UsageError(f"r exceeds min(k, n-k) = {cap}")
+        params = (args.r,) if args.kind == "hw" else (args.r, T)
+    check = CHECKS["mw_" + args.kind]
+    lhs, rhs = check.routes(code, (args.max_subcodes, args.max_words), *params)
+    print(f"transform: {lhs.render()}")
+    print(f"dual:      {rhs.render()}")
+    return _verdict(check, lhs, rhs, None if args.kind == "hw" else ("transform", "dual"))
+
+
 def _cmd_verify(args, code: LinearCode) -> int:
+    for flag, cap in (("-r", args.r), ("-m", args.m), ("-t", args.t)):
+        if cap < 0:
+            raise UsageError(f"{flag} must be nonnegative")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     lines, ok = verify_all(
         code,
         r_max=args.r,
@@ -223,9 +209,21 @@ def _cmd_verify(args, code: LinearCode) -> int:
     return 0 if ok else 1
 
 
+def _attach_rational_values(argv: list[str]) -> list[str]:
+    """`--alpha -3/4` as `--alpha=-3/4`: argparse reads a token such as
+    -3/4 as an option, although --alpha and --beta always take the next one."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--alpha", "--beta"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_rational_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "hahn":
             if not 0 <= args.m < args.N:
@@ -240,26 +238,26 @@ def main(argv=None) -> int:
             return 0
         code = _load_code(args)
         if args.command == "wenum":
-            _emit_poly(weight_enum(code, args.max_words), args.json)
+            _emit(weight_enum(code, args.max_words), args.json)
             return 0
         if args.command == "hwenum":
             _check_rank(code, args.r)
-            _emit_poly(higher_weight_enum(code, args.r, args.max_subcodes), args.json)
+            _emit(higher_weight_enum(code, args.r, args.max_subcodes), args.json)
             return 0
         if args.command == "jacobi":
             tset = _parse_tset(code, args.T)
-            _emit_table(jacobi(code, tset, args.max_words), args.json)
+            _emit(jacobi(code, tset, args.max_words), args.json)
             return 0
         if args.command == "hjacobi":
             _check_rank(code, args.r)
             tset = _parse_tset(code, args.T)
-            _emit_table(higher_jacobi(code, tset, args.r, args.max_subcodes), args.json)
+            _emit(higher_jacobi(code, tset, args.r, args.max_subcodes), args.json)
             return 0
         if args.command == "ejacobi":
             if args.m < 1:
                 raise UsageError("m must be at least 1")
             tset = _parse_tset(code, args.T)
-            _emit_table(extended_jacobi(code, tset, args.m, args.max_subcodes), args.json)
+            _emit(extended_jacobi(code, tset, args.m, args.max_subcodes), args.json)
             return 0
         if args.command == "mw-check":
             return _cmd_mw_check(args, code)
@@ -281,7 +279,7 @@ def main(argv=None) -> int:
             except DesignHypothesisFails as exc:
                 print(f"DesignHypothesisFails: {exc}")
                 return 1
-            _emit_poly(poly, args.json)
+            _emit(poly, args.json)
             return 0
         if args.command == "harm-wenum":
             _check_rank(code, args.r)
@@ -294,23 +292,18 @@ def main(argv=None) -> int:
             poly = harmonic_higher_wenum(
                 code, basis[args.basis_index], args.r, args.max_subcodes
             )
-            _emit_poly(poly, args.json)
+            _emit(poly, args.json)
             return 0
         if args.command == "recover":
             _check_rank(code, args.r)
             tset = _parse_tset(code, args.T)
             if 2 * tset.size > code.n:
                 raise UsageError(f"recover needs |T| <= n/2 = {code.n // 2}")
-            lhs = recover_jacobi(code, args.r, tset, args.max_subcodes)
-            rhs = higher_jacobi(code, tset, args.r, args.max_subcodes)
-            _emit_table(lhs, args.json)
-            diff = lhs.first_difference(rhs)
-            if diff is None:
-                print("EQUAL")
-                return 0
-            i, j, a, b = diff
-            print(f"DIFFER at (i={i}, j={j}): recovered={a} direct={b}")
-            return 1
+            check = CHECKS["recover"]
+            guards = (args.max_subcodes, args.max_words)
+            lhs, rhs = check.routes(code, guards, args.r, tset.sorted())
+            _emit(lhs, args.json)
+            return _verdict(check, lhs, rhs, ("recovered", "direct"))
         if args.command == "verify":
             return _cmd_verify(args, code)
         raise UsageError(f"unknown command {args.command!r}")

@@ -1,6 +1,15 @@
 """Batch verification: run every identity the library implements against
-its independent computation route on one code, and report PASS/FAIL per
-item.
+its independent computation route on one code, and report PASS/FAIL/SKIP
+per item.
+
+``CHECKS`` is the one table of identity checks, keyed by item kind.  An
+entry computes the two routes for an item's parameters, names when the
+item is a SKIP, and compares the two results in one of three ways: table
+grids entry by entry (``same_grid``, reporting the first difference),
+plain ``==`` (``same_value``), or two maps key by key (``same_per_key``,
+for the design, Delsarte and polarization verdicts).  ``run_item`` is a
+lookup in this table; the CLI's ``mw-check`` and ``recover`` print what
+its entries compute, and the acceptance tests sweep through ``run_item``.
 
 The item list is built deterministically from the code and a seed (the
 seed only drives which reference sets and coordinates are sampled), so
@@ -13,7 +22,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .code import (
     MAX_SUBCODES_DEFAULT,
@@ -111,127 +122,191 @@ def build_items(code: LinearCode, r_max: int, m_max: int, t_max: int, seed: int)
     return items
 
 
+_FIRST_DIFFERENCE = "first difference at (i={}, j={}): {} vs {}"
+
+
+def same_grid(lhs, rhs):
+    """Tables: equal grids, and the first differing (i, j, lhs, rhs) or None."""
+    return lhs.grid == rhs.grid, lhs.first_difference(rhs)
+
+
+def same_value(lhs, rhs):
+    return lhs == rhs, (lhs, rhs)
+
+
+def same_per_key(lhs, rhs):
+    """Maps over the same keys: the first differing (key, lhs, rhs) or None."""
+    diff = next(((key, a, rhs[key]) for key, a in lhs.items() if a != rhs[key]), None)
+    return diff is None, diff
+
+
+@dataclass(frozen=True)
+class Check:
+    """One identity: two independent routes to one object, compared.
+
+    ``routes(code, guards, *params)`` returns (lhs, rhs), guards being
+    (max_subcodes, max_words).  ``compare(lhs, rhs)`` returns (ok, fields)
+    and the detail is ``detail.format(*fields)`` unless fields is None.
+    The item is a SKIP with ``skip_reason`` when ``skip_if(code, guards,
+    *params)`` holds, and with its message when a route raises
+    DesignHypothesisFails.
+    """
+
+    routes: Callable
+    compare: Callable
+    detail: str = ""
+    skip_if: Callable | None = None
+    skip_reason: str = ""
+
+
+def _hjac(code, guards, r, T):
+    """The rank-r table at T enumerated directly: the reference route."""
+    return higher_jacobi(code, RefSet.of(code.n, T), r, guards[0])
+
+
+def _ejac(code, guards, m, T):
+    """The degree-m table at T by rank decomposition."""
+    return extended_jacobi(code, RefSet.of(code.n, T), m, guards[0])
+
+
+def _dual_involution(code, guards):
+    return code.dual().dual(), code
+
+
+def _plain_vs_wenum(code, guards):
+    return jacobi(code, RefSet.of(code.n), guards[1]).to_bipoly(), weight_enum(code, guards[1])
+
+
+def _mass(code, guards, r):
+    return _hjac(code, guards, r, ()).mass(), gauss_binom(code.k, r, code.spec.q)
+
+
+def _hjac_via_q(code, guards, r, T):
+    return higher_jacobi_via_q(code, RefSet.of(code.n, T), r), _hjac(code, guards, r, T)
+
+
+def _hjac_from_ext(code, guards, r, T):
+    return higher_from_extended(code, RefSet.of(code.n, T), r), _hjac(code, guards, r, T)
+
+
+def _ejac_via_q(code, guards, m, T):
+    return extended_jacobi_via_q(code, RefSet.of(code.n, T), m), _ejac(code, guards, m, T)
+
+
+def _ejac_direct(code, guards, m, T):
+    direct = extended_jacobi_direct(code, RefSet.of(code.n, T), m, guards[1])
+    return direct, _ejac(code, guards, m, T)
+
+
+def _mw_context(code, T) -> MWContext:
+    return MWContext(q=code.spec.q, n=code.n, k=code.k, tsize=len(T))
+
+
+def _mw_hw(code, guards, r):
+    enums = [higher_weight_enum(code, ell, guards[0]) for ell in range(r + 1)]
+    lhs = mw_higher_weight(enums, _mw_context(code, ()))
+    return lhs, higher_weight_enum(code.dual(), r, guards[0])
+
+
+def _mw_hjac(code, guards, r, T):
+    tables = [_hjac(code, guards, ell, T) for ell in range(r + 1)]
+    return mw_higher_jacobi(tables, _mw_context(code, T)), _hjac(code.dual(), guards, r, T)
+
+
+def _mw_ejac(code, guards, m, T):
+    lhs = mw_extended_jacobi(_ejac(code, guards, m, T), _mw_context(code, T))
+    return lhs, _ejac(code.dual(), guards, m, T)
+
+
+def _recover(code, guards, r, T):
+    return recover_jacobi(code, r, RefSet.of(code.n, T), guards[0]), _hjac(code, guards, r, T)
+
+
+def _design_equiv(code, guards, r, t):
+    """All shells are t-designs vs the table is the same at every t-set,
+    keyed by the witness pair of t-sets (None when it is the same)."""
+    verdicts = subcode_support_designs(code, r, t, guards[0])
+    independent, witness = t_independence_check(code, r, t, guards[0])
+    return {witness: all(v.is_design for v in verdicts.values())}, {witness: independent}
+
+
+def _t_over_n(code, guards, r, t) -> bool:
+    return t > code.n
+
+
+def _polarize(code, guards, r, t):
+    """The polarized polynomial vs the table at each t-set."""
+    poly = jacobi_by_polarization(code, r, t, guards[0])
+    tsets = list(combinations(range(1, code.n + 1), t))
+    return dict.fromkeys(tsets, poly), {T: _hjac(code, guards, r, T).to_bipoly() for T in tsets}
+
+
+def _delsarte(code, guards, r, t):
+    """Brute-force vs harmonic verdict on each shell of weight >= t."""
+    shells = [(w, s) for w, s in support_shells(code, r, guards[0]).items() if w >= t]
+    brute = {w: is_t_design(shell, t).is_design for w, shell in shells}
+    return brute, {w: delsarte_design_check(shell, t) for w, shell in shells}
+
+
+def _punctured(code, guards, r, i):
+    zero_w, one_w = punctured_split(code, r, i, guards[0])
+    return reassemble_punctured(code.n, zero_w, one_w), _hjac(code, guards, r, (i,)).to_bipoly()
+
+
+CHECKS: dict[str, Check] = {
+    "dual_involution": Check(_dual_involution, same_value),
+    "plain_vs_wenum": Check(_plain_vs_wenum, same_value),
+    "mass": Check(_mass, same_value, "mass {} vs {}"),
+    "hjac_via_q": Check(_hjac_via_q, same_grid, _FIRST_DIFFERENCE),
+    "hjac_from_ext": Check(_hjac_from_ext, same_grid, _FIRST_DIFFERENCE),
+    "ejac_via_q": Check(_ejac_via_q, same_grid, _FIRST_DIFFERENCE),
+    "ejac_direct": Check(
+        _ejac_direct,
+        same_grid,
+        _FIRST_DIFFERENCE,
+        skip_if=lambda code, guards, m, T: code.spec.q ** (m * code.k) > guards[1],
+        skip_reason="extension word count exceeds the guard",
+    ),
+    "mw_ejac": Check(_mw_ejac, same_grid, _FIRST_DIFFERENCE),
+    "mw_hjac": Check(_mw_hjac, same_grid, _FIRST_DIFFERENCE),
+    "recover": Check(
+        _recover,
+        same_grid,
+        _FIRST_DIFFERENCE,
+        skip_if=lambda code, guards, r, T: 2 * len(T) > code.n,
+        skip_reason="|T| exceeds n/2",
+    ),
+    "mw_hw": Check(_mw_hw, same_value),
+    "design_equiv": Check(
+        _design_equiv,
+        same_per_key,
+        "designs={1} independence={2} witness={0}",
+        skip_if=_t_over_n,
+        skip_reason="t exceeds n",
+    ),
+    "polarize": Check(
+        _polarize,
+        same_per_key,
+        "differs at T={}",
+        skip_if=_t_over_n,
+        skip_reason="t exceeds n",
+    ),
+    "delsarte": Check(_delsarte, same_per_key, "weight {}: brute={} harmonic={}"),
+    "punctured": Check(_punctured, same_value),
+}
+
+
 def run_item(code: LinearCode, kind: str, params, guards) -> tuple[bool | None, str]:
     """Execute one item; returns (ok, detail) with ok None meaning SKIP."""
-    max_subcodes, max_words = guards
-    n, k, q = code.n, code.k, code.spec.q
-    if kind == "dual_involution":
-        return code.dual().dual() == code, ""
-    if kind == "plain_vs_wenum":
-        table = jacobi(code, RefSet.of(n), max_words)
-        return table.to_bipoly() == weight_enum(code, max_words), ""
-    if kind == "mass":
-        (r,) = params
-        tset = RefSet.of(n)
-        got = higher_jacobi(code, tset, r, max_subcodes).mass()
-        want = gauss_binom(k, r, q)
-        return got == want, f"mass {got} vs {want}"
-    if kind == "hjac_via_q":
-        r, T = params
-        tset = RefSet.of(n, T)
-        lhs = higher_jacobi_via_q(code, tset, r)
-        rhs = higher_jacobi(code, tset, r, max_subcodes)
-        return lhs.grid == rhs.grid, _diff_detail(lhs, rhs)
-    if kind == "hjac_from_ext":
-        r, T = params
-        tset = RefSet.of(n, T)
-        lhs = higher_from_extended(code, tset, r)
-        rhs = higher_jacobi(code, tset, r, max_subcodes)
-        return lhs.grid == rhs.grid, _diff_detail(lhs, rhs)
-    if kind == "ejac_via_q":
-        m, T = params
-        tset = RefSet.of(n, T)
-        lhs = extended_jacobi_via_q(code, tset, m)
-        rhs = extended_jacobi(code, tset, m, max_subcodes)
-        return lhs.grid == rhs.grid, _diff_detail(lhs, rhs)
-    if kind == "ejac_direct":
-        m, T = params
-        if q ** (m * k) > max_words:
-            return None, "extension word count exceeds the guard"
-        tset = RefSet.of(n, T)
-        lhs = extended_jacobi_direct(code, tset, m, max_words)
-        rhs = extended_jacobi(code, tset, m, max_subcodes)
-        return lhs.grid == rhs.grid, _diff_detail(lhs, rhs)
-    if kind == "mw_hw":
-        (r,) = params
-        ctx = MWContext(q=q, n=n, k=k, tsize=0)
-        enums = [higher_weight_enum(code, ell, max_subcodes) for ell in range(r + 1)]
-        lhs = mw_higher_weight(enums, ctx)
-        rhs = higher_weight_enum(code.dual(), r, max_subcodes)
-        return lhs == rhs, ""
-    if kind == "mw_hjac":
-        r, T = params
-        tset = RefSet.of(n, T)
-        ctx = MWContext(q=q, n=n, k=k, tsize=len(T))
-        tables = [higher_jacobi(code, tset, ell, max_subcodes) for ell in range(r + 1)]
-        lhs = mw_higher_jacobi(tables, ctx)
-        rhs = higher_jacobi(code.dual(), tset, r, max_subcodes)
-        return lhs.grid == rhs.grid, _diff_detail(lhs, rhs)
-    if kind == "mw_ejac":
-        m, T = params
-        tset = RefSet.of(n, T)
-        ctx = MWContext(q=q, n=n, k=k, tsize=len(T))
-        lhs = mw_extended_jacobi(extended_jacobi(code, tset, m, max_subcodes), ctx)
-        rhs = extended_jacobi_via_q(code.dual(), tset, m)
-        return lhs.grid == rhs.grid, _diff_detail(lhs, rhs)
-    if kind == "design_equiv":
-        r, t = params
-        if t > n:
-            return None, "t exceeds n"
-        verdicts = subcode_support_designs(code, r, t, max_subcodes)
-        all_designs = all(v.is_design for v in verdicts.values())
-        independent, witness = t_independence_check(code, r, t, max_subcodes)
-        detail = "" if independent == all_designs else (
-            f"designs={all_designs} independence={independent} witness={witness}"
-        )
-        return independent == all_designs, detail
-    if kind == "polarize":
-        r, t = params
-        if t > n:
-            return None, "t exceeds n"
-        try:
-            poly = jacobi_by_polarization(code, r, t, max_subcodes)
-        except DesignHypothesisFails as exc:
-            return None, str(exc)
-        for coords in combinations(range(1, n + 1), t):
-            tset = RefSet.of(n, coords)
-            direct = higher_jacobi(code, tset, r, max_subcodes).to_bipoly()
-            if direct != poly:
-                return False, f"differs at T={coords}"
-        return True, ""
-    if kind == "delsarte":
-        r, t = params
-        for w, shell in support_shells(code, r, max_subcodes).items():
-            if w < t:
-                continue
-            brute = is_t_design(shell, t).is_design
-            harm = delsarte_design_check(shell, t)
-            if brute != harm:
-                return False, f"weight {w}: brute={brute} harmonic={harm}"
-        return True, ""
-    if kind == "punctured":
-        r, i = params
-        zero_w, one_w = punctured_split(code, r, i, max_subcodes)
-        rebuilt = reassemble_punctured(n, zero_w, one_w)
-        direct = higher_jacobi(code, RefSet.of(n, (i,)), r, max_subcodes).to_bipoly()
-        return rebuilt == direct, ""
-    if kind == "recover":
-        r, T = params
-        if 2 * len(T) > n:
-            return None, "|T| exceeds n/2"
-        tset = RefSet.of(n, T)
-        lhs = recover_jacobi(code, r, tset, max_subcodes)
-        rhs = higher_jacobi(code, tset, r, max_subcodes)
-        return lhs.grid == rhs.grid, _diff_detail(lhs, rhs)
-    raise ValueError(f"unknown item kind {kind!r}")
-
-
-def _diff_detail(lhs, rhs) -> str:
-    diff = lhs.first_difference(rhs)
-    if diff is None:
-        return ""
-    i, j, a, b = diff
-    return f"first difference at (i={i}, j={j}): {a} vs {b}"
+    check = CHECKS[kind]
+    if check.skip_if and check.skip_if(code, guards, *params):
+        return None, check.skip_reason
+    try:
+        lhs, rhs = check.routes(code, guards, *params)
+    except DesignHypothesisFails as exc:
+        return None, str(exc)
+    ok, fields = check.compare(lhs, rhs)
+    return ok, "" if fields is None else check.detail.format(*fields)
 
 
 _WORKER_CODE: LinearCode | None = None

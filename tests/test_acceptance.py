@@ -21,8 +21,6 @@ from jacobiforge import (
     LinearCode,
     MWContext,
     RefSet,
-    delsarte_design_check,
-    extended_jacobi,
     extended_jacobi_direct,
     extended_jacobi_via_q,
     field_new,
@@ -30,24 +28,16 @@ from jacobiforge import (
     hahn_eval,
     HahnParams,
     harm_basis,
-    higher_from_extended,
     higher_jacobi,
-    higher_jacobi_via_q,
-    higher_weight_enum,
-    is_t_design,
-    jacobi_by_polarization,
-    mw_extended_jacobi,
     mw_higher_jacobi,
-    mw_higher_weight,
     qbinom_expansion_check,
     qbracket,
     qfact,
-    recover_jacobi,
-    subcode_support_designs,
     subcodes,
-    t_independence_check,
 )
+from jacobiforge.code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT
 from jacobiforge.designs import support_shells
+from jacobiforge.verify import CHECKS, run_item
 
 import random
 
@@ -59,6 +49,16 @@ def report(n, name, ok):
 
 def grid_of(table):
     return [list(row) for row in table.grid]
+
+
+GUARDS = (MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT)
+
+
+def failed(code, kind, *params):
+    """[(code, kind, params)] unless verify's check of the item passes; a
+    SKIP counts as a failure."""
+    ok, _ = run_item(code, kind, params, GUARDS)
+    return [] if ok else [(code, kind, params)]
 
 
 # golden grids for the [6,3] code with T = {i}; the full-support rank-2
@@ -105,98 +105,68 @@ def test_criterion_2_macwilliams_sweep():
     codes = sweep_codes()
     assert len(codes) >= 50
     rng = random.Random(11)
-    failures = 0
+    failures = []
     for code in codes:
         q, n, k = code.spec.q, code.n, code.k
         dual = code.dual()
         rcap = min(k, n - k)
         for T in sweep_tsets(rng, n):
             tset = RefSet.of(n, T)
-            ctx = MWContext(q=q, n=n, k=k, tsize=len(T))
             for r in range(rcap + 1):
-                tables = [higher_jacobi(code, tset, ell) for ell in range(r + 1)]
-                if mw_higher_jacobi(tables, ctx).grid != higher_jacobi(dual, tset, r).grid:
-                    failures += 1
+                failures += failed(code, "mw_hjac", r, T)
             for m in (1, 2):
-                got = mw_extended_jacobi(extended_jacobi(code, tset, m), ctx)
+                failures += failed(code, "mw_ejac", m, T)
+                # two more routes to the dual table than the check's own
+                got, _ = CHECKS["mw_ejac"].routes(code, GUARDS, m, T)
                 if got.grid != extended_jacobi_via_q(dual, tset, m).grid:
-                    failures += 1
+                    failures.append((code, "via-dims dual", m, T))
                 if q ** (m * dual.k) <= 1 << 13:
                     if got.grid != extended_jacobi_direct(dual, tset, m).grid:
-                        failures += 1
-        ctx0 = MWContext(q=q, n=n, k=k, tsize=0)
+                        failures.append((code, "direct dual", m, T))
         for r in range(rcap + 1):
-            enums = [higher_weight_enum(code, ell) for ell in range(r + 1)]
-            if mw_higher_weight(enums, ctx0) != higher_weight_enum(dual, r):
-                failures += 1
-    report(2, f"duality sweep over {len(codes)} codes", failures == 0)
+            failures += failed(code, "mw_hw", r)
+    report(2, f"duality sweep over {len(codes)} codes", failures == [])
 
 
 def test_criterion_3_conversion_identities():
     codes = sweep_codes()
     rng = random.Random(12)
-    failures = 0
+    failures = []
     for code in codes:
-        q, n, k = code.spec.q, code.n, code.k
-        for T in sweep_tsets(rng, n):
-            tset = RefSet.of(n, T)
-            for r in range(k + 1):
-                if higher_from_extended(code, tset, r).grid != higher_jacobi(
-                    code, tset, r
-                ).grid:
-                    failures += 1
+        for T in sweep_tsets(rng, code.n):
+            for r in range(code.k + 1):
+                failures += failed(code, "hjac_from_ext", r, T)
             for m in (1, 2):
-                if extended_jacobi(code, tset, m).grid != extended_jacobi_direct(
-                    code, tset, m
-                ).grid:
-                    failures += 1
-    report(3, "rank-decomposition conversions", failures == 0)
+                failures += failed(code, "ejac_direct", m, T)
+    report(3, "rank-decomposition conversions", failures == [])
 
 
 def test_criterion_4_reinterpretation_paths():
     codes = sweep_codes()
     rng = random.Random(13)
-    failures = 0
+    failures = []
     for code in codes:
-        n, k = code.n, code.k
-        for T in sweep_tsets(rng, n):
-            tset = RefSet.of(n, T)
-            for r in range(k + 1):
-                if higher_jacobi_via_q(code, tset, r).grid != higher_jacobi(
-                    code, tset, r
-                ).grid:
-                    failures += 1
+        for T in sweep_tsets(rng, code.n):
+            for r in range(code.k + 1):
+                failures += failed(code, "hjac_via_q", r, T)
             for m in (1, 2):
-                if extended_jacobi_via_q(code, tset, m).grid != extended_jacobi(
-                    code, tset, m
-                ).grid:
-                    failures += 1
-    report(4, "vanishing-dimension reinterpretations", failures == 0)
+                failures += failed(code, "ejac_via_q", m, T)
+    report(4, "vanishing-dimension reinterpretations", failures == [])
 
 
 def test_criterion_5_design_machinery():
-    ok = True
+    failures = []
     for code in (ex44(), hamming74()):
         for r in range(code.k + 1):
             for t in range(0, code.n + 1):
                 if comb(code.n, t) > 40:
                     continue
-                verdicts = subcode_support_designs(code, r, t)
-                all_designs = all(v.is_design for v in verdicts.values())
-                independent, _ = t_independence_check(code, r, t)
-                ok = ok and (independent == all_designs)
-    code = ex44()
-    p1 = jacobi_by_polarization(code, 1, 1)
-    p2 = jacobi_by_polarization(code, 2, 1)
-    for i in range(1, 7):
-        tset = RefSet.of(6, [i])
-        ok = ok and p1 == higher_jacobi(code, tset, 1).to_bipoly()
-        ok = ok and p2 == higher_jacobi(code, tset, 2).to_bipoly()
-    ham = hamming74()
-    ph = jacobi_by_polarization(ham, 1, 2)
-    for coords in combinations(range(1, 8), 2):
-        ok = ok and ph == higher_jacobi(ham, RefSet.of(7, coords), 1).to_bipoly()
-    report(5, "design equivalence and polarization", ok)
+                failures += failed(code, "design_equiv", r, t)
+    # polarization against the table at every t-set
+    failures += failed(ex44(), "polarize", 1, 1)
+    failures += failed(ex44(), "polarize", 2, 1)
+    failures += failed(hamming74(), "polarize", 1, 2)
+    report(5, "design equivalence and polarization", failures == [])
 
 
 def test_criterion_6_harmonic_hahn():
@@ -218,21 +188,17 @@ def test_criterion_6_harmonic_hahn():
                 num *= beta + idx
                 den *= alpha + idx
             ok = ok and hahn_eval(params, big_n - 1) == (-1) ** m * num / den
+    failures = []
     for code in (ex44(), hamming74()):
+        # every shell of weight w >= t, for t = 1..3
         for r in range(1, code.k + 1):
-            for w, shell in support_shells(code, r).items():
-                for t in range(1, min(w, 3) + 1):
-                    ok = ok and delsarte_design_check(shell, t) == is_t_design(
-                        shell, t
-                    ).is_design
+            for t in range(1, 4):
+                failures += failed(code, "delsarte", r, t)
         for tsize in (1, 2):
             for coords in list(combinations(range(1, code.n + 1), tsize))[:4]:
-                tset = RefSet.of(code.n, coords)
                 for r in range(code.k + 1):
-                    ok = ok and recover_jacobi(code, r, tset).grid == higher_jacobi(
-                        code, tset, r
-                    ).grid
-    report(6, "harmonic spaces, Hahn values, recovery", ok)
+                    failures += failed(code, "recover", r, coords)
+    report(6, "harmonic spaces, Hahn values, recovery", ok and failures == [])
 
 
 def test_criterion_7_combinatorial_ground_truth():

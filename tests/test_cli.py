@@ -140,6 +140,11 @@ def test_hahn_subcommand():
     res = run_cli("hahn", "-m", "1", "-x", "1", "--alpha", "-6", "--beta", "-2", "-N", "2")
     assert res.returncode == 0
     assert res.stdout.strip() == "-1/5"
+    # a negative fraction after --alpha/--beta is a value, not an option
+    spaced = run_cli("hahn", "-m", "1", "-x", "1", "--alpha", "-6", "--beta", "-3/4", "-N", "2")
+    joined = run_cli("hahn", "-m", "1", "-x", "1", "--alpha", "-6", "--beta=-3/4", "-N", "2")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
 
 
 HAHN = ("hahn", "-x", "1", "--beta", "1")
@@ -156,9 +161,15 @@ HAHN = ("hahn", "-x", "1", "--beta", "1")
         ("recover", "--code", "{code}", "-r", "1", "-T", "1,2,3,4"),
         ("polarize", "--code", "{code}", "-r", "1", "-t", "9"),
         ("polarize", "--code", "{code}", "-r", "1", "-t", "-1"),
+        ("verify", "--code", "{code}", "-r", "-1"),
+        ("verify", "--code", "{code}", "-t", "-1"),
+        ("verify", "--code", "{code}", "-m", "-1"),
+        ("verify", "--code", "{code}", "--jobs", "0"),
+        ("mw-check", "--code", "{code}", "--kind", "hjac", "-r", "1", "--json"),
     ],
     ids=["hahn-m-ge-N", "hahn-alpha-abc", "hahn-alpha-div0", "harm-d-9", "harm-d-neg",
-         "recover-T-4", "polarize-t-9", "polarize-t-neg"],
+         "recover-T-4", "polarize-t-9", "polarize-t-neg", "verify-r-neg", "verify-t-neg",
+         "verify-m-neg", "verify-jobs-0", "mw-check-json"],
 )
 def test_malformed_input_is_a_usage_error(hamming_path, argv):
     # exit 1 is reserved for DIFFER; bad arguments on the [7,4] code exit 2

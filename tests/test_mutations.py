@@ -1,13 +1,17 @@
 """Each identity check must be able to fail: corrupt one route and the
 check that compares it with an independent route must report it."""
 
+import inspect
 from collections import Counter
 from dataclasses import replace
 
-from helpers import golay24, hamming74
+import pytest
+
+from helpers import HAMMING74_TEXT, ex44, golay24, hamming74
 from jacobiforge import BlockMultiset, delsarte_design_check, is_t_design, verify_all
-from jacobiforge import bipoly, code, enumerators
+from jacobiforge import bipoly, cli, code, enumerators, transforms, verify
 from jacobiforge.designs import support_shells
+from jacobiforge.verify import CHECKS, build_items
 
 
 def bumped(fn):
@@ -23,6 +27,13 @@ def bumped(fn):
 
 def failing_labels(lines):
     return [line for line in lines if line.startswith("FAIL ")]
+
+
+def plus_one_at_origin(table):
+    """table with one more count in grid entry (0, 0)."""
+    grid = [list(row) for row in table.grid]
+    grid[0][0] += 1
+    return replace(table, grid=tuple(map(tuple, grid)))
 
 
 def test_extension_histogram_corruption_fails_ejac_direct(monkeypatch):
@@ -81,14 +92,9 @@ def test_grouped_dims_corruption_fails_via_dims(monkeypatch):
 
 def test_extension_grid_corruption_is_a_non_integer_fail(monkeypatch):
     real = enumerators.extended_jacobi_via_q
-
-    def corrupt(code, tset, m):
-        table = real(code, tset, m)
-        grid = [list(row) for row in table.grid]
-        grid[0][0] += 1
-        return replace(table, grid=tuple(map(tuple, grid)))
-
-    monkeypatch.setattr(enumerators, "extended_jacobi_via_q", corrupt)
+    monkeypatch.setattr(
+        enumerators, "extended_jacobi_via_q", lambda *args: plus_one_at_origin(real(*args))
+    )
     lines, ok = verify_all(hamming74(), r_max=2, m_max=1, t_max=0, seed=1)
     assert not ok
     # [2]_2 = 6 does not divide the alternating sum 2 - 3*2 + 1*2 = -2
@@ -120,3 +126,76 @@ def test_delsarte_fails_above_degree_one():
     assert delsarte_design_check(blocks, 1) is True
     assert is_t_design(blocks, 2).is_design is False
     assert delsarte_design_check(blocks, 2) is False
+
+
+def doubled(fn):
+    return lambda *args: fn(*args).scale(2)
+
+
+# kind -> (route name the table reads in verify, its corruption, an item label
+# that must then FAIL)
+CORRUPTIONS = {
+    "mass": ("gauss_binom", lambda fn: lambda *args: fn(*args) + 1, "subcode-mass r=1"),
+    "plain_vs_wenum": ("weight_enum", doubled, "plain-table-vs-weight-enum"),
+    "design_equiv": (
+        "t_independence_check",
+        lambda fn: lambda *args: (not fn(*args)[0], None),
+        "design-equiv r=1 t=1",
+    ),
+    "polarize": ("jacobi_by_polarization", doubled, "polarize r=1 t=1"),
+    "delsarte": (
+        "delsarte_design_check", lambda fn: lambda *args: not fn(*args), "delsarte r=1 t=1"
+    ),
+    "punctured": ("reassemble_punctured", doubled, "punctured-split r=1 "),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupted_route_fails_its_check(monkeypatch, kind):
+    name, corrupt, label = CORRUPTIONS[kind]
+    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    assert any(line.startswith("FAIL " + label) for line in fails), fails
+
+
+def test_mw_higher_jacobi_corruption_fails_verify_and_mw_check(monkeypatch, tmp_path, capsys):
+    # transforms.mw_higher_jacobi, corrupted where the table reads it: verify
+    # and mw-check both fail, so they share one definition of the identity
+    real = transforms.mw_higher_jacobi
+    monkeypatch.setattr(verify, "mw_higher_jacobi", lambda *args: plus_one_at_origin(real(*args)))
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    assert any(line.startswith("FAIL mw-hjac r=1 ") for line in fails), fails
+    path = tmp_path / "ham.txt"
+    path.write_text(HAMMING74_TEXT)
+    argv = ["mw-check", "--code", str(path), "--kind", "hjac", "-r", "1", "-T", "3"]
+    assert cli.main(argv) == 1
+    assert "DIFFER at (i=0, j=0): " in capsys.readouterr().out
+
+
+# kinds whose failing mode an earlier test shows, by the test that shows it
+SHOWN_ABOVE = {
+    "dual_involution": test_short_nullspace_fails_the_dual_checks,
+    "hjac_via_q": test_subcode_histogram_corruption_fails_hjac_via_dims,
+    "hjac_from_ext": test_extension_grid_corruption_is_a_non_integer_fail,
+    "ejac_via_q": test_grouped_dims_corruption_fails_via_dims,
+    "ejac_direct": test_extension_histogram_corruption_fails_ejac_direct,
+    "mw_hw": test_pair_matrix_corruption_fails_the_transforms,
+    "mw_hjac": test_mw_higher_jacobi_corruption_fails_verify_and_mw_check,
+    "mw_ejac": test_pair_matrix_corruption_fails_the_transforms,
+}
+
+
+def test_every_check_kind_has_a_failing_mode():
+    items = build_items(ex44(), 2, 2, 2, seed=0)
+    prefix = {kind: label.split()[0] for label, kind, _ in items}
+    assert set(CHECKS) == set(prefix)
+    # recover has none yet: its right-hand side is not independent (ROADMAP item 3)
+    assert set(CORRUPTIONS) | set(SHOWN_ABOVE) == set(CHECKS) - {"recover"}
+    for kind, (_, _, label) in CORRUPTIONS.items():
+        assert label.split()[0] == prefix[kind], kind
+    for kind, test in SHOWN_ABOVE.items():
+        assert prefix[kind] in inspect.getsource(test), kind
