@@ -92,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add("recover", "recover the rank-r table from weighted enumerators",
         json=True, r="required", T=True)
     p = add("verify", "run the full identity suite on the code")
-    p.add_argument("--all", action="store_true", help="use the default sweep caps")
     p.add_argument("-r", type=int, default=2, help="rank cap")
     p.add_argument("-m", type=int, default=2, help="extension degree cap")
     p.add_argument("-t", type=int, default=2, help="reference set size cap")

@@ -343,11 +343,6 @@ def coords_mask(coords: Iterable[int]) -> int:
     return out
 
 
-def mask_support(mask: int) -> frozenset[int]:
-    """The 1-based coordinate set of a support mask."""
-    return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
 def monic_masks(code: LinearCode) -> list[int]:
     """Support mask of every monic message: first nonzero digit 1.
 

@@ -1,7 +1,9 @@
 """Block designs from subcode supports, the reference-set independence
 equivalence, and the polarization shortcut.
 
-A block multiset is a t-design when every t-subset of the point set is
+A block multiset is one weight slice of a support histogram: equal-size
+subsets of {1, ..., n} as int masks (bit i-1 for point i), each with its
+multiplicity.  It is a t-design when every t-subset of the point set is
 contained in the same number lambda of blocks, counted with
 multiplicity.  The raw definition is used verbatim: blocks smaller than
 t cover nothing, so such a multiset is vacuously a t-design with
@@ -11,13 +13,14 @@ design-iff-independence equivalence true on fully symmetric codes.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from math import perm
 
 from .bipoly import BiHomPoly
-from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, mask_support
+from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet
 from .enumerators import (
     JacobiTable,
     higher_jacobi,
@@ -35,48 +38,59 @@ class DesignVerdict:
 
 
 class BlockMultiset:
-    """A multiset of equal-size subsets of {1, ..., n}; repeats preserved."""
+    """Equal-size subsets of {1, ..., n} as Counter{mask: multiplicity};
+    len() counts occurrences."""
 
-    __slots__ = ("n", "blocks", "block_size")
+    __slots__ = ("n", "counts", "block_size")
 
-    def __init__(self, n: int, blocks: Iterable[frozenset[int]]):
-        blocks = tuple(frozenset(b) for b in blocks)
-        for b in blocks:
-            if not all(1 <= i <= n for i in b):
-                raise ValueError(f"block {sorted(b)} not inside 1..{n}")
-        sizes = {len(b) for b in blocks}
+    def __init__(self, n: int, counts: dict[int, int]):
+        counts = Counter(counts)
+        if counts and (min(counts) < 0 or max(counts) >> n or min(counts.values()) < 1):
+            raise ValueError(f"need block masks inside 1..{n} with multiplicities >= 1")
+        sizes = {mask.bit_count() for mask in counts}
         if len(sizes) > 1:
             raise ValueError(f"blocks must have uniform size, got sizes {sorted(sizes)}")
         self.n = n
-        self.blocks = blocks
+        self.counts = counts
         self.block_size = sizes.pop() if sizes else 0
 
     def __len__(self):
-        return len(self.blocks)
+        return sum(self.counts.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, BlockMultiset)
             and self.n == other.n
-            and sorted(map(sorted, self.blocks)) == sorted(map(sorted, other.blocks))
+            and self.counts == other.counts
         )
 
     def __repr__(self):
-        return f"BlockMultiset(n={self.n}, {len(self.blocks)} blocks of size {self.block_size})"
+        return f"BlockMultiset(n={self.n}, {len(self)} blocks of size {self.block_size})"
+
+
+# _DIGITS[b] translates a byte to the ASCII digit of its bit b
+_DIGITS = [bytes(ord("0") + (x >> b & 1) for x in range(256)) for b in range(8)]
 
 
 def is_t_design(blocks: BlockMultiset, t: int) -> DesignVerdict:
     """Exhaustive coverage count over all t-subsets of the point set.
 
     Each point is an int with one bit per block occurrence, so the blocks
-    covering a t-subset are the AND of its points' ints.
+    covering a t-subset are the AND of its points' ints.  They are one
+    transpose of the histogram: occurrence j is row j of a byte table of
+    little-endian masks, and point i reads byte column i // 8 at bit i % 8
+    as binary digits, after a leading 0 that reads no blocks as 0.
     """
     if t < 0 or t > blocks.n:
         raise ValueError("need 0 <= t <= n")
-    incidence = [0] * blocks.n
-    for idx, b in enumerate(blocks.blocks):
-        for i in b:
-            incidence[i - 1] |= 1 << idx
+    width = (blocks.n + 7) // 8
+    rows = bytearray()
+    for mask, mult in blocks.counts.items():
+        rows += mask.to_bytes(width, "little") * mult
+    incidence = [
+        int(b"0" + rows[i // 8 :: width].translate(_DIGITS[i % 8]), 2)
+        for i in range(blocks.n)
+    ]
     coverages = _coverages(incidence, 0, t, (1 << len(blocks)) - 1)
     lam = next(coverages)
     if any(cov != lam for cov in coverages):
@@ -101,12 +115,10 @@ def support_shells(
     code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
 ) -> dict[int, BlockMultiset]:
     """The nonempty weight shells of the r-dim subcode supports, by weight."""
-    by_weight: dict[int, list[frozenset[int]]] = {}
+    by_weight: defaultdict[int, dict[int, int]] = defaultdict(dict)
     for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
-        by_weight.setdefault(mask.bit_count(), []).extend([mask_support(mask)] * mult)
-    return {
-        w: BlockMultiset(code.n, blocks) for w, blocks in sorted(by_weight.items())
-    }
+        by_weight[mask.bit_count()][mask] = mult
+    return {w: BlockMultiset(code.n, by_weight.pop(w)) for w in sorted(by_weight)}
 
 
 def subcode_support_designs(
@@ -140,13 +152,6 @@ def t_independence_check(
     return True, None
 
 
-def _falling(n: int, t: int) -> int:
-    out = 1
-    for i in range(t):
-        out *= n - i
-    return out
-
-
 def jacobi_by_polarization(
     code: LinearCode, r: int, t: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
 ) -> BiHomPoly:
@@ -166,42 +171,34 @@ def jacobi_by_polarization(
     poly = higher_weight_enum(code, r, max_subcodes)
     for _ in range(t):
         poly = poly.polarize()
-    return poly.scale(Fraction(1, _falling(code.n, t)))
+    return poly.scale(Fraction(1, perm(code.n, t)))
 
 
 def punctured_split(
     code: LinearCode, r: int, coord: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[Counter, Counter]:
     """Split the rank-r support indicators by their value at one coordinate.
 
-    Returns the two weight multisets (sorted) after puncturing that
-    coordinate: supports avoiding it, then supports containing it.
-    Reassembling w * sum x^(n-1-w0) y^w0 + z * sum x^(n-1-w1) y^w1
-    gives the split-weight polynomial for T = {coord}.
+    Returns the two weight histograms Counter{weight: multiplicity} after
+    puncturing that coordinate: supports avoiding it, then supports
+    containing it.  Reassembling w * sum x^(n-1-w0) y^w0 + z * sum
+    x^(n-1-w1) y^w1 gives the split-weight polynomial for T = {coord}.
     """
     if not 1 <= coord <= code.n:
         raise ValueError(f"coordinate must lie in 1..{code.n}")
-    zero_side = []
-    one_side = []
+    zero_side: Counter = Counter()
+    one_side: Counter = Counter()
     bit = 1 << (coord - 1)
     for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
-        w = mask.bit_count()
         if mask & bit:
-            one_side.extend([w - 1] * mult)
+            one_side[mask.bit_count() - 1] += mult
         else:
-            zero_side.extend([w] * mult)
-    return tuple(sorted(zero_side)), tuple(sorted(one_side))
+            zero_side[mask.bit_count()] += mult
+    return zero_side, one_side
 
 
-def reassemble_punctured(
-    n: int, zero_weights, one_weights
-) -> BiHomPoly:
+def reassemble_punctured(n: int, zero_weights: Counter, one_weights: Counter) -> BiHomPoly:
     """Rebuild the T = {i} split-weight polynomial from a punctured split."""
-    terms: dict[tuple[int, int], int] = {}
-    for w in zero_weights:
-        key = (0, w)
-        terms[key] = terms.get(key, 0) + 1
-    for w in one_weights:
-        key = (1, w)
-        terms[key] = terms.get(key, 0) + 1
+    terms = {(0, w): c for w, c in zero_weights.items()}
+    terms.update(((1, w), c) for w, c in one_weights.items())
     return BiHomPoly.from_terms(1, n - 1, terms)

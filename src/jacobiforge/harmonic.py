@@ -2,8 +2,10 @@
 spaces, the Delsarte design criterion, Hahn polynomials, and recovery
 of split-weight coefficients from weighted weight enumerators.
 
-A degree-d subset function assigns a rational to every d-subset; the
-down operator sends it to the (d-1)-subset function
+Subsets and blocks are int masks, bit i-1 for coordinate i, and a block
+multiset is a Counter{mask: multiplicity} weight slice of a support
+histogram.  A degree-d subset function assigns a rational to every
+d-subset mask; the down operator sends it to the (d-1)-subset function
 
     (gamma f)(Y) = sum over d-sets Z containing Y of f(Z),
 
@@ -30,7 +32,7 @@ from itertools import combinations
 from math import comb
 
 from .bipoly import BiHomPoly
-from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, mask_support
+from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
 from .enumerators import JacobiTable, subcode_support_histogram
 from .errors import (
     DegreeUnderflow,
@@ -41,7 +43,8 @@ from .exactmath import QQ, RatMatrix, nullspace, rat_solve
 
 
 class SubsetFn:
-    """A rational-valued function on the d-subsets of {1, ..., n}."""
+    """A rational-valued function on the d-subsets of {1, ..., n}, keyed by
+    mask in `values`; __init__, value() and f_tilde also take coordinate sets."""
 
     __slots__ = ("n", "d", "values")
 
@@ -50,16 +53,16 @@ class SubsetFn:
             raise ValueError("need 0 <= d <= n")
         vals = {}
         for key, v in values.items():
-            z = frozenset(key)
-            if len(z) != d or not all(1 <= i <= n for i in z):
-                raise ValueError(f"{sorted(z)} is not a d-subset of 1..{n}")
+            z = _as_mask(key)
+            if z.bit_count() != d or z >> n:
+                raise ValueError(f"{key!r} is not a d-subset of 1..{n}")
             vals[z] = Fraction(v)
         self.n = n
         self.d = d
         self.values = vals
 
     def value(self, z) -> Fraction:
-        return self.values.get(frozenset(z), Fraction(0))
+        return self.values.get(_as_mask(z), Fraction(0))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values.values())
@@ -69,19 +72,25 @@ class SubsetFn:
         return f"SubsetFn(n={self.n}, d={self.d}, {nonzero} nonzero values)"
 
 
+def _as_mask(z) -> int:
+    return z if isinstance(z, int) else coords_mask(z)
+
+
+def _subset_masks(mask: int, d: int):
+    """The d-subsets of a mask's points, as masks, in lexicographic order."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return map(sum, combinations(bits, d))
+
+
 def gamma(f: SubsetFn) -> SubsetFn:
     """Down operator: (gamma f)(Y) = sum of f over the d-sets containing Y."""
     if f.d == 0:
         raise DegreeUnderflow("gamma needs degree at least 1")
-    out: dict[frozenset[int], Fraction] = {}
-    universe = range(1, f.n + 1)
-    for y in combinations(universe, f.d - 1):
-        yset = frozenset(y)
-        total = Fraction(0)
-        for extra in universe:
-            if extra not in yset:
-                total += f.value(yset | {extra})
-        out[yset] = total
+    full = (1 << f.n) - 1
+    out: dict[int, Fraction] = {}
+    for y in _subset_masks(full, f.d - 1):
+        above = (y | extra for extra in _subset_masks(full ^ y, 1))
+        out[y] = sum((f.values.get(z, 0) for z in above), Fraction(0))
     return SubsetFn(f.n, f.d - 1, out)
 
 
@@ -107,21 +116,14 @@ def harm_basis(n: int, d: int) -> tuple[HarmonicFn, ...]:
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     if d == 0:
-        return (HarmonicFn(n, 0, {frozenset(): Fraction(1)}),)
-    cols = list(combinations(range(1, n + 1), d))
-    rows = list(combinations(range(1, n + 1), d - 1))
-    col_index = {frozenset(c): idx for idx, c in enumerate(cols)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for ridx, y in enumerate(rows):
-        yset = frozenset(y)
-        for extra in range(1, n + 1):
-            if extra not in yset:
-                matrix[ridx][col_index[yset | {extra}]] = 1
-    out = []
-    for vec in nullspace(QQ, matrix, len(cols)):
-        values = {frozenset(c): vec[idx] for idx, c in enumerate(cols) if vec[idx]}
-        out.append(HarmonicFn(n, d, values))
-    return tuple(out)
+        return (HarmonicFn(n, 0, {0: Fraction(1)}),)
+    full = (1 << n) - 1
+    cols = list(_subset_masks(full, d))
+    matrix = [[int(y & z == y) for z in cols] for y in _subset_masks(full, d - 1)]
+    return tuple(
+        HarmonicFn(n, d, {z: v for z, v in zip(cols, vec) if v})
+        for vec in nullspace(QQ, matrix, len(cols))
+    )
 
 
 def f_tilde(f: SubsetFn, x_set) -> Fraction:
@@ -129,13 +131,8 @@ def f_tilde(f: SubsetFn, x_set) -> Fraction:
 
     Zero when |X| < d; for d = 0 it is the value at the empty set.
     """
-    xs = sorted(frozenset(x_set))
-    if len(xs) < f.d:
-        return Fraction(0)
-    total = Fraction(0)
-    for z in combinations(xs, f.d):
-        total += f.value(z)
-    return total
+    subsets = _subset_masks(_as_mask(x_set), f.d)
+    return sum((f.values.get(z, 0) for z in subsets), Fraction(0))
 
 
 def harmonic_higher_wenum(
@@ -150,7 +147,7 @@ def harmonic_higher_wenum(
         raise ValueError("function and code live on different coordinate sets")
     counts = [Fraction(0)] * (code.n + 1)
     for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
-        counts[mask.bit_count()] += mult * f_tilde(f, mask_support(mask))
+        counts[mask.bit_count()] += mult * f_tilde(f, mask)
     return BiHomPoly(0, code.n, [counts])
 
 
@@ -160,13 +157,14 @@ def delsarte_design_check(blocks, t: int) -> bool:
 
     That sum is sum_b f-tilde(b) = sum_Z f(Z) lambda_d(Z), where
     lambda_d(Z) counts the blocks containing the d-set Z.  So for each
-    degree the incidence counts are taken once, with sum_b C(|b|, d)
-    increments, and each basis function costs one pass over its values.
+    degree the incidence counts are taken once, adding each distinct
+    block's multiplicity at its C(|b|, d) d-subset masks, and each basis
+    function costs one pass over its values.
     """
     for d in range(1, t + 1):
-        lam = Counter(
-            frozenset(z) for b in blocks.blocks for z in combinations(b, d)
-        )
+        lam: Counter = Counter()
+        for mask, mult in blocks.counts.items():
+            lam.update(dict.fromkeys(_subset_masks(mask, d), mult))
         for f in harm_basis(blocks.n, d):
             if sum(v * lam[z] for z, v in f.values.items() if z in lam):
                 return False
@@ -220,10 +218,11 @@ def hahn_kernel_fn(n: int, t: int, d: int, tset: RefSet) -> SubsetFn:
     """The degree-t subset function Z -> Q_d^t(t - |Z meets T|) for a t-set T."""
     if tset.size != t:
         raise ValueError("T must be a t-set")
-    values = {}
-    for z in combinations(range(1, n + 1), t):
-        zset = frozenset(z)
-        values[zset] = _hahn_qdt(n, t, d, t - len(zset & tset.members))
+    tmask = tset.mask
+    values = {
+        z: _hahn_qdt(n, t, d, t - (z & tmask).bit_count())
+        for z in _subset_masks((1 << n) - 1, t)
+    }
     return SubsetFn(n, t, values)
 
 

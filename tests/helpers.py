@@ -1,14 +1,28 @@
 """Shared builders for the test suite: golden codes, seeded random codes,
-and brute-force oracles for the vanishing-dimension route."""
+block multisets from coordinate sets, and brute-force oracles for the
+vanishing-dimension route."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
-from jacobiforge import LinearCode, RefSet, field_new, gauss_binom, parse_code
-from jacobiforge.code import column_set_dim
+from jacobiforge import BlockMultiset, LinearCode, RefSet, field_new, gauss_binom, parse_code
+from jacobiforge.code import column_set_dim, coords_mask
 
 EX44_TEXT = "q=2 n=6\n110000\n001100\n000011\n"
 HAMMING74_TEXT = "q=2 n=7\n1000110\n0100101\n0010011\n0001111\n"
+# the acceptance [12,6]_2 code
+C12_TEXT = "q=2 n=12\n" + "".join(
+    row + "\n"
+    for row in (
+        "100000110101",
+        "010000011011",
+        "001000101110",
+        "000100110110",
+        "000010101011",
+        "000001011101",
+    )
+)
 # extended binary Golay [24,12,8]: cyclic shifts of one row plus parity
 GOLAY24_TEXT = "q=2 n=24\n" + "".join(
     "0" * s + "10101110001100000000000"[: 23 - s] + "1\n" for s in range(12)
@@ -23,8 +37,27 @@ def hamming74() -> LinearCode:
     return parse_code(HAMMING74_TEXT)
 
 
+def c12() -> LinearCode:
+    return parse_code(C12_TEXT)
+
+
 def golay24() -> LinearCode:
     return parse_code(GOLAY24_TEXT)
+
+
+def mask_support(mask: int) -> frozenset[int]:
+    """The 1-based coordinate set of a support mask."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def block_multiset(n: int, blocks) -> BlockMultiset:
+    """The multiset of the given coordinate sets; a repeated set counts again."""
+    return BlockMultiset(n, Counter(coords_mask(b) for b in blocks))
+
+
+def occurrences(blocks: BlockMultiset) -> list[frozenset[int]]:
+    """Every block occurrence as a coordinate set, repeats kept."""
+    return [mask_support(m) for m, c in blocks.counts.items() for _ in range(c)]
 
 
 def random_code(rng: random.Random, q: int, n: int, rows: int) -> LinearCode:

@@ -186,12 +186,12 @@ def test_recover_equal(hamming_path):
 
 
 def test_verify_passes_and_is_deterministic(ex44_path):
-    first = run_cli("verify", "--code", ex44_path, "--all")
+    first = run_cli("verify", "--code", ex44_path)
     assert first.returncode == 0, first.stdout + first.stderr
     assert "PASS" in first.stdout and "FAIL" not in first.stdout
-    second = run_cli("verify", "--code", ex44_path, "--all")
+    second = run_cli("verify", "--code", ex44_path)
     assert second.stdout == first.stdout
-    parallel = run_cli("verify", "--code", ex44_path, "--all", "--jobs", "3")
+    parallel = run_cli("verify", "--code", ex44_path, "--jobs", "3")
     assert parallel.returncode == 0
     assert parallel.stdout == first.stdout
 

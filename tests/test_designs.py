@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from helpers import ex44, hamming74
+from helpers import block_multiset, ex44, hamming74
 from jacobiforge import (
     BlockMultiset,
     DesignHypothesisFails,
@@ -20,7 +21,7 @@ from jacobiforge.code import LinearCode
 from jacobiforge.designs import reassemble_punctured, support_shells
 from jacobiforge.gf import field_new
 
-S12 = BlockMultiset(6, [frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6})])
+S12 = block_multiset(6, [{1, 2}, {3, 4}, {5, 6}])
 
 
 def fano_blocks():
@@ -37,7 +38,7 @@ def test_is_t_design_goldens():
 
 
 def test_is_t_design_edge_conventions():
-    empty = BlockMultiset(5, [])
+    empty = block_multiset(5, [])
     v = is_t_design(empty, 2)
     assert (v.is_design, v.lam) == (True, 0)
     # blocks smaller than t cover nothing: vacuous design with lambda 0
@@ -49,9 +50,17 @@ def test_is_t_design_edge_conventions():
 
 def test_uniform_block_size_enforced():
     with pytest.raises(ValueError):
-        BlockMultiset(4, [frozenset({1}), frozenset({1, 2})])
+        block_multiset(4, [{1}, {1, 2}])
     with pytest.raises(ValueError):
-        BlockMultiset(3, [frozenset({4})])
+        block_multiset(3, [{4}])
+    for n, counts in (
+        (3, {0b1000: 1}),  # a bit at n
+        (3, {0b011: 1, 0b110: 0}),  # a multiplicity below 1
+        (3, {0b011: -2}),
+        (4, {0b0001: 2, 0b0011: 1}),  # mixed popcount
+    ):
+        with pytest.raises(ValueError):
+            BlockMultiset(n, counts)
 
 
 def test_subcode_support_designs_goldens():
@@ -110,7 +119,7 @@ def test_lambda_integrality():
                     verdict = is_t_design(shell, t)
                     if verdict.is_design:
                         expect = Fraction(
-                            len(shell.blocks) * comb(shell.block_size, t), comb(code.n, t)
+                            len(shell) * comb(shell.block_size, t), comb(code.n, t)
                         )
                         assert expect.denominator == 1
                         assert verdict.lam == expect
@@ -140,10 +149,10 @@ def test_polarization_hypothesis_guard():
 
 def test_punctured_split_goldens():
     code = ex44()
-    assert punctured_split(code, 1, 1) == ((2, 2, 4), (1, 3, 3, 5))
-    assert punctured_split(code, 0, 1) == ((0,), ())
+    assert punctured_split(code, 1, 1) == (Counter({2: 2, 4: 1}), Counter({1: 1, 3: 2, 5: 1}))
+    assert punctured_split(code, 0, 1) == (Counter({0: 1}), Counter())
     rep = LinearCode(field_new(2), 2, [[1, 1]])
-    assert punctured_split(rep, 1, 1) == ((), (1,))
+    assert punctured_split(rep, 1, 1) == (Counter(), Counter({1: 1}))
 
 
 def test_punctured_reassembly_equals_direct():

@@ -128,7 +128,7 @@ def test_delsarte_agrees_with_brute_force():
 def test_delsarte_vacuous_on_empty():
     from jacobiforge import BlockMultiset
 
-    assert delsarte_design_check(BlockMultiset(6, []), 2) is True
+    assert delsarte_design_check(BlockMultiset(6, {}), 2) is True
 
 
 def test_hahn_special_values():

@@ -6,10 +6,21 @@ check must equal the literal f-tilde sums."""
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from helpers import golay24, hamming74, q_st, q_st_ext, sweep_codes
+from helpers import (
+    block_multiset,
+    c12,
+    golay24,
+    hamming74,
+    mask_support,
+    occurrences,
+    q_st,
+    q_st_ext,
+    sweep_codes,
+)
 from jacobiforge import (
     BlockMultiset,
     LinearCode,
@@ -31,7 +42,6 @@ from jacobiforge import (
 from jacobiforge.code import (
     column_set_dim,
     coords_mask,
-    mask_support,
     monic_masks,
     or_convolve,
     rows_support,
@@ -63,9 +73,10 @@ def small_codes(q: int, count: int = 4) -> list[LinearCode]:
 
 def brute_is_t_design(blocks: BlockMultiset, t: int) -> tuple[bool, int | None]:
     coverages = set()
+    blocks_list = occurrences(blocks)
     for tsub in combinations(range(1, blocks.n + 1), t):
         tsub = frozenset(tsub)
-        coverages.add(sum(1 for b in blocks.blocks if tsub <= b))
+        coverages.add(sum(1 for b in blocks_list if tsub <= b))
         if len(coverages) > 1:
             return False, None
     return True, coverages.pop() if coverages else 0
@@ -130,9 +141,18 @@ def test_support_shells_repeat_masks_by_multiplicity():
     total = Counter()
     for w, shell in shells.items():
         assert shell.block_size == w
-        total.update(shell.blocks)
+        total.update(occurrences(shell))
     literal = Counter(rows_support(s.basis) for s in subcodes(code, 1))
     assert total == literal
+
+
+def with_multiplicities(rng: random.Random, blocks: list) -> list:
+    """Each block repeated 1 to 4 times."""
+    return [b for b in blocks for _ in range(rng.randint(1, 4))]
+
+
+# a 1-design with lambda 1 only if multiplicities are ignored
+UNEVEN = block_multiset(4, [{1, 2}, {1, 2}, {3, 4}])
 
 
 def test_is_t_design_matches_brute_coverage():
@@ -141,13 +161,16 @@ def test_is_t_design_matches_brute_coverage():
         n = rng.randrange(1, 8)
         size = rng.randrange(0, n + 1)
         pool = list(combinations(range(1, n + 1), size))
-        blocks = BlockMultiset(
-            n, [frozenset(rng.choice(pool)) for _ in range(rng.randrange(0, 6))]
-        )
+        drawn = [rng.choice(pool) for _ in range(rng.randrange(0, 6))]
+        blocks = block_multiset(n, with_multiplicities(rng, drawn))
         for t in range(n + 1):
             v = is_t_design(blocks, t)
             assert (v.is_design, v.lam) == brute_is_t_design(blocks, t)
-    for shell in support_shells(hamming74(), 2).values():
+    v = is_t_design(UNEVEN, 1)
+    assert (v.is_design, v.lam) == brute_is_t_design(UNEVEN, 1) == (False, None)
+    # C12's rank-2 shells repeat masks up to 19 times
+    shells = [*support_shells(hamming74(), 2).values(), *support_shells(c12(), 2).values()]
+    for shell in shells:
         for t in range(4):
             v = is_t_design(shell, t)
             assert (v.is_design, v.lam) == brute_is_t_design(shell, t)
@@ -158,6 +181,20 @@ def test_golay_weight8_shell_is_steiner_5_design():
     assert len(shell) == 759
     v = is_t_design(shell, 5)
     assert (v.is_design, v.lam) == (True, 1)
+
+
+def test_golay_rank2_shells_are_5_designs_with_large_multiplicities():
+    hist = subcode_support_histogram(golay24(), 2)
+    assert (len(hist), sum(hist.values())) == (989254, 2794155)
+    shells = support_shells(golay24(), 2)
+    assert shells[22].counts == dict.fromkeys(shells[22].counts, 616)
+    assert len(shells[22].counts) == 276
+    assert list(shells[24].counts.values()) == [5842]
+    for w, lam in ((22, 105336), (24, 5842)):
+        v = is_t_design(shells[w], 5)
+        assert (v.is_design, v.lam) == (True, lam)
+        # a 5-design of b blocks of size w has lambda = b * C(w, 5) / C(24, 5)
+        assert lam * comb(24, 5) == len(shells[w]) * comb(w, 5)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
@@ -235,8 +272,9 @@ def test_q_grid_matches_brute_q_st():
 def literal_delsarte(blocks: BlockMultiset, t: int) -> bool:
     """The criterion as stated: sum_b f-tilde(b) = 0 for every harmonic basis
     function f of degree 1..t."""
+    blocks_list = occurrences(blocks)
     return all(
-        sum(f_tilde(f, b) for b in blocks.blocks) == 0
+        sum(f_tilde(f, b) for b in blocks_list) == 0
         for d in range(1, t + 1)
         for f in harm_basis(blocks.n, d)
     )
@@ -245,23 +283,24 @@ def literal_delsarte(blocks: BlockMultiset, t: int) -> bool:
 def test_delsarte_matches_literal_sum_and_brute_design_check():
     rng = random.Random(11)
     cases = [
-        BlockMultiset(5, []),
-        BlockMultiset(3, [{1}, {2}, {3}]),  # a 1-design, vacuous at t = 2
-        BlockMultiset(3, [{1}, {1}]),  # not a 1-design, vacuous at t = 2
-        BlockMultiset(4, [{1, 2}, {1, 2}, {3, 4}, {3, 4}]),
+        block_multiset(5, []),
+        block_multiset(3, [{1}, {2}, {3}]),  # a 1-design, vacuous at t = 2
+        block_multiset(3, [{1}, {1}]),  # not a 1-design, vacuous at t = 2
+        block_multiset(4, [{1, 2}, {1, 2}, {3, 4}, {3, 4}]),
+        UNEVEN,
     ]
     for _ in range(80):
         n = rng.randrange(1, 8)
         pool = list(combinations(range(1, n + 1), rng.randrange(0, n + 1)))
-        blocks = [rng.choice(pool) for _ in range(rng.randrange(0, 6))]
-        if blocks and rng.random() < 0.5:
-            blocks += blocks[: rng.randrange(1, len(blocks) + 1)]
-        cases.append(BlockMultiset(n, blocks))
-    for shell in cases:
-        for t in range(shell.n + 1):
-            got = delsarte_design_check(shell, t)
-            assert got == literal_delsarte(shell, t), (shell.blocks, t)
-            # above the block size the brute definition is vacuous, while the
-            # criterion still asks for a d-design at every d <= block size
-            if t <= shell.block_size or not shell.blocks:
-                assert got == is_t_design(shell, t).is_design, (shell.blocks, t)
+        drawn = [rng.choice(pool) for _ in range(rng.randrange(0, 6))]
+        cases.append(block_multiset(n, with_multiplicities(rng, drawn)))
+    inputs = [(shell, t) for shell in cases for t in range(shell.n + 1)]
+    # the literal sums over C12's 651 rank-2 subcodes grow slow above t = 2
+    inputs += [(shell, t) for shell in support_shells(c12(), 2).values() for t in range(3)]
+    for shell, t in inputs:
+        got = delsarte_design_check(shell, t)
+        assert got == literal_delsarte(shell, t), (shell.counts, t)
+        # above the block size the brute definition is vacuous, while the
+        # criterion still asks for a d-design at every d <= block size
+        if t <= shell.block_size or not shell.counts:
+            assert got == is_t_design(shell, t).is_design, (shell.counts, t)
