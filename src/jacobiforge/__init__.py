@@ -8,17 +8,7 @@ suite insists they agree to the last digit.
 """
 
 from .bipoly import BiHomPoly, PairSubstitution
-from .code import (
-    LinearCode,
-    RefSet,
-    Subcode,
-    codewords,
-    extension_codewords,
-    parse_code,
-    render_code,
-    subcodes,
-    support,
-)
+from .code import LinearCode, RefSet, codewords, parse_code, render_code, support
 from .designs import (
     BlockMultiset,
     DesignVerdict,

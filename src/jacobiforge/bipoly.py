@@ -24,17 +24,16 @@ only where an entry or a matrix is fractional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DegreeMismatch, DegreeUnderflow
 from .exactmath import format_rational, parse_rational
 
 
-@dataclass(frozen=True)
-class PairSubstitution:
+class PairSubstitution(NamedTuple):
     """(w,z) -> (a w + b z, c w + d z) and (x,y) -> (a' x + b' y, c' x + d' y).
 
     Singular substitutions are permitted.

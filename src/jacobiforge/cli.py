@@ -8,7 +8,6 @@ guard errors.  All numeric output is exact; rationals print as p/q.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .code import (
@@ -148,6 +147,8 @@ def _parse_rational_arg(name: str, text: str):
 
 def _emit(poly_or_table, as_json: bool):
     if as_json:
+        import json  # only --json pays for it at start-up
+
         print(json.dumps(poly_or_table.to_json_dict()))
     else:
         print(poly_or_table.render())

@@ -27,14 +27,14 @@ are counted in a Counter{mask: multiplicity} histogram, for every q:
     codeword supports and the histogram is the m-fold OR-convolution of
     the codeword histogram, with no GF(q^m) arithmetic.
 
-Literal enumeration (``codewords``, ``subcodes``, ``iter_subcode_supports``,
-``extension_codewords``) is kept as an independent route for the tests.
+``codewords`` lists the codewords one by one; the literal subcode and
+extension-word enumerations that the histograms are checked against live
+with the tests, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
@@ -43,7 +43,6 @@ from .errors import (
     FieldMismatch,
     ParseError,
     TooLarge,
-    UnsupportedBaseField,
 )
 from .exactmath import nullspace, rref
 from .gf import _ORDER_CAP, FieldSpec, field_new
@@ -53,16 +52,26 @@ MAX_WORDS_DEFAULT = 1 << 24
 MAX_SUBCODES_DEFAULT = 10 ** 7
 
 
-@dataclass(frozen=True)
 class RefSet:
     """A reference set of coordinate places T inside [n]."""
 
-    n: int
-    members: frozenset[int]
+    __slots__ = ("n", "members")
 
-    def __post_init__(self):
-        if not all(1 <= i <= self.n for i in self.members):
-            raise ValueError(f"reference set must lie inside 1..{self.n}")
+    def __init__(self, n: int, members: frozenset[int]):
+        if not all(1 <= i <= n for i in members):
+            raise ValueError(f"reference set must lie inside 1..{n}")
+        self.n = n
+        self.members = members
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RefSet)
+            and self.n == other.n
+            and self.members == other.members
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.members))
 
     @classmethod
     def of(cls, n: int, coords: Iterable[int] = ()) -> "RefSet":
@@ -221,16 +230,6 @@ def support(vec: Sequence[int]) -> frozenset[int]:
     return frozenset(i + 1 for i, x in enumerate(vec) if x)
 
 
-def rows_support(rows: Iterable[Sequence[int]]) -> frozenset[int]:
-    """Union of row supports; basis independent for a fixed row space."""
-    out: set[int] = set()
-    for row in rows:
-        for i, x in enumerate(row):
-            if x:
-                out.add(i + 1)
-    return frozenset(out)
-
-
 def codewords(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> Iterator[tuple[int, ...]]:
     """All q^k codewords, in message lexicographic order (m * G)."""
     spec, k, n = code.spec, code.k, code.n
@@ -252,78 +251,8 @@ def _span_words(spec: FieldSpec, n: int, rows) -> Iterator[list[int]]:
         yield word
 
 
-def _iter_rref_messages(q: int, k: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every r x k matrix in RREF over GF(q), one per r-dim subspace of GF(q)^k."""
-    if r == 0:
-        yield ()
-        return
-    for pivots in combinations(range(k), r):
-        pivot_set = set(pivots)
-        free = [
-            (s, c)
-            for s in range(r)
-            for c in range(pivots[s] + 1, k)
-            if c not in pivot_set
-        ]
-        base = [[0] * k for _ in range(r)]
-        for s, p in enumerate(pivots):
-            base[s][p] = 1
-        if not free:
-            yield tuple(tuple(row) for row in base)
-            continue
-        for values in product(range(q), repeat=len(free)):
-            mat = [row[:] for row in base]
-            for (s, c), v in zip(free, values):
-                mat[s][c] = v
-            yield tuple(tuple(row) for row in mat)
-
-
-@dataclass(frozen=True)
-class Subcode:
-    """An r-dimensional subcode presented by an RREF basis inside its parent."""
-
-    parent: LinearCode
-    r: int
-    basis: tuple[tuple[int, ...], ...]
-
-
 def subcode_count(code: LinearCode, r: int) -> int:
     return gauss_binom(code.k, r, code.spec.q)
-
-
-def subcodes(
-    code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> Iterator[Subcode]:
-    """All r-dim subcodes, each exactly once, as RREF images of message subspaces."""
-    if not 0 <= r <= code.k:
-        raise ValueError(f"need 0 <= r <= k = {code.k}")
-    if subcode_count(code, r) > max_subcodes:
-        raise TooLarge(
-            f"{subcode_count(code, r)} subcodes exceed the guard {max_subcodes}"
-        )
-    spec = code.spec
-    for msg in _iter_rref_messages(spec.q, code.k, r):
-        rows = _message_image(code, msg)
-        reduced, _ = rref(spec, rows, code.n)
-        yield Subcode(code, r, tuple(tuple(row) for row in reduced))
-
-
-def _message_image(code: LinearCode, msg_rows) -> list[list[int]]:
-    """Map message-space rows through the generator matrix."""
-    spec, n = code.spec, code.n
-    out = []
-    for mrow in msg_rows:
-        word = [0] * n
-        for a, grow in zip(mrow, code.gen):
-            if a:
-                if a == 1:
-                    word = [spec.add(x, y) for x, y in zip(word, grow)]
-                else:
-                    word = [
-                        spec.add(x, spec.mul(a, y)) for x, y in zip(word, grow)
-                    ]
-        out.append(word)
-    return out
 
 
 def support_mask(vec: Sequence[int]) -> int:
@@ -414,57 +343,8 @@ def subcode_histogram(code: LinearCode, r: int, masks: Sequence[int]) -> Counter
     return out
 
 
-def iter_subcode_supports(
-    code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> Iterator[frozenset[int]]:
-    """Support of every r-dim subcode, with multiplicity, as 1-based sets."""
-    if not 0 <= r <= code.k:
-        raise ValueError(f"need 0 <= r <= k = {code.k}")
-    if subcode_count(code, r) > max_subcodes:
-        raise TooLarge(
-            f"{subcode_count(code, r)} subcodes exceed the guard {max_subcodes}"
-        )
-    for msg in _iter_rref_messages(code.spec.q, code.k, r):
-        yield rows_support(_message_image(code, msg))
-
-
 def column_set_dim(code: LinearCode, cols: frozenset[int]) -> int:
     """dim of the subcode vanishing on the given 1-based coordinate set."""
     ordered = sorted(cols)
     sub = [[row[c - 1] for c in ordered] for row in code.gen]
     return code.k - len(rref(code.spec, sub, len(ordered))[0])
-
-
-def extension_codewords(
-    code: LinearCode, m: int, max_words: int = MAX_WORDS_DEFAULT
-) -> Iterator[tuple[int, ...]]:
-    """All q^(mk) words of the degree-m extension, as vectors over GF(q^m).
-
-    The base field embeds as the constant polynomials, so only prime base
-    fields are supported; extension invariants over GF(p^e) with e > 1 are
-    reached through the C^m support histogram and the rank-decomposition
-    identity instead.
-    """
-    if code.spec.e != 1:
-        raise UnsupportedBaseField("direct extension needs a prime base field")
-    if m < 1:
-        raise ValueError("extension degree m must be at least 1")
-    spec, k, n = code.spec, code.k, code.n
-    if spec.q ** (m * k) > max_words:
-        raise TooLarge(
-            f"{spec.q}^{m * k} extension words exceed the guard {max_words}"
-        )
-    ext = field_new(spec.p, m)
-    if k == 0:
-        yield (0,) * n
-        return
-    scaled = [
-        [tuple(ext.mul(a, x) for x in row) for a in range(ext.q)] for row in code.gen
-    ]
-    for msg in product(range(ext.q), repeat=k):
-        word = [0] * n
-        for a, row_mult in zip(msg, scaled):
-            if a:
-                mult = row_mult[a]
-                word = [ext.add(x, y) for x, y in zip(word, mult)]
-        yield tuple(word)

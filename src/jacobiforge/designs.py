@@ -14,10 +14,10 @@ design-iff-independence equivalence true on fully symmetric codes.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import perm
+from typing import NamedTuple
 
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet
@@ -30,8 +30,7 @@ from .enumerators import (
 from .errors import DesignHypothesisFails
 
 
-@dataclass(frozen=True)
-class DesignVerdict:
+class DesignVerdict(NamedTuple):
     is_design: bool
     t: int
     lam: int | None

@@ -32,10 +32,10 @@ otherwise, and keeps one byte per subset.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .bipoly import BiHomPoly, PairSubstitution
 from .code import (
@@ -54,8 +54,7 @@ from .qcomb import gauss_binom, qbracket, qfact
 _ELL_SWEEP_CAP = 20  # 2^n column subsets; desk scale
 
 
-@dataclass(frozen=True)
-class JacobiTable:
+class JacobiTable(NamedTuple):
     """Coefficient grid of a split-weight enumerator relative to a set T.
 
     grid[i][j] counts objects with complement-weight i and T-weight j;

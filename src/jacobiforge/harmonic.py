@@ -25,7 +25,6 @@ weighted weight enumerators back into split-weight coefficient grids.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -175,16 +174,30 @@ def delsarte_design_check(blocks, t: int) -> bool:
 # Hahn polynomials
 
 
-@dataclass(frozen=True)
 class HahnParams:
-    alpha: Fraction
-    beta: Fraction
-    N: int
-    m: int
+    """Parameters (alpha, beta, N) and degree m of a Hahn polynomial Q_m."""
 
-    def __post_init__(self):
-        if not 0 <= self.m < self.N:
+    __slots__ = ("alpha", "beta", "N", "m")
+
+    def __init__(self, alpha: Fraction, beta: Fraction, N: int, m: int):
+        if not 0 <= m < N:
             raise ValueError("need 0 <= m < N")
+        self.alpha = alpha
+        self.beta = beta
+        self.N = N
+        self.m = m
+
+    def _key(self) -> tuple:
+        return (self.alpha, self.beta, self.N, self.m)
+
+    def __eq__(self, other):
+        return isinstance(other, HahnParams) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "HahnParams(alpha={!r}, beta={!r}, N={!r}, m={!r})".format(*self._key())
 
 
 def hahn_eval(params: HahnParams, x: int) -> Fraction:

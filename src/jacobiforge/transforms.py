@@ -21,10 +21,9 @@ back with an integrality check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bipoly import BiHomPoly, PairSubstitution
 from .enumerators import JacobiTable, table_from_bipoly
@@ -32,8 +31,7 @@ from .errors import NonIntegerResult
 from .qcomb import qbracket
 
 
-@dataclass(frozen=True)
-class MWContext:
+class MWContext(NamedTuple):
     """Parameters of the primal code the transform coefficients depend on.
 
     k must be the primal dimension: the q^(-jk) factor is not recoverable

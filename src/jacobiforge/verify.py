@@ -19,12 +19,10 @@ how many worker processes execute the items.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .code import (
     MAX_SUBCODES_DEFAULT,
@@ -140,8 +138,7 @@ def same_per_key(lhs, rhs):
     return diff is None, diff
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One identity: two independent routes to one object, compared.
 
     ``routes(code, guards, *params)`` returns (lhs, rhs), guards being
@@ -362,6 +359,9 @@ def verify_all(
         _init_worker(render_code(code), guards)
         results = [_run_worker(item) for item in items]
     else:
+        # imported here, so that no other command pays for it at start-up
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(
             processes=jobs, initializer=_init_worker, initargs=(render_code(code), guards)

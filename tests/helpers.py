@@ -1,13 +1,31 @@
 """Shared builders for the test suite: golden codes, seeded random codes,
-block multisets from coordinate sets, and brute-force oracles for the
-vanishing-dimension route."""
+block multisets from coordinate sets, brute-force oracles for the
+vanishing-dimension route, and the literal subcode and extension-word
+enumerations that the support histograms are checked against."""
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
+from typing import Iterator, NamedTuple
 
-from jacobiforge import BlockMultiset, LinearCode, RefSet, field_new, gauss_binom, parse_code
-from jacobiforge.code import column_set_dim, coords_mask
+from jacobiforge import (
+    BlockMultiset,
+    LinearCode,
+    RefSet,
+    TooLarge,
+    UnsupportedBaseField,
+    field_new,
+    gauss_binom,
+    parse_code,
+)
+from jacobiforge.code import (
+    MAX_SUBCODES_DEFAULT,
+    MAX_WORDS_DEFAULT,
+    column_set_dim,
+    coords_mask,
+    subcode_count,
+)
+from jacobiforge.exactmath import rref
 
 EX44_TEXT = "q=2 n=6\n110000\n001100\n000011\n"
 HAMMING74_TEXT = "q=2 n=7\n1000110\n0100101\n0010011\n0001111\n"
@@ -125,3 +143,132 @@ def q_st_ext(code: LinearCode, tset: RefSet, m: int, s: int, t: int) -> int:
     """Extension analogue: each (X, Y) contributes (q^m)^dim of the vanishing subcode."""
     qm = code.spec.q ** m
     return sum(qm ** ell for ell in _vanishing_pairs(code, tset, s, t))
+
+
+# ---------------------------------------------------------------------------
+# literal enumeration: every subcode and extension word built one by one
+
+
+def rows_support(rows) -> frozenset[int]:
+    """Union of row supports; basis independent for a fixed row space."""
+    out: set[int] = set()
+    for row in rows:
+        for i, x in enumerate(row):
+            if x:
+                out.add(i + 1)
+    return frozenset(out)
+
+
+def _iter_rref_messages(q: int, k: int, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every r x k matrix in RREF over GF(q), one per r-dim subspace of GF(q)^k."""
+    if r == 0:
+        yield ()
+        return
+    for pivots in combinations(range(k), r):
+        pivot_set = set(pivots)
+        free = [
+            (s, c)
+            for s in range(r)
+            for c in range(pivots[s] + 1, k)
+            if c not in pivot_set
+        ]
+        base = [[0] * k for _ in range(r)]
+        for s, p in enumerate(pivots):
+            base[s][p] = 1
+        if not free:
+            yield tuple(tuple(row) for row in base)
+            continue
+        for values in product(range(q), repeat=len(free)):
+            mat = [row[:] for row in base]
+            for (s, c), v in zip(free, values):
+                mat[s][c] = v
+            yield tuple(tuple(row) for row in mat)
+
+
+class Subcode(NamedTuple):
+    """An r-dimensional subcode presented by an RREF basis inside its parent."""
+
+    parent: LinearCode
+    r: int
+    basis: tuple[tuple[int, ...], ...]
+
+
+def _check_subcode_guard(code: LinearCode, r: int, max_subcodes: int):
+    if not 0 <= r <= code.k:
+        raise ValueError(f"need 0 <= r <= k = {code.k}")
+    if subcode_count(code, r) > max_subcodes:
+        raise TooLarge(
+            f"{subcode_count(code, r)} subcodes exceed the guard {max_subcodes}"
+        )
+
+
+def subcodes(
+    code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
+) -> Iterator[Subcode]:
+    """All r-dim subcodes, each exactly once, as RREF images of message subspaces."""
+    _check_subcode_guard(code, r, max_subcodes)
+    spec = code.spec
+    for msg in _iter_rref_messages(spec.q, code.k, r):
+        rows = _message_image(code, msg)
+        reduced, _ = rref(spec, rows, code.n)
+        yield Subcode(code, r, tuple(tuple(row) for row in reduced))
+
+
+def _message_image(code: LinearCode, msg_rows) -> list[list[int]]:
+    """Map message-space rows through the generator matrix."""
+    spec, n = code.spec, code.n
+    out = []
+    for mrow in msg_rows:
+        word = [0] * n
+        for a, grow in zip(mrow, code.gen):
+            if a:
+                if a == 1:
+                    word = [spec.add(x, y) for x, y in zip(word, grow)]
+                else:
+                    word = [
+                        spec.add(x, spec.mul(a, y)) for x, y in zip(word, grow)
+                    ]
+        out.append(word)
+    return out
+
+
+def iter_subcode_supports(
+    code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
+) -> Iterator[frozenset[int]]:
+    """Support of every r-dim subcode, with multiplicity, as 1-based sets."""
+    _check_subcode_guard(code, r, max_subcodes)
+    for msg in _iter_rref_messages(code.spec.q, code.k, r):
+        yield rows_support(_message_image(code, msg))
+
+
+def extension_codewords(
+    code: LinearCode, m: int, max_words: int = MAX_WORDS_DEFAULT
+) -> Iterator[tuple[int, ...]]:
+    """All q^(mk) words of the degree-m extension, as vectors over GF(q^m).
+
+    The base field embeds as the constant polynomials, so only prime base
+    fields are supported.
+    """
+    if code.spec.e != 1:
+        raise UnsupportedBaseField("direct extension needs a prime base field")
+    if m < 1:
+        raise ValueError("extension degree m must be at least 1")
+    spec, k, n = code.spec, code.k, code.n
+    if spec.q ** (m * k) > max_words:
+        raise TooLarge(
+            f"{spec.q}^{m * k} extension words exceed the guard {max_words}"
+        )
+    ext = field_new(spec.p, m)
+    if k == 0:
+        yield (0,) * n
+        return
+    scaled = [
+        [tuple(ext.mul(a, x) for x in row) for a in range(ext.q)] for row in code.gen
+    ]
+    for msg in product(range(ext.q), repeat=k):
+        word = [0] * n
+        for a, row_mult in zip(msg, scaled):
+            if a:
+                mult = row_mult[a]
+                word = [ext.add(x, y) for x, y in zip(word, mult)]
+        yield tuple(word)

@@ -15,7 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import C12_TEXT, ex44, hamming74, occurrences, sample_tsets, sweep_codes
+from helpers import (
+    C12_TEXT,
+    ex44,
+    hamming74,
+    occurrences,
+    sample_tsets,
+    subcodes,
+    sweep_codes,
+)
 from jacobiforge import (
     BiHomPoly,
     LinearCode,
@@ -33,7 +41,6 @@ from jacobiforge import (
     qbinom_expansion_check,
     qbracket,
     qfact,
-    subcodes,
 )
 from jacobiforge.code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT
 from jacobiforge.designs import support_shells

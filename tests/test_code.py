@@ -3,7 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from helpers import ex44, hamming74, random_code, shortened_dim
+from helpers import (
+    ex44,
+    extension_codewords,
+    hamming74,
+    iter_subcode_supports,
+    random_code,
+    rows_support,
+    shortened_dim,
+    subcodes,
+)
 from jacobiforge import (
     FieldMismatch,
     LinearCode,
@@ -12,20 +21,13 @@ from jacobiforge import (
     TooLarge,
     UnsupportedBaseField,
     codewords,
-    extension_codewords,
     field_new,
     gauss_binom,
     parse_code,
     render_code,
-    subcodes,
     support,
 )
-from jacobiforge.code import (
-    column_set_dim,
-    iter_subcode_supports,
-    rows_support,
-    subcode_count,
-)
+from jacobiforge.code import column_set_dim, subcode_count
 
 
 def test_parse_golden():

@@ -3,7 +3,16 @@ from itertools import product
 
 import pytest
 
-from helpers import ex44, hamming74, q_st, q_st_ext, random_code, sample_tsets
+from helpers import (
+    ex44,
+    extension_codewords,
+    hamming74,
+    q_st,
+    q_st_ext,
+    random_code,
+    rows_support,
+    sample_tsets,
+)
 from jacobiforge import (
     BiHomPoly,
     JacobiTable,
@@ -23,7 +32,7 @@ from jacobiforge import (
     parse_code,
     weight_enum,
 )
-from jacobiforge.code import rows_support, support
+from jacobiforge.code import support
 
 from math import comb
 
@@ -253,8 +262,6 @@ def test_extension_supports_match_row_space_supports():
         code = parse_code(text)
         p = code.spec.p
         ext = field_new(p, m)
-        from jacobiforge import extension_codewords
-
         words = list(extension_codewords(code, m))
         msgs = list(product(range(ext.q), repeat=code.k))
         spec = code.spec

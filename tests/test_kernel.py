@@ -13,12 +13,15 @@ import pytest
 from helpers import (
     block_multiset,
     c12,
+    extension_codewords,
     golay24,
     hamming74,
     mask_support,
     occurrences,
     q_st,
     q_st_ext,
+    rows_support,
+    subcodes,
     sweep_codes,
 )
 from jacobiforge import (
@@ -31,20 +34,17 @@ from jacobiforge import (
     extended_jacobi,
     extended_jacobi_direct,
     extended_jacobi_via_q,
-    extension_codewords,
     f_tilde,
     field_new,
     gauss_binom,
     harm_basis,
     is_t_design,
-    subcodes,
 )
 from jacobiforge.code import (
     column_set_dim,
     coords_mask,
     monic_masks,
     or_convolve,
-    rows_support,
     support_mask,
 )
 from jacobiforge.designs import support_shells

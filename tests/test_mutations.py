@@ -3,7 +3,6 @@ check that compares it with an independent route must report it."""
 
 import inspect
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -33,7 +32,7 @@ def plus_one_at_origin(table):
     """table with one more count in grid entry (0, 0)."""
     grid = [list(row) for row in table.grid]
     grid[0][0] += 1
-    return replace(table, grid=tuple(map(tuple, grid)))
+    return table._replace(grid=tuple(map(tuple, grid)))
 
 
 def test_extension_histogram_corruption_fails_ejac_direct(monkeypatch):
