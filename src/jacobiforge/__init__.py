@@ -43,7 +43,6 @@ from .errors import (
     PochhammerZeroDenominator,
     SingularMatrix,
     TooLarge,
-    UnsupportedBaseField,
 )
 from .exactmath import RatMatrix, rat_solve
 from .gf import FieldSpec, field_new
@@ -60,7 +59,7 @@ from .harmonic import (
     harmonic_higher_wenum,
     recover_jacobi,
 )
-from .qcomb import gauss_binom, qbinom_expansion_check, qbracket, qfact
+from .qcomb import gauss_binom, qbracket, qfact
 from .transforms import MWContext, mw_extended_jacobi, mw_higher_jacobi, mw_higher_weight
 from .verify import verify_all
 

@@ -206,9 +206,6 @@ class BiHomPoly:
                 total += c * w0 ** (s - j) * z0 ** j * x0 ** (n - i) * y0 ** i
         return total
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for row in self.coeff for c in row)
-
     def render(self) -> str:
         """Monomial sum in lexicographic (j, i) order, e.g. ``2*z*x^2*y^3``."""
         parts = []

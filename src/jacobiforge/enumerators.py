@@ -10,11 +10,18 @@ Three independent computation routes exist for each grid:
   * a vanishing-dimension sweep: for every coordinate subset U, the
     dimension of the subcode vanishing on U determines how many objects
     avoid U, and an inclusion-exclusion expansion recovers the grid;
-  * rank decomposition: the extension grid for degree m is the
-    bracket-weighted sum of the subcode grids, and inverting that
-    triangular relation recovers subcode grids from extension grids.
+  * rank decomposition: the extension table polynomial for degree m is
+    the bracket-weighted sum of the subcode table polynomials, and
+    inverting that triangular relation recovers subcode tables from
+    extension tables.
 
 All routes must agree exactly; the test suite enforces it.
+
+Counted routes build their tables from Counter{(i, j): count}.  Every
+route that computes an exact polynomial instead (rank decomposition,
+the sweep, the duality transforms, harmonic recovery) reads its table
+off it with ``table_from_bipoly``, the one integrality check: a
+fractional entry raises NonIntegerResult, naming the first such entry.
 
 Direct enumeration never materialises the objects: codewords, subcodes
 and extension words are reduced to a cached Counter{support mask:
@@ -137,13 +144,18 @@ def _table_from_counts(kind, param, code, tset, counts) -> JacobiTable:
 def table_from_bipoly(
     kind, param, q, n, tset: RefSet, poly: BiHomPoly
 ) -> JacobiTable:
-    """Read a coefficient grid back from a polynomial, insisting on integers."""
-    if not poly.is_integral():
-        raise NonIntegerResult("table entries must be integers")
-    grid = tuple(
-        tuple(int(poly.coeff[j][i]) for j in range(tset.size + 1))
-        for i in range(n - tset.size + 1)
-    )
+    """Read the coefficient grid off a polynomial: grid[i][j] is the
+    coefficient of w^(|T|-j) z^j x^(n-|T|-i) y^i.
+
+    This is how every exact computation becomes a table, and the one
+    integrality check: the first fractional entry in grid order raises
+    NonIntegerResult, which always signals a bug in some route.
+    """
+    grid = tuple(zip(*poly.coeff))
+    for i, row in enumerate(grid):
+        for j, v in enumerate(row):
+            if v.denominator != 1:
+                raise NonIntegerResult(f"entry ({i},{j}) = {v} is not an integer")
     return JacobiTable(kind=kind, param=param, q=q, n=n, tset=tset, grid=grid)
 
 
@@ -339,10 +351,11 @@ def _check_tset(code: LinearCode, tset: RefSet):
 @lru_cache(maxsize=128)
 def _dims_by_split(code: LinearCode, tmask: int) -> Counter:
     """Counter{(|U - T|, |U & T|, dim): subsets U} of the vanishing dims."""
-    dims = _vanishing_dims(code)
-    outside = [(mask & ~tmask).bit_count() for mask in range(len(dims))]
-    inside = [(mask & tmask).bit_count() for mask in range(len(dims))]
-    return Counter(zip(outside, inside, dims))
+    outside = ~tmask
+    return Counter(
+        ((mask & outside).bit_count(), (mask & tmask).bit_count(), dim)
+        for mask, dim in enumerate(_vanishing_dims(code))
+    )
 
 
 def _q_grid(code: LinearCode, tset: RefSet, weight_of_dim) -> list[list[int]]:
@@ -378,7 +391,8 @@ def higher_jacobi_via_q(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
 def extended_jacobi_via_q(code: LinearCode, tset: RefSet, m: int) -> JacobiTable:
     """Extension split-weight table recovered from vanishing dimensions alone.
 
-    m = 0 is the degenerate single-word table, used by the inversion route.
+    m = 0 gives the degenerate single-word table; ``higher_from_extended``
+    writes that term out itself, so it does not call this with m = 0.
     """
     _check_tset(code, tset)
     qm = code.spec.q ** m
@@ -413,78 +427,39 @@ def extended_jacobi(
     m: int,
     max_subcodes: int = MAX_SUBCODES_DEFAULT,
 ) -> JacobiTable:
-    """Extension table via rank decomposition: the degree-m grid equals
-    sum_r [m,r]_q times the r-subcode grid."""
+    """Extension table via rank decomposition: the degree-m polynomial is
+    sum_r [m,r]_q times the r-subcode table polynomial.  The ranks with
+    [m,r]_q = 0 (r > m) are skipped, so no table above rank m is built."""
     _check_tset(code, tset)
     if m < 1:
         raise ValueError("extension degree m must be at least 1")
     q = code.spec.q
-    rows = code.n - tset.size + 1
-    cols = tset.size + 1
-    acc = [[0] * cols for _ in range(rows)]
+    poly = BiHomPoly.zero(tset.size, code.n - tset.size)
     for r in range(code.k + 1):
         factor = qfact(m, r, q)
-        if factor == 0:
-            continue
-        sub = higher_jacobi(code, tset, r, max_subcodes)
-        for i in range(rows):
-            for j in range(cols):
-                acc[i][j] += factor * sub.grid[i][j]
-    return JacobiTable(
-        kind="extended",
-        param=m,
-        q=q,
-        n=code.n,
-        tset=tset,
-        grid=tuple(tuple(row) for row in acc),
-    )
-
-
-def _trivial_table(code: LinearCode, tset: RefSet, kind: str, param) -> JacobiTable:
-    counts = {(0, 0): 1}
-    return _table_from_counts(kind, param, code, tset, counts)
+        if factor:
+            poly += higher_jacobi(code, tset, r, max_subcodes).to_bipoly().scale(factor)
+    return table_from_bipoly("extended", m, q, code.n, tset, poly)
 
 
 def higher_from_extended(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
-    """Invert the rank decomposition: recover the r-subcode grid as an
-    alternating q-binomial combination of extension grids of degree 0..r.
+    """Invert the rank decomposition: recover the r-subcode polynomial as
+    an alternating q-binomial combination of the extension polynomials of
+    degree 0..r, divided by [r]_q.
 
-    The degree-0 grid is the single-word table.  Every entry of the result
-    must come out an exact integer; a fractional entry is a bug.
+    The degree-0 term is the single-word polynomial w^|T| x^(n-|T|),
+    written out here; degrees 1..r come from the vanishing-dimension route.
     """
     _check_tset(code, tset)
     if not 0 <= r <= code.k:
         raise ValueError(f"need 0 <= r <= k = {code.k}")
     q = code.spec.q
-    rows = code.n - tset.size + 1
-    cols = tset.size + 1
-    acc = [[0] * cols for _ in range(rows)]
-    for j in range(r + 1):
-        coeff = gauss_binom(r, j, q) * (-1) ** (r - j) * q ** comb(r - j, 2)
-        if j == 0:
-            ext = _trivial_table(code, tset, "extended", 0)
-        else:
-            ext = extended_jacobi_via_q(code, tset, j)
-        for i in range(rows):
-            for jj in range(cols):
-                acc[i][jj] += coeff * ext.grid[i][jj]
-    denom = qbracket(r, q)
-    grid = []
-    for i in range(rows):
-        row = []
-        for jj in range(cols):
-            val, rem = divmod(acc[i][jj], denom)
-            if rem:
-                raise NonIntegerResult(
-                    f"entry ({i},{jj}) = {Fraction(acc[i][jj], denom)} is not an integer"
-                )
-            row.append(val)
-        grid.append(tuple(row))
-    return JacobiTable(
-        kind="higher",
-        param=r,
-        q=q,
-        n=code.n,
-        tset=tset,
-        grid=tuple(grid),
-    )
+
+    def coeff(j: int) -> int:
+        return gauss_binom(r, j, q) * (-1) ** (r - j) * q ** comb(r - j, 2)
+
+    poly = BiHomPoly.from_terms(tset.size, code.n - tset.size, {(0, 0): coeff(0)})
+    for j in range(1, r + 1):
+        poly += extended_jacobi_via_q(code, tset, j).to_bipoly().scale(coeff(j))
+    poly = poly.scale(Fraction(1, qbracket(r, q)))
+    return table_from_bipoly("higher", r, q, code.n, tset, poly)

@@ -37,10 +37,6 @@ class FieldMismatch(JacobiForgeError):
     """Matrix entry is not a valid element encoding for the declared field."""
 
 
-class UnsupportedBaseField(JacobiForgeError):
-    """Direct extension enumeration requires a prime base field."""
-
-
 class NonIntegerResult(JacobiForgeError):
     """A quantity that must be an integer came out fractional; signals a bug."""
 

@@ -29,15 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
-from .enumerators import JacobiTable, subcode_support_histogram
-from .errors import (
-    DegreeUnderflow,
-    NonIntegerResult,
-    PochhammerZeroDenominator,
-)
+from .enumerators import JacobiTable, subcode_support_histogram, table_from_bipoly
+from .errors import DegreeUnderflow, PochhammerZeroDenominator
 from .exactmath import QQ, RatMatrix, nullspace, rat_solve
 
 
@@ -292,6 +289,11 @@ def recover_jacobi(
     l - i exceeding the complement size) are eliminated before solving, and
     the system uses as many kernel rows as there are surviving unknowns.
     A singular reduced system is surfaced, not suppressed.
+
+    The right-hand side is read from the same T-split counts n_{l,i} that
+    the system solves for, so the solve returns them whatever h_{d,t} is:
+    this route is not yet independent of direct enumeration (ROADMAP
+    item 3).  The solutions become a table through ``table_from_bipoly``.
     """
     t = tset.size
     if tset.n != code.n:
@@ -304,39 +306,19 @@ def recover_jacobi(
     for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
         key = (mask.bit_count(), (mask & tmask).bit_count())
         stats[key] = stats.get(key, 0) + mult
-    grid = [[0] * (t + 1) for _ in range(n - t + 1)]
+    terms = {}
     for ell in range(n + 1):
         feasible = [
             i for i in range(t + 1) if i <= ell and ell - i <= n - t
         ]
-        u = len(feasible)
-        mass = sum(stats.get((ell, i), 0) for i in range(t + 1))
-        rows: list[list[Fraction]] = [[Fraction(1)] * u]
-        rhs: list[Fraction] = [Fraction(mass)]
-        for d in range(1, u):
-            rows.append([h_dt(n, t, d, ell, i) for i in feasible])
-            rhs.append(
-                sum(
-                    (
-                        h_dt(n, t, d, ell, i) * cnt
-                        for (l2, i), cnt in stats.items()
-                        if l2 == ell
-                    ),
-                    Fraction(0),
-                )
-            )
+        counts = [stats.get((ell, i), 0) for i in feasible]
+        rows: list[list[Fraction]] = [[Fraction(1)] * len(feasible)]
+        rhs: list[Fraction] = [Fraction(sum(counts))]
+        for d in range(1, len(feasible)):
+            row = [h_dt(n, t, d, ell, i) for i in feasible]
+            rows.append(row)
+            rhs.append(sum(map(mul, row, counts), Fraction(0)))
         solution = rat_solve(RatMatrix(rows), rhs)
-        for i, val in zip(feasible, solution):
-            if val.denominator != 1:
-                raise NonIntegerResult(
-                    f"recovered count at (l={ell}, i={i}) is {val}"
-                )
-            grid[ell - i][i] = int(val)
-    return JacobiTable(
-        kind="higher",
-        param=r,
-        q=code.spec.q,
-        n=n,
-        tset=tset,
-        grid=tuple(tuple(row) for row in grid),
-    )
+        terms.update(((i, ell - i), val) for i, val in zip(feasible, solution))
+    poly = BiHomPoly.from_terms(t, n - t, terms)
+    return table_from_bipoly("higher", r, code.spec.q, n, tset, poly)

@@ -10,8 +10,6 @@ arithmetic, generic in q.
 
 from __future__ import annotations
 
-import math
-
 
 def qfact(a: int, b: int, q: int) -> int:
     """The bracket [a,b]_q; empty product (b = 0) is 1, zero when b > a."""
@@ -38,12 +36,3 @@ def gauss_binom(a: int, b: int, q: int) -> int:
     assert rem == 0, f"[{a},{b}]_{q} not divisible by [{b}]_{q}"
     return quot
 
-
-def qbinom_expansion_check(a: int, b: int, q: int) -> bool:
-    """Self-test of the expansion of [a,b]_q as an alternating q-binomial sum."""
-    lhs = qfact(a, b, q)
-    rhs = sum(
-        gauss_binom(b, i, q) * (-1) ** (b - i) * q ** math.comb(b - i, 2) * q ** (a * i)
-        for i in range(b + 1)
-    )
-    return lhs == rhs

@@ -15,8 +15,9 @@ By linearity the inner sum over l is taken before the substitution, so
 rank r costs r + 1 substitutions.  The individual summands are
 fractional and only the total is integral, so every coefficient is
 scaled by the lcm of their denominators: the substitutions run on
-integer grids, and the total is divided by that lcm once and converted
-back with an integrality check.
+integer grids, and the total is divided by that lcm once.  Every result
+becomes a table through ``enumerators.table_from_bipoly``, the one
+integrality check.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from math import comb, lcm
 from typing import NamedTuple, Sequence
 
 from .bipoly import BiHomPoly, PairSubstitution
+from .code import RefSet
 from .enumerators import JacobiTable, table_from_bipoly
-from .errors import NonIntegerResult
 from .qcomb import qbracket
 
 
@@ -88,17 +89,11 @@ def _fold(polys: Sequence[BiHomPoly], ctx: MWContext) -> BiHomPoly:
 
 def mw_higher_weight(enums: Sequence[BiHomPoly], ctx: MWContext) -> BiHomPoly:
     """Dual weight enumerator of rank r from the primal enumerators of
-    rank 0..r; enums[l] must be the rank-l weight enumerator."""
+    rank 0..r; enums[l] must be the rank-l weight enumerator.  It is read
+    as the table at T = {}, which checks that it came out integral."""
+    r = len(enums) - 1
     acc = _fold(enums, ctx)
-    if not acc.is_integral():
-        bad = next(
-            (j, i, c)
-            for j, row in enumerate(acc.coeff)
-            for i, c in enumerate(row)
-            if c.denominator != 1
-        )
-        raise NonIntegerResult(f"coefficient (j={bad[0]}, i={bad[1]}) = {bad[2]}")
-    return acc
+    return table_from_bipoly("higher", r, ctx.q, ctx.n, RefSet.of(ctx.n), acc).to_bipoly()
 
 
 def mw_higher_jacobi(tables: Sequence[JacobiTable], ctx: MWContext) -> JacobiTable:

@@ -1,8 +1,10 @@
 """Shared builders for the test suite: golden codes, seeded random codes,
 block multisets from coordinate sets, brute-force oracles for the
-vanishing-dimension route, and the literal subcode and extension-word
-enumerations that the support histograms are checked against."""
+vanishing-dimension route, the q-binomial expansion self-test, and the
+literal subcode and extension-word enumerations that the support
+histograms are checked against."""
 
+import math
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -10,13 +12,14 @@ from typing import Iterator, NamedTuple
 
 from jacobiforge import (
     BlockMultiset,
+    JacobiForgeError,
     LinearCode,
     RefSet,
     TooLarge,
-    UnsupportedBaseField,
     field_new,
     gauss_binom,
     parse_code,
+    qfact,
 )
 from jacobiforge.code import (
     MAX_SUBCODES_DEFAULT,
@@ -61,6 +64,16 @@ def c12() -> LinearCode:
 
 def golay24() -> LinearCode:
     return parse_code(GOLAY24_TEXT)
+
+
+def qbinom_expansion_check(a: int, b: int, q: int) -> bool:
+    """Self-test of the expansion of [a,b]_q as an alternating q-binomial sum."""
+    lhs = qfact(a, b, q)
+    rhs = sum(
+        gauss_binom(b, i, q) * (-1) ** (b - i) * q ** math.comb(b - i, 2) * q ** (a * i)
+        for i in range(b + 1)
+    )
+    return lhs == rhs
 
 
 def mask_support(mask: int) -> frozenset[int]:
@@ -239,6 +252,10 @@ def iter_subcode_supports(
     _check_subcode_guard(code, r, max_subcodes)
     for msg in _iter_rref_messages(code.spec.q, code.k, r):
         yield rows_support(_message_image(code, msg))
+
+
+class UnsupportedBaseField(JacobiForgeError):
+    """Direct extension enumeration requires a prime base field."""
 
 
 def extension_codewords(

@@ -20,6 +20,7 @@ from helpers import (
     ex44,
     hamming74,
     occurrences,
+    qbinom_expansion_check,
     sample_tsets,
     subcodes,
     sweep_codes,
@@ -38,7 +39,6 @@ from jacobiforge import (
     harm_basis,
     higher_jacobi,
     mw_higher_jacobi,
-    qbinom_expansion_check,
     qbracket,
     qfact,
 )

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from helpers import (
+    UnsupportedBaseField,
     ex44,
     extension_codewords,
     hamming74,
@@ -19,7 +20,6 @@ from jacobiforge import (
     ParseError,
     RefSet,
     TooLarge,
-    UnsupportedBaseField,
     codewords,
     field_new,
     gauss_binom,

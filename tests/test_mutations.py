@@ -3,12 +3,13 @@ check that compares it with an independent route must report it."""
 
 import inspect
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from helpers import HAMMING74_TEXT, block_multiset, ex44, golay24, hamming74
-from jacobiforge import BlockMultiset, delsarte_design_check, is_t_design, verify_all
-from jacobiforge import bipoly, cli, code, enumerators, transforms, verify
+from jacobiforge import BiHomPoly, BlockMultiset, delsarte_design_check, is_t_design, verify_all
+from jacobiforge import bipoly, cli, code, enumerators, harmonic, transforms, verify
 from jacobiforge.designs import support_shells
 from jacobiforge.verify import CHECKS, build_items
 
@@ -98,6 +99,50 @@ def test_extension_grid_corruption_is_a_non_integer_fail(monkeypatch):
     assert not ok
     # [2]_2 = 6 does not divide the alternating sum 2 - 3*2 + 1*2 = -2
     want = "FAIL hjac-from-ext r=2 T={}: non-integer result: entry (0,0) = -1/3 is not an integer"
+    assert want in lines, failing_labels(lines)
+
+
+def test_fractional_fold_is_a_non_integer_fail(monkeypatch):
+    real = transforms._fold
+
+    def corrupt(polys, ctx):
+        poly = real(polys, ctx)
+        coeff = [list(row) for row in poly.coeff]
+        coeff[0][0] += Fraction(1, 2)
+        return BiHomPoly(poly.deg_wz, poly.deg_xy, coeff)
+
+    monkeypatch.setattr(transforms, "_fold", corrupt)
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    want = "FAIL mw-hweight r=1: non-integer result: entry (0,0) = 1/2 is not an integer"
+    assert want in lines, failing_labels(lines)
+
+
+def solve_then(change):
+    """harmonic.rat_solve with change applied to the last count of each solve."""
+    real = harmonic.rat_solve
+
+    def corrupt(*args):
+        solution = real(*args)
+        solution[-1] = change(solution[-1])
+        return solution
+
+    return corrupt
+
+
+def test_fractional_recovered_count_is_a_non_integer_fail(monkeypatch):
+    monkeypatch.setattr(harmonic, "rat_solve", solve_then(lambda x: x + Fraction(1, 2)))
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    want = "FAIL recover r=1 T={1}: non-integer result: entry (0,0) = 1/2 is not an integer"
+    assert want in lines, failing_labels(lines)
+
+
+def test_wrong_recovered_count_fails_recover(monkeypatch):
+    monkeypatch.setattr(harmonic, "rat_solve", solve_then(lambda x: x + 1))
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    want = "FAIL recover r=1 T={1}: first difference at (i=0, j=0): 1 vs 0"
     assert want in lines, failing_labels(lines)
 
 

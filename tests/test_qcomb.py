@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from jacobiforge import gauss_binom, qbinom_expansion_check, qbracket, qfact
+from helpers import qbinom_expansion_check
+from jacobiforge import gauss_binom, qbracket, qfact
 
 
 def brute_subspace_count(k: int, r: int, q: int) -> int:
