@@ -95,7 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=2, help="extension degree cap")
     p.add_argument("-t", type=int, default=2, help="reference set size cap")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="processes sharing the items, one whole item kind at a time "
+        "(capped by the usable CPUs); the output is the same for any value",
+    )
     return parser
 
 

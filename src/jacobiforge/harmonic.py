@@ -100,24 +100,26 @@ class HarmonicFn(SubsetFn):
 
 
 @lru_cache(maxsize=64)
-def harm_basis(n: int, d: int) -> tuple[HarmonicFn, ...]:
+def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
     """Exact rational basis of the degree-d harmonic space.
 
     Computed as ``nullspace(QQ, ...)`` of the 0/1 gamma matrix, whose
     rows are the (d-1)-subsets and whose columns are the d-subsets in
     lexicographic order.  There is one basis function per free column of
     the matrix's unique RREF, so the basis and its order are reproducible.
-    Degree 0 is the one-dimensional space of constants.
+    Degree 0 is the one-dimensional space of constants.  The functions
+    are plain SubsetFns: a nullspace vector is in the kernel of gamma by
+    construction, so HarmonicFn's check would only repeat the solve.
     """
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     if d == 0:
-        return (HarmonicFn(n, 0, {0: Fraction(1)}),)
+        return (SubsetFn(n, 0, {0: Fraction(1)}),)
     full = (1 << n) - 1
     cols = list(_subset_masks(full, d))
     matrix = [[int(y & z == y) for z in cols] for y in _subset_masks(full, d - 1)]
     return tuple(
-        HarmonicFn(n, d, {z: v for z, v in zip(cols, vec) if v})
+        SubsetFn(n, d, {z: v for z, v in zip(cols, vec) if v})
         for vec in nullspace(QQ, matrix, len(cols))
     )
 

@@ -14,13 +14,22 @@ its entries compute, and the acceptance tests sweep through ``run_item``.
 The item list is built deterministically from the code and a seed (the
 seed only drives which reference sets and coordinates are sampled), so
 two runs with the same inputs produce byte-identical reports no matter
-how many worker processes execute the items.
+how many processes execute the items.  With ``jobs`` above 1 the items
+are grouped by kind, and the calling process and ``jobs - 1`` forked
+children each claim the next whole kind from a pipe whenever they are
+free, so the caches a kind fills (support histograms, the rank sweep,
+harmonic bases) are not rebuilt in every process.  The
+children send their verdicts back through a pipe with ``marshal`` and
+the report is assembled in item order.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 import random
+import sys
+from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -29,8 +38,6 @@ from .code import (
     MAX_WORDS_DEFAULT,
     LinearCode,
     RefSet,
-    parse_code,
-    render_code,
     subcode_count,
 )
 from .designs import (
@@ -306,20 +313,10 @@ def run_item(code: LinearCode, kind: str, params, guards) -> tuple[bool | None, 
     return ok, "" if fields is None else check.detail.format(*fields)
 
 
-_WORKER_CODE: LinearCode | None = None
-_WORKER_GUARDS = (MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT)
-
-
-def _init_worker(code_text: str, guards):
-    global _WORKER_CODE, _WORKER_GUARDS
-    _WORKER_CODE = parse_code(code_text)
-    _WORKER_GUARDS = guards
-
-
-def _run_worker(item) -> tuple[str, str]:
-    label, kind, params = item
+def _run_one(code: LinearCode, kind: str, params, guards) -> tuple[str, str]:
+    """One item's (status, detail): a guard hit is a SKIP, a fraction a FAIL."""
     try:
-        ok, detail = run_item(_WORKER_CODE, kind, params, _WORKER_GUARDS)
+        ok, detail = run_item(code, kind, params, guards)
     except TooLarge as exc:
         return "SKIP", f"guard exceeded: {exc}"
     except NonIntegerResult as exc:
@@ -330,10 +327,98 @@ def _run_worker(item) -> tuple[str, str]:
 
 
 def worker_count(jobs: int, items: int, cpus: int | None = None) -> int:
-    """Processes worth starting: never more than the items or the CPUs."""
+    """Processes worth starting: never more than the items or the usable CPUs."""
     if cpus is None:
-        cpus = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
     return max(1, min(jobs, items, cpus))
+
+
+# a process claims a kind by reading its number, one byte, from a pipe
+assert len(CHECKS) < 256
+
+
+def _run_claimed(code, items, kinds: list[list[int]], claims: int, guards) -> list:
+    """Run whole kinds, each claimed from the claims pipe, until the pipe is
+    empty; returns [(item index, status, detail)]."""
+    done = []
+    while claim := os.read(claims, 1):
+        for i in kinds[claim[0]]:
+            _, kind, params = items[i]
+            done.append((i, *_run_one(code, kind, params, guards)))
+    return done
+
+
+def _fork_worker(work) -> tuple[int, int]:
+    """Fork a child that writes marshal (error, work()) to a pipe and exits;
+    returns its pid and the pipe's read end."""
+    reply_r, reply_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reply_r)
+            try:
+                reply = (None, work())
+            except Exception:
+                import traceback
+
+                reply = (traceback.format_exc(), None)
+            with open(reply_w, "wb") as fh:
+                fh.write(marshal.dumps(reply))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(reply_w)
+    return pid, reply_r
+
+
+def _run_forked(code, items, kinds: list[list[int]], guards, processes: int) -> list:
+    """(status, detail) per item, the kinds (lists of item indices) being
+    claimed in order by this process and processes - 1 forked children,
+    each taking the next kind when it is free."""
+    claims, feed = os.pipe()
+    os.write(feed, bytes(range(len(kinds))))
+    os.close(feed)
+    work = partial(_run_claimed, code, items, kinds, claims, guards)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: dict[int, int] = {}  # pid: read end of its reply pipe
+    replies = []
+    try:
+        for _ in range(processes - 1):
+            pid, reply_r = _fork_worker(work)
+            children[pid] = reply_r
+        done = work()
+        for pid, reply_r in children.items():
+            with open(reply_r, "rb", closefd=False) as fh:
+                data = fh.read()
+            replies.append((pid, os.waitpid(pid, 0)[1], data))
+    except BaseException:
+        import signal
+
+        for pid in children.keys() - {pid for pid, _, _ in replies}:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(claims)
+        for reply_r in children.values():
+            os.close(reply_r)
+    for pid, wait_status, data in replies:
+        exit_code = os.waitstatus_to_exitcode(wait_status)
+        if exit_code != 0:
+            raise RuntimeError(f"verify worker {pid} exited with status {exit_code}")
+        error, share = marshal.loads(data)
+        if error is not None:
+            raise RuntimeError(f"verify worker {pid} raised:\n{error}")
+        done.extend(share)
+    results: list = [None] * len(items)
+    for i, status, detail in done:
+        results[i] = (status, detail)
+    return results
 
 
 def verify_all(
@@ -346,7 +431,11 @@ def verify_all(
     max_subcodes: int = MAX_SUBCODES_DEFAULT,
     max_words: int = MAX_WORDS_DEFAULT,
 ) -> tuple[list[str], bool]:
-    """Run the whole identity suite; returns (report lines, all passed)."""
+    """Run the whole identity suite; returns (report lines, all passed).
+
+    With ``jobs`` above 1 the calling process forks, so it should run no
+    other threads.
+    """
     for r in range(min(r_max, code.k) + 1):
         if subcode_count(code, r) > max_subcodes:
             raise TooLarge(
@@ -354,19 +443,14 @@ def verify_all(
             )
     items = build_items(code, r_max, m_max, t_max, seed)
     guards = (max_subcodes, max_words)
-    jobs = worker_count(jobs, len(items))
-    if jobs <= 1:
-        _init_worker(render_code(code), guards)
-        results = [_run_worker(item) for item in items]
+    groups: dict[str, list[int]] = {}
+    for i, (_, kind, _) in enumerate(items):
+        groups.setdefault(kind, []).append(i)
+    processes = worker_count(jobs, len(groups))
+    if processes <= 1:
+        results = [_run_one(code, kind, params, guards) for _, kind, params in items]
     else:
-        # imported here, so that no other command pays for it at start-up
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=jobs, initializer=_init_worker, initargs=(render_code(code), guards)
-        ) as pool:
-            results = pool.map(_run_worker, items)
+        results = _run_forked(code, items, list(groups.values()), guards, processes)
     lines = []
     ok_all = True
     for (label, _, _), (status, detail) in zip(items, results):

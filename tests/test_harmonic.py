@@ -57,6 +57,15 @@ def test_harm_basis_dimensions():
             assert len(harm_basis(n, d)) == expect, (n, d)
 
 
+def test_every_small_harm_basis_function_is_in_the_kernel_of_gamma():
+    # harm_basis builds plain SubsetFns, so this is where the kernel property is checked
+    for n in range(1, 11):
+        for d in range(1, min(3, n) + 1):
+            for f in harm_basis(n, d):
+                assert (f.n, f.d) == (n, d)
+                assert gamma(f).is_zero(), (n, d)
+
+
 def test_harm_basis_in_kernel_and_degree_one_sums():
     for f in harm_basis(6, 2):
         assert gamma(f).is_zero()

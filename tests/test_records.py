@@ -1,7 +1,7 @@
 """The library's records are NamedTuple or ``__slots__`` classes: equal fields
 must give equal objects with equal hashes (they key ``lru_cache``s), the
-validating ones must still reject bad fields, and a table must survive the
-pickling that ``verify --jobs`` relies on."""
+validating ones must still reject bad fields, and a table must survive
+pickling, so that callers can store it or pass it between processes."""
 
 import pickle
 from fractions import Fraction

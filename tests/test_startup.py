@@ -2,10 +2,11 @@
 
 Each check runs a fresh interpreter under ``-X importtime``, which lists
 every module the process imports on stderr; the test process itself has
-long since imported everything.  ``multiprocessing`` is needed only by
-``verify --jobs`` above 1, and the records are NamedTuple or ``__slots__``
-classes, so neither it nor ``dataclasses`` (nor the ``inspect`` that
-``dataclasses`` pulls in) belongs on the import path of a command.
+long since imported everything.  ``verify --jobs`` forks its workers
+with ``os`` and sends their results back with ``marshal``, and the records
+are NamedTuple or ``__slots__`` classes, so neither ``multiprocessing`` nor
+``pickle`` nor ``dataclasses`` (nor the ``inspect`` that ``dataclasses``
+pulls in) belongs on the import path of a command, a parallel one included.
 """
 
 import os
@@ -18,7 +19,7 @@ import jacobiforge
 from helpers import HAMMING74_TEXT
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-UNWANTED = ("multiprocessing", "dataclasses", "inspect")
+UNWANTED = ("multiprocessing", "pickle", "dataclasses", "inspect")
 # the command-line front end and the entry point are not library modules
 FRONT_END = {"cli", "__main__"}
 
@@ -59,6 +60,14 @@ def test_a_cli_command_loads_no_unwanted_module(tmp_path):
     code.write_text(HAMMING74_TEXT)
     modules = imported("-m", "jacobiforge", "wenum", "--code", str(code))
     assert "jacobiforge.cli" in modules
+    assert unwanted(modules) == []
+
+
+def test_a_parallel_verify_loads_no_unwanted_module(tmp_path):
+    code = tmp_path / "hamming7.txt"
+    code.write_text(HAMMING74_TEXT)
+    modules = imported("-m", "jacobiforge", "verify", "--code", str(code), "--jobs", "2")
+    assert "jacobiforge.verify" in modules
     assert unwanted(modules) == []
 
 

@@ -1,8 +1,31 @@
+import os
 import random
+import signal
+import time
+
+import pytest
 
 from helpers import ex44, hamming74, random_code
-from jacobiforge import verify_all
-from jacobiforge.verify import worker_count
+from jacobiforge import verify, verify_all
+from jacobiforge.verify import build_items, worker_count
+
+two_cpus = pytest.mark.skipif(worker_count(2, 2) < 2, reason="needs two usable CPUs")
+
+
+@pytest.fixture
+def time_limit():
+    """Turn a hang of a parallel verify into a TimeoutError after 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("parallel verify did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_verify_all_golden_code():
@@ -50,3 +73,93 @@ def test_verify_all_same_lines_for_any_jobs():
     one, _ = verify_all(code, r_max=1, m_max=1, t_max=1, seed=2, jobs=1)
     many, _ = verify_all(code, r_max=1, m_max=1, t_max=1, seed=2, jobs=10 ** 6)
     assert one == many
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert worker_count(4, 10) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert worker_count(4, 10) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count(4, 10) == 4
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_all_same_lines_with_more_processes_than_cpus(monkeypatch, time_limit):
+    code = ex44()
+    one, _ = verify_all(code, r_max=2, m_max=2, t_max=2, seed=4, jobs=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    many, _ = verify_all(code, r_max=2, m_max=2, t_max=2, seed=4, jobs=8)
+    assert one == many
+    _no_child_left()
+
+
+@two_cpus
+def test_parallel_verify_runs_each_kind_in_one_process(monkeypatch, time_limit):
+    def pid_item(code, kind, params, guards):
+        if kind == "dual_involution":
+            time.sleep(0.5)  # holds one process while the other claims the rest
+        return True, str(os.getpid())
+
+    monkeypatch.setattr(verify, "run_item", pid_item)
+    caps = dict(r_max=1, m_max=1, t_max=1, seed=2)
+    lines, ok = verify_all(hamming74(), jobs=2, **caps)
+    assert ok
+    kind_of = {label: kind for label, kind, _ in build_items(hamming74(), **caps)}
+    pids: dict[str, set[str]] = {}
+    for line in lines[:-1]:
+        label, pid = line.removeprefix("PASS ").rsplit(": ", 1)
+        pids.setdefault(kind_of[label], set()).add(pid)
+    assert set(pids) == set(kind_of.values())
+    assert all(len(p) == 1 for p in pids.values()), pids
+    assert len(set().union(*pids.values())) == 2
+
+
+@two_cpus
+def test_parallel_verify_raises_when_a_route_raises(monkeypatch, time_limit):
+    def divide(code, guards, *params):
+        return 1 // 0, None
+
+    monkeypatch.setitem(verify.CHECKS, "mass", verify.CHECKS["mass"]._replace(routes=divide))
+    with pytest.raises((ZeroDivisionError, RuntimeError)):
+        verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=2, jobs=2)
+    _no_child_left()
+
+
+@two_cpus
+def test_parallel_verify_raises_when_the_parent_share_raises(monkeypatch, time_limit):
+    parent = os.getpid()
+
+    def divide(code, kind, params, guards):
+        if os.getpid() != parent:
+            time.sleep(60)  # still running when the parent fails: it must be killed
+        return 1 // 0, ""
+
+    monkeypatch.setattr(verify, "run_item", divide)
+    with pytest.raises(ZeroDivisionError):
+        verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=2, jobs=2)
+    _no_child_left()
+
+
+@two_cpus
+@pytest.mark.parametrize("failure", ["raise", "exit"])
+def test_parallel_verify_raises_when_a_child_fails(monkeypatch, time_limit, failure):
+    parent = os.getpid()
+
+    def child_fails(code, kind, params, guards):
+        if os.getpid() == parent:
+            time.sleep(0.01)
+            return True, ""
+        if failure == "exit":
+            os._exit(3)
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(verify, "run_item", child_fails)
+    with pytest.raises(RuntimeError, match="ZeroDivisionError" if failure == "raise" else "status 3"):
+        verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=2, jobs=2)
+    _no_child_left()
