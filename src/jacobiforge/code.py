@@ -25,7 +25,12 @@ are counted in a Counter{mask: multiplicity} histogram, for every q:
   * degree-m extension words: C (x) GF(q^m) is isomorphic to C^m as a
     GF(q)-space, so an extension word's support is the union of m
     codeword supports and the histogram is the m-fold OR-convolution of
-    the codeword histogram, with no GF(q^m) arithmetic.
+    the codeword histogram H, with no GF(q^m) arithmetic.  ``or_power``
+    takes it by subset sums over all 2^n masks when n 2^n < |H|^2 (m-th
+    powers of the zeta transform, then one Moebius transform), and by the
+    pair loop of ``or_convolve`` otherwise.  The word guard q^(mk) <=
+    max_words bounds |H|^2 for m >= 2, so the dense list stays under
+    max_words / n entries.
 
 ``codewords`` lists the codewords one by one; the literal subcode and
 extension-word enumerations that the histograms are checked against live
@@ -37,6 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, product
 from math import isqrt
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -309,6 +315,51 @@ def or_convolve(a: Counter, b: Counter, out: Counter | None = None) -> Counter:
         for y, cy in b.items():
             out[x | y] += cx * cy
     return out
+
+
+def or_power(hist: Counter, n: int, m: int) -> Counter:
+    """The m-fold OR-convolution of a histogram of n-bit masks (m >= 1).
+
+    When n 2^n < |hist|^2 it goes through all 2^n masks by subset sums
+    (``_or_power_dense``); otherwise it runs the pair loop of
+    ``or_convolve`` m - 1 times.  The extension histogram of an [n, k]_q
+    code is only built under the guard q^(mk) <= max_words, and for m >= 2
+    that bounds |hist|^2 <= q^(2k) <= max_words, so the dense list has fewer
+    than max_words / n entries: under 2^20 at the default guard.
+    """
+    if m > 1 and n << n < len(hist) ** 2:
+        return _or_power_dense(hist, n, m)
+    out = Counter(hist)
+    for _ in range(m - 1):
+        out = or_convolve(out, hist)
+    return out
+
+
+def _or_power_dense(hist: Counter, n: int, m: int) -> Counter:
+    """or_power by subset sums: the zeta transform turns an OR-convolution
+    into a pointwise product, so the m-fold one is the Moebius transform of
+    the m-th powers (Bjoerklund, Husfeldt, Kaski and Koivisto, STOC 2007)."""
+    f = [0] * (1 << n)
+    for mask, mult in hist.items():
+        f[mask] = mult
+    f = _subset_transform([x ** m for x in _subset_transform(f, n, add)], n, sub)
+    return Counter({mask: mult for mask, mult in enumerate(f) if mult})
+
+
+def _subset_transform(f: list, n: int, op) -> list:
+    """f[U] op= f[U - {i}] for every bit i of every U, in place: subset sums
+    with add, their inverse with sub.
+
+    Each pass works on the top bit, with one slice op over the upper half,
+    then rotates the index bits left by one, so that after n passes every
+    bit has been the top bit once and the order is back where it began.
+    """
+    half = len(f) >> 1
+    for _ in range(n):
+        low = f[:half]
+        f[1::2] = map(op, f[half:], low)
+        f[0::2] = low
+    return f
 
 
 def subcode_histogram(code: LinearCode, r: int, masks: Sequence[int]) -> Counter:

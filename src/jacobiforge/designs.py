@@ -5,10 +5,26 @@ A block multiset is one weight slice of a support histogram: equal-size
 subsets of {1, ..., n} as int masks (bit i-1 for point i), each with its
 multiplicity.  It is a t-design when every t-subset of the point set is
 contained in the same number lambda of blocks, counted with
-multiplicity.  The raw definition is used verbatim: blocks smaller than
-t cover nothing, so such a multiset is vacuously a t-design with
-lambda = 0, which is exactly the convention that keeps the
-design-iff-independence equivalence true on fully symmetric codes.
+multiplicity.  ``is_t_design`` uses the raw definition verbatim: blocks
+smaller than t cover nothing, so such a multiset is vacuously a t-design
+with lambda = 0.
+
+The polarization hypothesis asks for more than the raw t-design property
+on small shells and less on large t.  The rank-r split-weight table is
+the same for every t-set T exactly when each support shell of weight w
+is an s-design for s = min(t, w, n - t):
+
+  * for w >= t, a t-design is an s-design for every s <= t, and those
+    lambdas fix how many blocks meet T in each number of points;
+  * for w < t, the counts by |B & T| sum the lambdas of the w-subsets
+    inside T, and that sum is the same for every T only if the shell is a
+    w-design (the inclusion map of w-sets into t-sets is injective for
+    w <= n - t);
+  * T and its complement give the same table with the two variable pairs
+    swapped, so strength t and strength n - t are the same condition.
+
+``subcode_support_designs`` tests each shell at that strength, which is
+what keeps the design-iff-independence equivalence true on every code.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ from .enumerators import (
     higher_jacobi,
     higher_weight_enum,
     subcode_support_histogram,
+    table_from_bipoly,
 )
 from .errors import DesignHypothesisFails
 
@@ -123,9 +140,13 @@ def support_shells(
 def subcode_support_designs(
     code: LinearCode, r: int, t: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
 ) -> dict[int, DesignVerdict]:
-    """Design verdict of every nonempty support shell of the r-dim subcodes."""
+    """Verdict of every nonempty support shell of the r-dim subcodes on the
+    polarization hypothesis at t: the shell of weight w is tested as an
+    s-design for s = min(t, w, n - t), the strength at which all shells
+    being designs is equivalent to the t-set independence of the table.
+    Each verdict carries the s it was tested at."""
     return {
-        w: is_t_design(shell, t)
+        w: is_t_design(shell, min(t, w, code.n - t))
         for w, shell in support_shells(code, r, max_subcodes).items()
     }
 
@@ -157,9 +178,11 @@ def jacobi_by_polarization(
     """Split-weight polynomial for any t-set T, straight from the rank-r
     weight enumerator: polarize t times and divide by n(n-1)...(n-t+1).
 
-    Only valid when every support shell is a t-design; the hypothesis is
-    verified here rather than trusted, since a silent misuse would
-    produce a wrong table.
+    Only valid when every support shell of weight w is a
+    min(t, w, n - t)-design (see ``subcode_support_designs``); the
+    hypothesis is verified here rather than trusted, since a silent misuse
+    would produce a wrong table.  The result is read through
+    ``table_from_bipoly`` as well, so it cannot come out fractional.
     """
     verdicts = subcode_support_designs(code, r, t, max_subcodes)
     failing = [w for w, v in verdicts.items() if not v.is_design]
@@ -170,7 +193,9 @@ def jacobi_by_polarization(
     poly = higher_weight_enum(code, r, max_subcodes)
     for _ in range(t):
         poly = poly.polarize()
-    return poly.scale(Fraction(1, perm(code.n, t)))
+    poly = poly.scale(Fraction(1, perm(code.n, t)))
+    tset = RefSet.of(code.n, range(1, t + 1))
+    return table_from_bipoly("higher", r, code.spec.q, code.n, tset, poly).to_bipoly()
 
 
 def punctured_split(

@@ -31,9 +31,11 @@ total weight.
 
 The sweep takes the vanishing dimensions of all 2^n subsets at once:
 k minus the rank of the columns in U, i.e. the matroid rank function of
-the code (Greene 1976).  A DFS over subsets extends an echelon basis by
-one column at a time, in int bitmasks over GF(2) and field-table tuples
-otherwise, and keeps one byte per subset.
+the code (Greene 1976).  A DFS over subsets carries the columns not yet
+added, already reduced against the pivots of the columns chosen so far,
+as int bitmasks over GF(2) and field-table tuples otherwise, and keeps
+one byte per subset.  It reads only the generator's columns, while the
+direct route reads only the codeword histogram.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .code import (
     LinearCode,
     RefSet,
     monic_masks,
-    or_convolve,
+    or_power,
     subcode_count,
     subcode_histogram,
 )
@@ -187,10 +189,7 @@ def _subcode_supports(code: LinearCode, r: int) -> Counter:
 def _extension_supports(code: LinearCode, m: int) -> Counter:
     """Degree-m extension words as m-tuples of codewords: the m-fold
     OR-convolution of the codeword histogram."""
-    words = hist = _codeword_supports(code)
-    for _ in range(m - 1):
-        hist = or_convolve(hist, words)
-    return hist
+    return or_power(_codeword_supports(code), code.n, m)
 
 
 def codeword_support_histogram(
@@ -217,10 +216,17 @@ def _vanishing_dims(code: LinearCode) -> bytes:
 
     This is k minus the rank of the columns in U: the matroid rank
     function of the code, one byte per subset.  A DFS adds columns in
-    increasing index order and carries an echelon basis of the columns
-    chosen so far, so each subset costs one column reduction against at
-    most k basis vectors.  A subset whose columns span GF(q)^k has dim 0,
+    increasing index order and carries the columns not yet added, reduced
+    against the pivots of the columns chosen so far.  A reduced column
+    that is zero lies in their span and adds no rank; a nonzero one becomes
+    the next pivot and clears itself from the later columns, one
+    elimination step each.  A subset whose columns span GF(q)^k has dim 0,
     and so has every superset: that subtree is never entered.
+
+    Over GF(2) a column is a k-bit int, its pivot the lowest set bit and
+    the step an XOR.  Otherwise it is a k-tuple over the field tables, its
+    pivot the first nonzero entry, and a column that reduces to zero is
+    stored as the empty tuple, so that either way a zero column is falsy.
     """
     n, k = code.n, code.k
     if n > _ELL_SWEEP_CAP:
@@ -228,63 +234,49 @@ def _vanishing_dims(code: LinearCode) -> bytes:
     dims = bytearray(1 << n)
     if k == 0:
         return bytes(dims)
-    cols, reduce = _column_elimination(code)
-    dims[0] = k
-
-    def extend(mask: int, start: int, basis: list) -> None:
-        rank = len(basis)
-        for c in range(start, n):
-            child = mask | (1 << c)
-            pivot = reduce(cols[c], basis)
-            if pivot is None:
-                dims[child] = k - rank
-                if c + 1 < n:
-                    extend(child, c + 1, basis)
-            elif rank + 1 < k:
-                dims[child] = k - rank - 1
-                if c + 1 < n:
-                    extend(child, c + 1, basis + [pivot])
-
-    extend(0, 0, [])
-    return bytes(dims)
-
-
-def _column_elimination(code: LinearCode):
-    """The generator's columns, and reduce(v, basis): the (pivot, vector)
-    that column v adds to an echelon basis, or None when v lies in its span.
-
-    Every basis vector is zero at the pivots of the vectors before it, so
-    one pass in insertion order clears all pivots.  Over GF(2) a column is
-    a k-bit int and its pivot the lowest set bit; otherwise it is a k-tuple,
-    its pivot the index of the first nonzero entry, and the new vector is
-    scaled so that entry is 1.
-    """
     spec, gen = code.spec, code.gen
     if spec.q == 2:
-        def reduce(v, basis):
-            for piv, b in basis:
-                if v & piv:
-                    v ^= b
-            return (v & -v, v) if v else None
+        cols = [sum(row[c] << s for s, row in enumerate(gen)) for c in range(n)]
 
-        cols = [sum(row[c] << s for s, row in enumerate(gen)) for c in range(code.n)]
-        return cols, reduce
+        def clear(v, rest):
+            low = v & -v
+            return [w ^ v if w & low else w for w in rest]
+    else:
+        add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
+        cols = [col if any(col) else () for col in zip(*gen)]
 
-    add, mul, neg, inv = spec.add, spec.mul, spec.neg, spec.inv
+        def clear(v, rest):
+            p = next(i for i, x in enumerate(v) if x)
+            scale = neg(inv(v[p]))
+            steps = {}  # w[p]: the multiple of v that clears it
+            out = []
+            for w in rest:
+                if w and (a := w[p]):
+                    if a not in steps:
+                        c = mul(scale, a)
+                        steps[a] = tuple(mul(c, x) for x in v)
+                    w = tuple(map(add, w, steps[a]))
+                    if not any(w):
+                        w = ()
+                out.append(w)
+            return out
 
-    def reduce(v, basis):
-        for p, b in basis:
-            a = v[p]
-            if a:
-                a = neg(a)
-                v = tuple(add(x, mul(a, y)) for x, y in zip(v, b))
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            return None
-        a = inv(v[p])
-        return p, tuple(mul(a, x) for x in v)
+    dims[0] = k
 
-    return list(zip(*gen)), reduce
+    def extend(mask: int, start: int, rest: list, rank: int) -> None:
+        for i, v in enumerate(rest, start):
+            child = mask | (1 << i)
+            if not v:
+                dims[child] = k - rank
+                if i + 1 < n:
+                    extend(child, i + 1, rest[i + 1 - start:], rank)
+            elif rank + 1 < k:
+                dims[child] = k - rank - 1
+                if i + 1 < n:
+                    extend(child, i + 1, clear(v, rest[i + 1 - start:]), rank + 1)
+
+    extend(0, 0, cols, 0)
+    return bytes(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +400,11 @@ def extended_jacobi_via_q(code: LinearCode, tset: RefSet, m: int) -> JacobiTable
 def extended_jacobi_direct(
     code: LinearCode, tset: RefSet, m: int, max_words: int = MAX_WORDS_DEFAULT
 ) -> JacobiTable:
-    """Extension table counted word by word: C (x) GF(q^m) is C^m as a
-    GF(q)-space, so each of the q^(mk) extension words is an m-tuple of
-    codewords and its support is their union.  This holds over any base
-    field GF(p^e)."""
+    """Extension table counted over the q^(mk) extension words: C (x)
+    GF(q^m) is C^m as a GF(q)-space, so each word is an m-tuple of
+    codewords and its support is their union.  The words are counted by
+    support, as the m-fold OR-power of the codeword histogram, not one by
+    one.  This holds over any base field GF(p^e)."""
     _check_tset(code, tset)
     if m < 1:
         raise ValueError("extension degree m must be at least 1")

@@ -49,6 +49,11 @@ GOLAY24_TEXT = "q=2 n=24\n" + "".join(
     "0" * s + "10101110001100000000000"[: 23 - s] + "1\n" for s in range(12)
 )
 
+# ternary Golay [12,6,6]_3: shifts of one row, and a last column of 2s
+TGOLAY12_TEXT = "q=3 n=12\n" + "".join(
+    "0" * s + "201211" + "0" * (5 - s) + "2\n" for s in range(6)
+)
+
 # [6,3] binary, self-dual, generator rows 110000 / 001100 / 000011
 def ex44() -> LinearCode:
     return parse_code(EX44_TEXT)
@@ -64,6 +69,10 @@ def c12() -> LinearCode:
 
 def golay24() -> LinearCode:
     return parse_code(GOLAY24_TEXT)
+
+
+def tgolay12() -> LinearCode:
+    return parse_code(TGOLAY12_TEXT)
 
 
 def qbinom_expansion_check(a: int, b: int, q: int) -> bool:

@@ -130,6 +130,21 @@ def test_polarize_ok_and_hypothesis_failure(ex44_path):
     assert "DesignHypothesisFails" in res.stdout
 
 
+def test_polarize_refuses_a_shell_smaller_than_t(tmp_path):
+    # the one weight-1 shell {2} x 2 is vacuously a raw 2-design, but not a
+    # 1-design, so the table depends on T and polarizing cannot give it
+    path = tmp_path / "one_word.txt"
+    path.write_text("q=3 n=3\n010\n")
+    res = run_cli("polarize", "--code", str(path), "-r", "1", "-t", "2")
+    assert res.returncode == 1
+    assert res.stdout.strip() == (
+        "DesignHypothesisFails: support shells at weights [1] are not 2-designs"
+    )
+    res = run_cli("verify", "--code", str(path), "-r", "1", "-t", "2", "-m", "1")
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[-1].startswith("verify: all checks passed")
+
+
 def test_harm_wenum(ex44_path):
     res = run_cli("harm-wenum", "--code", ex44_path, "-r", "1", "-d", "1")
     assert res.returncode == 0

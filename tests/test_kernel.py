@@ -23,6 +23,7 @@ from helpers import (
     rows_support,
     subcodes,
     sweep_codes,
+    tgolay12,
 )
 from jacobiforge import (
     BlockMultiset,
@@ -40,11 +41,14 @@ from jacobiforge import (
     harm_basis,
     is_t_design,
 )
+from jacobiforge import code as code_module
 from jacobiforge.code import (
+    _or_power_dense,
     column_set_dim,
     coords_mask,
     monic_masks,
     or_convolve,
+    or_power,
     support_mask,
 )
 from jacobiforge.designs import support_shells
@@ -57,7 +61,7 @@ from jacobiforge.enumerators import (
 )
 
 
-FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
 
 def small_codes(q: int, count: int = 4) -> list[LinearCode]:
@@ -93,6 +97,54 @@ def test_or_convolve_counts_pairs():
     a = Counter({0b01: 2, 0b10: 1})
     b = Counter({0b01: 1, 0b00: 3})
     assert or_convolve(a, b) == Counter({0b01: 2 + 6, 0b11: 1, 0b10: 3})
+
+
+def repeated_or_convolve(hist: Counter, m: int) -> Counter:
+    out = Counter(hist)
+    for _ in range(m - 1):
+        out = or_convolve(out, hist)
+    return out
+
+
+def test_or_power_matches_repeated_or_convolve():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randrange(0, 11)
+        hist = Counter(
+            {rng.randrange(1 << n): rng.randint(1, 4) for _ in range(rng.randint(1, 30))}
+        )
+        if rng.random() < 0.8:
+            hist[0] = rng.randint(1, 3)
+        for m in range(1, 5):
+            expect = repeated_or_convolve(hist, m)
+            assert or_power(hist, n, m) == expect, (hist, n, m)
+            assert _or_power_dense(hist, n, m) == expect, (hist, n, m)
+    # the pair loop leaves its input alone, and m = 1 is a copy
+    hist = Counter({0: 1, 0b11: 2})
+    assert or_power(hist, 2, 1) == hist and or_power(hist, 2, 1) is not hist
+    assert or_power(hist, 2, 3) == Counter({0: 1, 0b11: 26})
+    assert hist == Counter({0: 1, 0b11: 2})
+
+
+@pytest.mark.parametrize("build,dense", [(tgolay12, True), (hamming74, False), (c12, False)])
+def test_extension_supports_choose_their_or_power_path(monkeypatch, build, dense):
+    calls = []
+
+    def spy(hist, n, m):
+        calls.append(m)
+        return _or_power_dense(hist, n, m)
+
+    monkeypatch.setattr(code_module, "_or_power_dense", spy)
+    code = build()
+    words = codeword_support_histogram(code)
+    _extension_supports.cache_clear()
+    try:
+        hist = _extension_supports(code, 2)
+    finally:
+        _extension_supports.cache_clear()
+    assert calls == ([2] if dense else [])
+    assert hist == or_convolve(words, words)
+    assert sum(hist.values()) == code.spec.q ** (2 * code.k)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -221,7 +273,7 @@ def assert_sweep_is_rank_function(code: LinearCode):
         assert dims[mask] == column_set_dim(code, mask_support(mask)), (code, mask)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", sorted(FIELDS))
 def test_sweep_matches_column_set_dim(q):
     if q in (2, 3):
         codes = [c for c in sweep_codes() if c.spec.q == q]

@@ -2,11 +2,16 @@ import os
 import random
 import signal
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ex44, hamming74, random_code
-from jacobiforge import verify, verify_all
+from jacobiforge import LinearCode, TooLarge, enumerators, field_new, verify, verify_all
+from jacobiforge import code as code_module
+from jacobiforge.code import subcode_count
 from jacobiforge.verify import build_items, worker_count
 
 two_cpus = pytest.mark.skipif(worker_count(2, 2) < 2, reason="needs two usable CPUs")
@@ -49,6 +54,62 @@ def test_verify_all_random_ternary_code():
             break
     lines, ok = verify_all(code, r_max=2, m_max=2, t_max=2, seed=3)
     assert ok, [l for l in lines if l.startswith("FAIL")]
+
+
+# (p, e) of every field the random-code sweep draws from
+SWEEP_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+# guards that keep each code to milliseconds: the subcode one is checked
+# up front, while the word one turns items into SKIPs
+SWEEP_GUARDS = dict(max_subcodes=2000, max_words=1 << 16)
+
+
+@st.composite
+def random_codes(draw):
+    """Codes over every sweep field with n <= 8 and any number of rows, so
+    dependent rows, zero columns, k = 0 and k = n all occur."""
+    q = draw(st.sampled_from(sorted(SWEEP_FIELDS)))
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=n + 1))
+    return LinearCode(field_new(*SWEEP_FIELDS[q]), n, rows)
+
+
+def test_verify_all_random_codes(monkeypatch):
+    """No check FAILs or raises on random small codes; only the up-front
+    subcode guard may refuse a code.  The sweep must reach both paths of
+    the extension OR-power and the rank sweep over every field."""
+    reached = Counter()
+    or_power, dense = code_module.or_power, code_module._or_power_dense
+    sweep = enumerators._vanishing_dims
+
+    def spy(name, fn, key):
+        def call(*args):
+            reached[name, key(*args)] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(enumerators, "or_power", spy("power", or_power, lambda h, n, m: m > 1))
+    monkeypatch.setattr(code_module, "_or_power_dense", spy("dense", dense, lambda h, n, m: True))
+    monkeypatch.setattr(enumerators, "_vanishing_dims", spy("sweep", sweep, lambda c: c.spec.q))
+
+    @settings(derandomize=True, database=None, max_examples=700, deadline=None)
+    @given(random_codes(), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2),
+           st.integers(0, 99))
+    def check(c, r_max, t_max, m_max, seed):
+        caps = dict(r_max=r_max, t_max=t_max, m_max=m_max, seed=seed, **SWEEP_GUARDS)
+        ranks = range(min(r_max, c.k) + 1)
+        if any(subcode_count(c, r) > SWEEP_GUARDS["max_subcodes"] for r in ranks):
+            with pytest.raises(TooLarge):
+                verify_all(c, **caps)
+            return
+        lines, ok = verify_all(c, **caps)
+        assert ok, (c.gen, [line for line in lines if line.startswith("FAIL")])
+
+    check()
+    assert reached["dense", True]  # subset sums
+    assert reached["power", True] > reached["dense", True]  # and pair loops
+    assert {q for name, q in reached if name == "sweep"} == set(SWEEP_FIELDS)
 
 
 def test_verify_all_deterministic_lines():
