@@ -185,11 +185,14 @@ def jacobi_by_polarization(
     ``table_from_bipoly`` as well, so it cannot come out fractional.
     """
     verdicts = subcode_support_designs(code, r, t, max_subcodes)
-    failing = [w for w, v in verdicts.items() if not v.is_design]
+    failing: dict[int, list[int]] = {}  # strength: the weights that failed at it
+    for w, v in verdicts.items():
+        if not v.is_design:
+            failing.setdefault(v.t, []).append(w)
     if failing:
-        raise DesignHypothesisFails(
-            f"support shells at weights {failing} are not {t}-designs"
-        )
+        raise DesignHypothesisFails("support shells " + ", ".join(
+            f"at weights {weights} are not {s}-designs" for s, weights in failing.items()
+        ))
     poly = higher_weight_enum(code, r, max_subcodes)
     for _ in range(t):
         poly = poly.polarize()

@@ -14,17 +14,32 @@ its entries compute, and the acceptance tests sweep through ``run_item``.
 The item list is built deterministically from the code and a seed (the
 seed only drives which reference sets and coordinates are sampled), so
 two runs with the same inputs produce byte-identical reports no matter
-how many processes execute the items.  With ``jobs`` above 1 the items
-are grouped by kind, and the calling process and ``jobs - 1`` forked
-children each claim the next whole kind from a pipe whenever they are
-free, so the caches a kind fills (support histograms, the rank sweep,
-harmonic bases) are not rebuilt in every process.  The
-children send their verdicts back through a pipe with ``marshal`` and
-the report is assembled in item order.
+how many processes execute the items.
+
+While ``verify_all`` runs, a run memo holds the objects that many items
+read: the direct rank-r table, the rank-decomposition extension table
+and the dual code, each built once per (code, T, parameter, guard).  It
+only shares one route's output among the items that read that route,
+and it is dropped when the run ends, so the next run (or a corrupted
+route) starts from scratch; outside a run every route builds directly.
+
+With ``jobs`` above 1 the items are grouped by kind, and the calling
+process and ``jobs - 1`` forked children each claim the next whole kind
+from a pipe whenever they are free.  Before forking, the caller builds
+what two or more kinds read: the dual, the subcode histograms of the
+code and of the dual, the rank sweep grouped by each sampled T, and the
+memo's tables at the sampled T-sets.  The children inherit them, and
+freeze the garbage collector's view of them so that no collection
+touches (and copies) those pages.  An input that a guard or the sweep
+cap refuses is left to the items that read it, which report the SKIP as
+they would in one process.  The children send their verdicts back
+through a pipe with ``marshal`` and the report is assembled in item
+order.
 """
 
 from __future__ import annotations
 
+import gc
 import marshal
 import os
 import random
@@ -50,6 +65,7 @@ from .designs import (
     t_independence_check,
 )
 from .enumerators import (
+    _dims_by_split,
     extended_jacobi,
     extended_jacobi_direct,
     extended_jacobi_via_q,
@@ -58,6 +74,7 @@ from .enumerators import (
     higher_jacobi_via_q,
     higher_weight_enum,
     jacobi,
+    subcode_support_histogram,
     weight_enum,
 )
 from .errors import DesignHypothesisFails, NonIntegerResult, TooLarge
@@ -163,18 +180,36 @@ class Check(NamedTuple):
     skip_reason: str = ""
 
 
+# the run memo, {(build, *args): build(*args)} while verify_all runs, else None
+_memo: dict | None = None
+
+
+def _shared(build, *args):
+    """build(*args), built once per run and shared by the items that read it."""
+    if _memo is None:
+        return build(*args)
+    key = (build, *args)
+    if key not in _memo:
+        _memo[key] = build(*args)
+    return _memo[key]
+
+
 def _hjac(code, guards, r, T):
     """The rank-r table at T enumerated directly: the reference route."""
-    return higher_jacobi(code, RefSet.of(code.n, T), r, guards[0])
+    return _shared(higher_jacobi, code, RefSet.of(code.n, T), r, guards[0])
 
 
 def _ejac(code, guards, m, T):
     """The degree-m table at T by rank decomposition."""
-    return extended_jacobi(code, RefSet.of(code.n, T), m, guards[0])
+    return _shared(extended_jacobi, code, RefSet.of(code.n, T), m, guards[0])
+
+
+def _dual(code):
+    return _shared(LinearCode.dual, code)
 
 
 def _dual_involution(code, guards):
-    return code.dual().dual(), code
+    return _dual(_dual(code)), code
 
 
 def _plain_vs_wenum(code, guards):
@@ -209,17 +244,17 @@ def _mw_context(code, T) -> MWContext:
 def _mw_hw(code, guards, r):
     enums = [higher_weight_enum(code, ell, guards[0]) for ell in range(r + 1)]
     lhs = mw_higher_weight(enums, _mw_context(code, ()))
-    return lhs, higher_weight_enum(code.dual(), r, guards[0])
+    return lhs, higher_weight_enum(_dual(code), r, guards[0])
 
 
 def _mw_hjac(code, guards, r, T):
     tables = [_hjac(code, guards, ell, T) for ell in range(r + 1)]
-    return mw_higher_jacobi(tables, _mw_context(code, T)), _hjac(code.dual(), guards, r, T)
+    return mw_higher_jacobi(tables, _mw_context(code, T)), _hjac(_dual(code), guards, r, T)
 
 
 def _mw_ejac(code, guards, m, T):
     lhs = mw_extended_jacobi(_ejac(code, guards, m, T), _mw_context(code, T))
-    return lhs, _ejac(code.dual(), guards, m, T)
+    return lhs, _ejac(_dual(code), guards, m, T)
 
 
 def _recover(code, guards, r, T):
@@ -351,12 +386,41 @@ def _run_claimed(code, items, kinds: list[list[int]], claims: int, guards) -> li
     return done
 
 
+def _build_shared(code, items, guards) -> None:
+    """Build what two or more kinds read, for forked workers to inherit:
+    the dual, the rank sweep grouped by each sampled T, the subcode
+    histograms of the dual, and the direct and rank-decomposition tables
+    at the sampled T-sets, which build the code's histograms.  A build
+    that a guard or the sweep cap refuses, or that comes out fractional,
+    is left to the items that read it, which report it."""
+    dual = _dual(code)
+    builds: dict[tuple, None] = {}
+    for _, kind, params in items:
+        if kind == "hjac_via_q":
+            r, T = params
+            builds[_dims_by_split, code, RefSet.of(code.n, T).mask] = None
+            builds[_hjac, code, guards, r, T] = None
+        elif kind == "ejac_via_q":
+            builds[_ejac, code, guards, *params] = None
+        elif kind == "mw_ejac":
+            for r in range(min(params[0], dual.k) + 1):
+                builds[subcode_support_histogram, dual, r, guards[0]] = None
+        elif kind == "mw_hw":
+            builds[subcode_support_histogram, dual, params[0], guards[0]] = None
+    for build, *args in builds:
+        try:
+            build(*args)
+        except (TooLarge, NonIntegerResult):
+            pass
+
+
 def _fork_worker(work) -> tuple[int, int]:
     """Fork a child that writes marshal (error, work()) to a pipe and exits;
     returns its pid and the pipe's read end."""
     reply_r, reply_w = os.pipe()
     pid = os.fork()
     if pid == 0:
+        gc.freeze()  # no collection walks (and so copies) the inherited objects
         status = 1
         try:
             os.close(reply_r)
@@ -434,7 +498,7 @@ def verify_all(
     """Run the whole identity suite; returns (report lines, all passed).
 
     With ``jobs`` above 1 the calling process forks, so it should run no
-    other threads.
+    other threads.  The run memo lives until this call returns or raises.
     """
     for r in range(min(r_max, code.k) + 1):
         if subcode_count(code, r) > max_subcodes:
@@ -447,10 +511,16 @@ def verify_all(
     for i, (_, kind, _) in enumerate(items):
         groups.setdefault(kind, []).append(i)
     processes = worker_count(jobs, len(groups))
-    if processes <= 1:
-        results = [_run_one(code, kind, params, guards) for _, kind, params in items]
-    else:
-        results = _run_forked(code, items, list(groups.values()), guards, processes)
+    global _memo
+    _memo = {}
+    try:
+        if processes <= 1:
+            results = [_run_one(code, kind, params, guards) for _, kind, params in items]
+        else:
+            _build_shared(code, items, guards)
+            results = _run_forked(code, items, list(groups.values()), guards, processes)
+    finally:
+        _memo = None
     lines = []
     ok_all = True
     for (label, _, _), (status, detail) in zip(items, results):

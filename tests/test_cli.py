@@ -138,7 +138,7 @@ def test_polarize_refuses_a_shell_smaller_than_t(tmp_path):
     res = run_cli("polarize", "--code", str(path), "-r", "1", "-t", "2")
     assert res.returncode == 1
     assert res.stdout.strip() == (
-        "DesignHypothesisFails: support shells at weights [1] are not 2-designs"
+        "DesignHypothesisFails: support shells at weights [1] are not 1-designs"
     )
     res = run_cli("verify", "--code", str(path), "-r", "1", "-t", "2", "-m", "1")
     assert res.returncode == 0

@@ -147,6 +147,24 @@ def test_polarization_hypothesis_guard():
         jacobi_by_polarization(ex44(), 1, 2)
 
 
+def test_polarization_failure_names_the_strength_each_shell_failed_at():
+    # the weight-1 shell of 010 over GF(3) is tested at min(t, w, n - t) = 1
+    one_word = LinearCode(field_new(3), 3, [[0, 1, 0]])
+    with pytest.raises(DesignHypothesisFails) as exc:
+        jacobi_by_polarization(one_word, 1, 2)
+    assert str(exc.value) == "support shells at weights [1] are not 1-designs"
+    # on ex44 at t = 3 the weight-2 shell is tested at 2 and the weight-4 one at 3
+    with pytest.raises(DesignHypothesisFails) as exc:
+        jacobi_by_polarization(ex44(), 1, 3)
+    assert str(exc.value) == (
+        "support shells at weights [2] are not 2-designs, at weights [4] are not 3-designs"
+    )
+    # where every failing shell is tested at t, the weights share one group
+    with pytest.raises(DesignHypothesisFails) as exc:
+        jacobi_by_polarization(ex44(), 1, 2)
+    assert str(exc.value) == "support shells at weights [2, 4] are not 2-designs"
+
+
 def test_punctured_split_goldens():
     code = ex44()
     assert punctured_split(code, 1, 1) == (Counter({2: 2, 4: 1}), Counter({1: 1, 3: 2, 5: 1}))

@@ -62,6 +62,28 @@ def test_subcode_histogram_corruption_fails_hjac_via_dims(monkeypatch):
     ), fails
 
 
+def test_no_table_outlives_its_run(monkeypatch):
+    # a clean run, then one that raises after the memo is filled: neither
+    # may leave a table behind for the corrupted run that follows
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert ok, failing_labels(lines)
+
+    def raises(code_, guards, *params):
+        raise ZeroDivisionError
+
+    with monkeypatch.context() as patch:
+        patch.setitem(CHECKS, "punctured", CHECKS["punctured"]._replace(routes=raises))
+        with pytest.raises(ZeroDivisionError):
+            verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    monkeypatch.setattr(
+        enumerators, "_subcode_supports", bumped(enumerators._subcode_supports)
+    )
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    assert any(line.startswith("FAIL hjac-via-dims r=1 ") for line in fails), fails
+
+
 def test_pair_matrix_corruption_fails_the_transforms(monkeypatch):
     real = bipoly._pair_matrix
 

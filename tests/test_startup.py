@@ -7,6 +7,11 @@ with ``os`` and sends their results back with ``marshal``, and the records
 are NamedTuple or ``__slots__`` classes, so neither ``multiprocessing`` nor
 ``pickle`` nor ``dataclasses`` (nor the ``inspect`` that ``dataclasses``
 pulls in) belongs on the import path of a command, a parallel one included.
+
+The garbage collector is frozen by the entry point and by forked verify
+workers, never by a library call: ``python -m jacobiforge`` freezes what
+it has imported, while ``import jacobiforge`` and ``verify_all`` leave the
+caller's collector as they found it.
 """
 
 import os
@@ -82,3 +87,36 @@ def test_importing_the_package_loads_every_library_module():
     assert len(library) >= 10
     modules = imported("-c", "import jacobiforge")
     assert library <= modules, sorted(library - modules)
+
+
+def run_python(*argv) -> str:
+    """stdout of a fresh interpreter running argv, which must succeed."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    res = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_the_library_leaves_the_collector_unfrozen():
+    script = (
+        "import gc, jacobiforge\n"
+        "code = jacobiforge.parse_code(%r)\n"
+        "lines, ok = jacobiforge.verify_all(code, jobs=2)\n"
+        "print(ok, gc.get_freeze_count())\n" % HAMMING74_TEXT
+    )
+    assert run_python("-c", script).split() == ["True", "0"]
+
+
+def test_the_entry_point_freezes_the_collector(tmp_path):
+    code = tmp_path / "hamming7.txt"
+    code.write_text(HAMMING74_TEXT)
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv[0] = 'jacobiforge'\n"
+        "runpy.run_module('jacobiforge', run_name='__main__', alter_sys=True)\n"
+    )
+    out = run_python("-c", script, "wenum", "--code", str(code))
+    assert out.splitlines()[-1] == "frozen True"

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import signal
@@ -224,3 +225,35 @@ def test_parallel_verify_raises_when_a_child_fails(monkeypatch, time_limit, fail
     with pytest.raises(RuntimeError, match="ZeroDivisionError" if failure == "raise" else "status 3"):
         verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=2, jobs=2)
     _no_child_left()
+
+
+def test_verify_all_same_lines_when_a_shared_input_trips_a_limit(monkeypatch, time_limit):
+    # n = 21 is over the sweep cap, and the [21, 19] dual has 2^19 - 1 > 1000
+    # subcodes of rank 1 while the code itself has 3: the caller's build
+    # before the fork must leave both to the items
+    code = LinearCode(field_new(2), 21, [[1] * 11 + [0] * 10, [0] * 5 + [1] * 16])
+    caps = dict(r_max=2, m_max=2, t_max=1, seed=3, max_subcodes=1000)
+    one, _ = verify_all(code, jobs=1, **caps)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    two, _ = verify_all(code, jobs=2, **caps)
+    assert one == two
+    assert any(line.startswith("SKIP hjac-via-dims ") and "sweep needs n <= 20" in line
+               for line in one)
+    assert any(line.startswith("SKIP mw-ejac m=1 ") and "subcodes exceed the guard" in line
+               for line in one)
+    _no_child_left()
+
+
+@two_cpus
+def test_only_a_forked_worker_freezes_the_collector(monkeypatch, time_limit):
+    parent = os.getpid()
+
+    def frozen_item(code, kind, params, guards):
+        if kind == "dual_involution":
+            time.sleep(0.5)  # holds one process while the other claims the rest
+        return True, f"{os.getpid() != parent} {gc.get_freeze_count() > 0}"
+
+    monkeypatch.setattr(verify, "run_item", frozen_item)
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=2, jobs=2)
+    assert {line.rsplit(": ", 1)[1] for line in lines[:-1]} == {"True True", "False False"}
+    assert gc.get_freeze_count() == 0
