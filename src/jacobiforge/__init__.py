@@ -8,7 +8,7 @@ suite insists they agree to the last digit.
 """
 
 from .bipoly import BiHomPoly, PairSubstitution
-from .code import LinearCode, RefSet, codewords, parse_code, render_code, support
+from .code import LinearCode, RefSet, parse_code
 from .designs import (
     BlockMultiset,
     DesignVerdict,
@@ -48,11 +48,9 @@ from .exactmath import RatMatrix, rat_solve
 from .gf import FieldSpec, field_new
 from .harmonic import (
     HahnParams,
-    HarmonicFn,
     SubsetFn,
     delsarte_design_check,
     f_tilde,
-    gamma,
     h_dt,
     hahn_eval,
     harm_basis,

@@ -43,15 +43,6 @@ class PairSubstitution(NamedTuple):
     xy: tuple[Fraction, Fraction, Fraction, Fraction]
 
     @classmethod
-    def of(cls, wz, xy) -> "PairSubstitution":
-        return cls(tuple(Fraction(v) for v in wz), tuple(Fraction(v) for v in xy))
-
-    @classmethod
-    def identity(cls) -> "PairSubstitution":
-        eye = (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-        return cls(eye, eye)
-
-    @classmethod
     def both(cls, a, b, c, d) -> "PairSubstitution":
         """Apply the same 2x2 map to both variable pairs."""
         m = tuple(Fraction(v) for v in (a, b, c, d))
@@ -193,18 +184,6 @@ class BiHomPoly:
                 if i > 0:
                     out[j + 1][i - 1] += i * c
         return BiHomPoly(s + 1, n - 1, out)
-
-    def evaluate(self, w0, z0, x0, y0) -> Fraction:
-        w0, z0, x0, y0 = (Fraction(v) for v in (w0, z0, x0, y0))
-        s, n = self.deg_wz, self.deg_xy
-        total = Fraction(0)
-        for j in range(s + 1):
-            for i in range(n + 1):
-                c = self.coeff[j][i]
-                if c == 0:
-                    continue
-                total += c * w0 ** (s - j) * z0 ** j * x0 ** (n - i) * y0 ** i
-        return total
 
     def render(self) -> str:
         """Monomial sum in lexicographic (j, i) order, e.g. ``2*z*x^2*y^3``."""

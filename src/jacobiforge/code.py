@@ -32,9 +32,8 @@ are counted in a Counter{mask: multiplicity} histogram, for every q:
     max_words bounds |H|^2 for m >= 2, so the dense list stays under
     max_words / n entries.
 
-``codewords`` lists the codewords one by one; the literal subcode and
-extension-word enumerations that the histograms are checked against live
-with the tests, in ``tests/helpers.py``.
+The literal codeword, subcode and extension-word enumerations that the
+histograms are checked against live with the tests, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -82,10 +81,6 @@ class RefSet:
     @classmethod
     def of(cls, n: int, coords: Iterable[int] = ()) -> "RefSet":
         return cls(n, frozenset(coords))
-
-    @property
-    def complement(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1)) - self.members
 
     @property
     def size(self) -> int:
@@ -140,23 +135,12 @@ class LinearCode:
         """The [n, n-k] code orthogonal to every generator row."""
         return LinearCode(self.spec, self.n, nullspace(self.spec, self.gen, self.n))
 
-    def permute_coordinates(self, perm: Sequence[int]) -> "LinearCode":
-        """Relabel coordinates; perm[i-1] is the new home of coordinate i (1-based)."""
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise ValueError("perm must be a permutation of 1..n")
-        rows = []
-        for row in self.gen:
-            new = [0] * self.n
-            for i, x in enumerate(row):
-                new[perm[i] - 1] = x
-            rows.append(new)
-        return LinearCode(self.spec, self.n, rows)
-
 
 def parse_code(text: str) -> LinearCode:
     """Parse the matrix file format.
 
-    First line: ``q=<int> n=<int>`` with optional ``p=<int> e=<int>``.
+    First line: ``q=<int> n=<int>`` with optional ``p=<int> e=<int>``, each
+    key at most once and no other key; q is at most 256.
     Remaining lines: rows of n digits (q <= 10, no separators) or
     space-separated encodings (q > 10).
     """
@@ -168,6 +152,10 @@ def parse_code(text: str) -> LinearCode:
         if "=" not in token:
             raise ParseError(f"bad header token {token!r}")
         key, _, value = token.partition("=")
+        if key not in ("q", "n", "p", "e"):
+            raise ParseError(f"unknown header key in {token!r}")
+        if key in header:
+            raise ParseError(f"header key {key!r} given twice")
         try:
             header[key] = int(value)
         except ValueError as exc:
@@ -215,34 +203,6 @@ def parse_code(text: str) -> LinearCode:
                 raise FieldMismatch(f"entry {x} out of range for GF({q})")
         rows.append(row)
     return LinearCode(spec, n, rows)
-
-
-def render_code(code: LinearCode) -> str:
-    """Inverse of parse_code for the canonical generator."""
-    head = f"q={code.spec.q} n={code.n}"
-    if code.spec.e > 1:
-        head += f" p={code.spec.p} e={code.spec.e}"
-    lines = [head]
-    for row in code.gen:
-        if code.spec.q <= 10:
-            lines.append("".join(str(x) for x in row))
-        else:
-            lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def support(vec: Sequence[int]) -> frozenset[int]:
-    """1-based coordinates where the vector is nonzero."""
-    return frozenset(i + 1 for i, x in enumerate(vec) if x)
-
-
-def codewords(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> Iterator[tuple[int, ...]]:
-    """All q^k codewords, in message lexicographic order (m * G)."""
-    spec, k, n = code.spec, code.k, code.n
-    if spec.q ** k > max_words:
-        raise TooLarge(f"{spec.q}^{k} codewords exceed the guard {max_words}")
-    for word in _span_words(spec, n, code.gen):
-        yield tuple(word)
 
 
 def _span_words(spec: FieldSpec, n: int, rows) -> Iterator[list[int]]:

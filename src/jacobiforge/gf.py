@@ -5,18 +5,18 @@ coefficients of its polynomial representative, constant term least
 significant.  So in GF(4) with modulus x^2+x+1 the encodings are
 0 -> 0, 1 -> 1, 2 -> x, 3 -> x+1.
 
-Full q x q add/mul tables are built at construction for small q; field
-operations dominate enumeration inner loops, so lookups pay off.  For
-larger q (still capped at 2^16) arithmetic falls back to on-the-fly
-polynomial reduction.
+The order is capped at q <= 256, and every field builds its full q x q
+addition and multiplication tables, and its negation and inverse tables,
+at construction: field operations dominate enumeration inner loops, so
+each one is a single lookup.  Polynomial reduction runs only to fill the
+multiplication table.
 """
 
 from __future__ import annotations
 
 from .errors import DivisionByZero, NotPrime, TooLarge
 
-_ORDER_CAP = 1 << 16
-_TABLE_CAP = 256
+_ORDER_CAP = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -83,7 +83,11 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
 
 
 class FieldSpec:
-    """GF(p^e) with a fixed monic irreducible modulus; immutable and shareable."""
+    """GF(p^e) with a fixed monic irreducible modulus; immutable and shareable.
+
+    Built by ``field_new``, which caps q at 256, so each q x q table holds at
+    most 65536 entries.
+    """
 
     __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_inv", "_neg")
 
@@ -92,24 +96,11 @@ class FieldSpec:
         self.e = e
         self.q = p ** e
         self.modulus = modulus
-        self._build_tables()
-
-    def _build_tables(self):
-        q, p, e = self.q, self.p, self.e
-        self._neg = tuple(self._neg_raw(a) for a in range(q)) if q <= _TABLE_CAP else None
-        if q <= _TABLE_CAP:
-            self._add = tuple(
-                tuple(self._add_raw(a, b) for b in range(q)) for a in range(q)
-            )
-            self._mul = tuple(
-                tuple(self._mul_raw(a, b) for b in range(q)) for a in range(q)
-            )
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = next(b for b in range(1, q) if self._mul[a][b] == 1)
-            self._inv = tuple(inv)
-        else:
-            self._add = self._mul = self._inv = None
+        elems = range(self.q)
+        self._add = tuple(tuple(self._add_raw(a, b) for b in elems) for a in elems)
+        self._mul = tuple(tuple(self._mul_raw(a, b) for b in elems) for a in elems)
+        self._neg = tuple(row.index(0) for row in self._add)
+        self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
 
     def _add_raw(self, a: int, b: int) -> int:
         p, e = self.p, self.e
@@ -119,16 +110,6 @@ class FieldSpec:
         total = 0
         for i in range(e - 1, -1, -1):
             total = total * p + (da[i] + db[i]) % p
-        return total
-
-    def _neg_raw(self, a: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (-a) % p
-        da = _digits(a, p, e)
-        total = 0
-        for i in range(e - 1, -1, -1):
-            total = total * p + (-da[i]) % p
         return total
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -142,36 +123,21 @@ class FieldSpec:
         return total
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        return self._add_raw(a, b)
+        return self._add[a][b]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self._neg_raw(a)
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_raw(a, b)
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self._inv is not None:
-            return self._inv[a]
-        # a^(q-2) by square and multiply
-        result, base, exp = 1, a, self.q - 2
-        while exp:
-            if exp & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            exp >>= 1
-        return result
+        return self._inv[a]
 
     def __eq__(self, other):
         return (

@@ -34,13 +34,13 @@ from operator import mul
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
 from .enumerators import JacobiTable, subcode_support_histogram, table_from_bipoly
-from .errors import DegreeUnderflow, PochhammerZeroDenominator
+from .errors import PochhammerZeroDenominator
 from .exactmath import QQ, RatMatrix, nullspace, rat_solve
 
 
 class SubsetFn:
     """A rational-valued function on the d-subsets of {1, ..., n}, keyed by
-    mask in `values`; __init__, value() and f_tilde also take coordinate sets."""
+    mask in `values`; __init__ and f_tilde also take coordinate sets."""
 
     __slots__ = ("n", "d", "values")
 
@@ -57,12 +57,6 @@ class SubsetFn:
         self.d = d
         self.values = vals
 
-    def value(self, z) -> Fraction:
-        return self.values.get(_as_mask(z), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
-
     def __repr__(self):
         nonzero = sum(1 for v in self.values.values() if v)
         return f"SubsetFn(n={self.n}, d={self.d}, {nonzero} nonzero values)"
@@ -78,27 +72,6 @@ def _subset_masks(mask: int, d: int):
     return map(sum, combinations(bits, d))
 
 
-def gamma(f: SubsetFn) -> SubsetFn:
-    """Down operator: (gamma f)(Y) = sum of f over the d-sets containing Y."""
-    if f.d == 0:
-        raise DegreeUnderflow("gamma needs degree at least 1")
-    full = (1 << f.n) - 1
-    out: dict[int, Fraction] = {}
-    for y in _subset_masks(full, f.d - 1):
-        above = (y | extra for extra in _subset_masks(full ^ y, 1))
-        out[y] = sum((f.values.get(z, 0) for z in above), Fraction(0))
-    return SubsetFn(f.n, f.d - 1, out)
-
-
-class HarmonicFn(SubsetFn):
-    """A SubsetFn in the kernel of gamma, verified at construction."""
-
-    def __init__(self, n: int, d: int, values: dict):
-        super().__init__(n, d, values)
-        if d >= 1 and not gamma(self).is_zero():
-            raise ValueError("function is not harmonic")
-
-
 @lru_cache(maxsize=64)
 def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
     """Exact rational basis of the degree-d harmonic space.
@@ -107,9 +80,10 @@ def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
     rows are the (d-1)-subsets and whose columns are the d-subsets in
     lexicographic order.  There is one basis function per free column of
     the matrix's unique RREF, so the basis and its order are reproducible.
-    Degree 0 is the one-dimensional space of constants.  The functions
-    are plain SubsetFns: a nullspace vector is in the kernel of gamma by
-    construction, so HarmonicFn's check would only repeat the solve.
+    Degree 0 is the one-dimensional space of constants.  A nullspace
+    vector is in the kernel of gamma by construction, so the functions are
+    plain SubsetFns; the tests check the kernel property against a literal
+    gamma.
     """
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")

@@ -361,13 +361,12 @@ def _run_one(code: LinearCode, kind: str, params, guards) -> tuple[str, str]:
     return status, detail
 
 
-def worker_count(jobs: int, items: int, cpus: int | None = None) -> int:
+def worker_count(jobs: int, items: int) -> int:
     """Processes worth starting: never more than the items or the usable CPUs."""
-    if cpus is None:
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     return max(1, min(jobs, items, cpus))
 
 

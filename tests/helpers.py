@@ -1,20 +1,28 @@
 """Shared builders for the test suite: golden codes, seeded random codes,
 block multisets from coordinate sets, brute-force oracles for the
-vanishing-dimension route, the q-binomial expansion self-test, and the
-literal subcode and extension-word enumerations that the support
-histograms are checked against."""
+vanishing-dimension route, the q-binomial expansion self-test, the
+literal codeword, subcode and extension-word enumerations that the
+support histograms are checked against, and the small operations only
+the tests need: rendering a code, permuting its coordinates, evaluating
+a polynomial at a point, and the down operator gamma that the harmonic
+bases are checked against."""
 
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from jacobiforge import (
+    BiHomPoly,
     BlockMultiset,
+    DegreeUnderflow,
     JacobiForgeError,
     LinearCode,
+    PairSubstitution,
     RefSet,
+    SubsetFn,
     TooLarge,
     field_new,
     gauss_binom,
@@ -24,11 +32,13 @@ from jacobiforge import (
 from jacobiforge.code import (
     MAX_SUBCODES_DEFAULT,
     MAX_WORDS_DEFAULT,
+    _span_words,
     column_set_dim,
     coords_mask,
     subcode_count,
 )
 from jacobiforge.exactmath import rref
+from jacobiforge.harmonic import _subset_masks
 
 EX44_TEXT = "q=2 n=6\n110000\n001100\n000011\n"
 HAMMING74_TEXT = "q=2 n=7\n1000110\n0100101\n0010011\n0001111\n"
@@ -135,11 +145,79 @@ def sample_tsets(rng: random.Random, n: int, max_size: int, per_size: int = 2):
     return out
 
 
+def render_code(code: LinearCode) -> str:
+    """Inverse of parse_code for the canonical generator."""
+    head = f"q={code.spec.q} n={code.n}"
+    if code.spec.e > 1:
+        head += f" p={code.spec.p} e={code.spec.e}"
+    sep = "" if code.spec.q <= 10 else " "
+    return "\n".join([head] + [sep.join(map(str, row)) for row in code.gen]) + "\n"
+
+
+def permute_coordinates(code: LinearCode, perm: Sequence[int]) -> LinearCode:
+    """Relabel coordinates; perm[i-1] is the new home of coordinate i (1-based)."""
+    if sorted(perm) != list(range(1, code.n + 1)):
+        raise ValueError("perm must be a permutation of 1..n")
+    rows = []
+    for row in code.gen:
+        new = [0] * code.n
+        for i, x in enumerate(row):
+            new[perm[i] - 1] = x
+        rows.append(new)
+    return LinearCode(code.spec, code.n, rows)
+
+
+def complement(tset: RefSet) -> frozenset[int]:
+    """The coordinates of [n] outside T."""
+    return frozenset(range(1, tset.n + 1)) - tset.members
+
+
+def pair_substitution(wz, xy) -> PairSubstitution:
+    """The substitution with the given (w, z) and (x, y) maps, as Fractions."""
+    return PairSubstitution(tuple(map(Fraction, wz)), tuple(map(Fraction, xy)))
+
+
+def evaluate(poly: BiHomPoly, w, z, x, y) -> Fraction:
+    """The polynomial's value at the point (w, z, x, y)."""
+    w, z, x, y = map(Fraction, (w, z, x, y))
+    s, n = poly.deg_wz, poly.deg_xy
+    return sum(
+        (
+            c * w ** (s - j) * z ** j * x ** (n - i) * y ** i
+            for j, row in enumerate(poly.coeff)
+            for i, c in enumerate(row)
+            if c
+        ),
+        Fraction(0),
+    )
+
+
+def gamma(f: SubsetFn) -> SubsetFn:
+    """Down operator: (gamma f)(Y) = sum of f over the d-sets containing Y."""
+    if f.d == 0:
+        raise DegreeUnderflow("gamma needs degree at least 1")
+    full = (1 << f.n) - 1
+    out: dict[int, Fraction] = {}
+    for y in _subset_masks(full, f.d - 1):
+        above = (y | extra for extra in _subset_masks(full ^ y, 1))
+        out[y] = sum((f.values.get(z, 0) for z in above), Fraction(0))
+    return SubsetFn(f.n, f.d - 1, out)
+
+
+def value(f: SubsetFn, coords) -> Fraction:
+    """f at the subset with the given 1-based coordinates."""
+    return f.values.get(coords_mask(coords), Fraction(0))
+
+
+def is_zero(f: SubsetFn) -> bool:
+    return not any(f.values.values())
+
+
 def shortened_dim(code: LinearCode, tset: RefSet, x_set, y_set) -> int:
     """dim of the subcode vanishing on X union Y, for X in T-bar and Y in T."""
     x_set = frozenset(x_set)
     y_set = frozenset(y_set)
-    if not x_set <= tset.complement:
+    if not x_set <= complement(tset):
         raise ValueError("X must lie in the complement of T")
     if not y_set <= tset.members:
         raise ValueError("Y must lie inside T")
@@ -149,7 +227,7 @@ def shortened_dim(code: LinearCode, tset: RefSet, x_set, y_set) -> int:
 def _vanishing_pairs(code: LinearCode, tset: RefSet, s: int, t: int):
     """dim of the subcode vanishing on X union Y, for every |X| = s in the
     complement and |Y| = t in T."""
-    for x_cols in combinations(sorted(tset.complement), s):
+    for x_cols in combinations(sorted(complement(tset)), s):
         for y_cols in combinations(sorted(tset.members), t):
             yield shortened_dim(code, tset, x_cols, y_cols)
 
@@ -168,7 +246,22 @@ def q_st_ext(code: LinearCode, tset: RefSet, m: int, s: int, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# literal enumeration: every subcode and extension word built one by one
+# literal enumeration: every codeword, subcode and extension word built one
+# by one
+
+
+def support(vec: Sequence[int]) -> frozenset[int]:
+    """1-based coordinates where the vector is nonzero."""
+    return frozenset(i + 1 for i, x in enumerate(vec) if x)
+
+
+def codewords(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> Iterator[tuple[int, ...]]:
+    """All q^k codewords, in message lexicographic order (m * G)."""
+    spec, k, n = code.spec, code.k, code.n
+    if spec.q ** k > max_words:
+        raise TooLarge(f"{spec.q}^{k} codewords exceed the guard {max_words}")
+    for word in _span_words(spec, n, code.gen):
+        yield tuple(word)
 
 
 def rows_support(rows) -> frozenset[int]:

@@ -51,10 +51,12 @@ def test_rank_validation_exit_code(ex44_path):
 
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
-    bad.write_text("q=2 n=3\n01\n")
-    res = run_cli("wenum", "--code", str(bad))
-    assert res.returncode == 2
-    assert "error" in res.stderr
+    # a short row, an unknown header key, a repeated header key
+    for text in ("q=2 n=3\n01\n", "q=2 n=3 x=7\n010\n", "q=3 q=2 n=3\n010\n"):
+        bad.write_text(text)
+        res = run_cli("wenum", "--code", str(bad))
+        assert res.returncode == 2, text
+        assert "ParseError" in res.stderr, text
 
 
 def test_wenum_and_hwenum(ex44_path):
@@ -213,18 +215,21 @@ def test_verify_passes_and_is_deterministic(ex44_path):
 
 def test_oversized_field_order_exits_promptly(tmp_path):
     big = tmp_path / "big.txt"
-    big.write_text("q=100000000003 n=3\n1 2 3\n")
-    res = run_cli("wenum", "--code", str(big), timeout=2)
-    assert res.returncode == 2
-    assert "TooLarge" in res.stderr
+    for q in (257, 65521, 100000000003):
+        big.write_text(f"q={q} n=3\n1 2 3\n")
+        res = run_cli("wenum", "--code", str(big), timeout=2)
+        assert res.returncode == 2, q
+        assert "TooLarge" in res.stderr, q
 
 
 def test_large_field_subcode_enumerator_is_bounded_by_subcodes(tmp_path):
-    # 65522 one-dim subcodes but 65521^2 codewords: the subcode route must
-    # never touch every codeword
+    # 63253 one-dim subcodes but 251^3 = 15813251 codewords: the subcode
+    # route must never touch every codeword
     code = tmp_path / "bigq.txt"
-    code.write_text("q=65521 n=3\n1 0 5\n0 1 7\n")
+    code.write_text("q=251 n=4\n1 0 0 5\n0 1 0 7\n0 0 1 11\n")
     res = run_cli("hwenum", "-r", "1", "--code", str(code), timeout=10)
     assert res.returncode == 0, res.stderr
-    # (1,t) has weight 2 at t = 0 and at 5 + 7t = 0; (0,1) has weight 2
-    assert res.stdout.strip() == "3*x*y^2 + 65519*y^3"
+    # (a, b, c) maps to (a, b, c, 5a + 7b + 11c): the three unit messages
+    # have weight 2, and so does one message for each pair of nonzero
+    # digits with 5a + 7b + 11c = 0
+    assert res.stdout.strip() == "6*x^2*y^2 + 996*x*y^3 + 62251*y^4"

@@ -5,14 +5,18 @@ import pytest
 
 from helpers import (
     UnsupportedBaseField,
+    codewords,
     ex44,
     extension_codewords,
     hamming74,
     iter_subcode_supports,
+    permute_coordinates,
     random_code,
+    render_code,
     rows_support,
     shortened_dim,
     subcodes,
+    support,
 )
 from jacobiforge import (
     FieldMismatch,
@@ -20,12 +24,9 @@ from jacobiforge import (
     ParseError,
     RefSet,
     TooLarge,
-    codewords,
     field_new,
     gauss_binom,
     parse_code,
-    render_code,
-    support,
 )
 from jacobiforge.code import column_set_dim, subcode_count
 
@@ -56,15 +57,18 @@ def test_parse_errors():
         parse_code("q=2 n=3\n012\n")
     with pytest.raises(ParseError):
         parse_code("q=2 n=3\n01\n")
+    for header in ("q=2 n=3 x=7", "q=3 q=2 n=3", "q=2 n=3 n=3"):
+        with pytest.raises(ParseError):
+            parse_code(header + "\n010\n")
 
 
 def test_parse_field_order_factoring_and_cap():
     assert parse_code("q=49 n=2\n1 48\n").spec.p == 7
     assert parse_code("q=49 n=2\n1 48\n").spec.e == 2
-    assert parse_code("q=65521 n=1\n1\n").spec.p == 65521
+    assert parse_code("q=251 n=1\n1\n").spec.p == 251
     with pytest.raises(ParseError):
         parse_code("q=35 n=1\n1\n")
-    for q in (65537, 100000000003):
+    for q in (257, 65521, 65537, 100000000003):
         with pytest.raises(TooLarge):
             parse_code(f"q={q} n=3\n")
 
@@ -250,7 +254,7 @@ def test_extension_guard():
 def test_permute_coordinates():
     code = hamming74()
     perm = [2, 3, 4, 5, 6, 7, 1]
-    moved = code.permute_coordinates(perm)
+    moved = permute_coordinates(code, perm)
     assert moved.k == code.k
-    back = moved.permute_coordinates([7, 1, 2, 3, 4, 5, 6])
+    back = permute_coordinates(moved, [7, 1, 2, 3, 4, 5, 6])
     assert back == code

@@ -13,6 +13,7 @@ import pytest
 from helpers import (
     block_multiset,
     c12,
+    codewords,
     extension_codewords,
     golay24,
     hamming74,
@@ -30,7 +31,6 @@ from jacobiforge import (
     LinearCode,
     RefSet,
     TooLarge,
-    codewords,
     delsarte_design_check,
     extended_jacobi,
     extended_jacobi_direct,

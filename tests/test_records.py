@@ -30,7 +30,7 @@ def twins():
         (lambda: RefSet.of(7, [1, 2]), RefSet.of(7, [1, 3])),
         (lambda: HahnParams(Fraction(1, 2), Fraction(-1, 3), 4, 2),
          HahnParams(Fraction(1, 2), Fraction(-1, 3), 4, 1)),
-        (lambda: PairSubstitution.both(1, 1, 1, -1), PairSubstitution.identity()),
+        (lambda: PairSubstitution.both(1, 1, 1, -1), PairSubstitution.both(1, 0, 0, 1)),
         (lambda: DesignVerdict(True, 2, 3), DesignVerdict(True, 2, 4)),
         (lambda: MWContext(q=2, n=7, k=4, tsize=2), MWContext(q=2, n=7, k=3, tsize=2)),
         (lambda: Check(same_value, same_value, "x"), Check(same_value, same_value, "y")),

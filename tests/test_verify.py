@@ -121,13 +121,20 @@ def test_verify_all_deterministic_lines():
     assert c != a  # different reference-set samples
 
 
-def test_worker_count_is_clamped_to_items_and_cpus():
-    assert worker_count(2, 131, cpus=2) == 2
-    assert worker_count(10 ** 6, 131, cpus=2) == 2
-    assert worker_count(8, 3, cpus=16) == 3
-    assert worker_count(0, 5, cpus=4) == 1
-    assert worker_count(-3, 5, cpus=4) == 1
+def test_worker_count_is_clamped_to_items_and_cpus(monkeypatch):
     assert 1 <= worker_count(4, 10) <= 4
+
+    def cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    cpus(2)
+    assert worker_count(2, 131) == 2
+    assert worker_count(10 ** 6, 131) == 2
+    cpus(16)
+    assert worker_count(8, 3) == 3
+    cpus(4)
+    assert worker_count(0, 5) == 1
+    assert worker_count(-3, 5) == 1
 
 
 def test_verify_all_same_lines_for_any_jobs():
