@@ -30,7 +30,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import DegreeMismatch, DegreeUnderflow
-from .exactmath import format_rational, parse_rational
+from .exactmath import exact, format_rational, parse_rational
 
 
 class PairSubstitution(NamedTuple):
@@ -49,21 +49,12 @@ class PairSubstitution(NamedTuple):
         return cls(m, m)
 
 
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def _pair_power(m, deg: int, j: int) -> list:
     """Coefficient vector of (a u + b v)^(deg-j) (c u + d v)^j over v-degree.
 
     Entry [t] is the coefficient of u^(deg-t) v^t.
     """
-    a, b, c, d = map(_exact, m)
+    a, b, c, d = map(exact, m)
     first = [
         math.comb(deg - j, t) * a ** (deg - j - t) * b ** t for t in range(deg - j + 1)
     ]
@@ -86,7 +77,7 @@ def _pair_matrix(m, deg: int) -> tuple[tuple, ...]:
     integral.
     """
     rows = [_pair_power(m, deg, j) for j in range(deg + 1)]
-    return tuple(tuple(map(_exact, col)) for col in zip(*rows))
+    return tuple(tuple(map(exact, col)) for col in zip(*rows))
 
 
 class BiHomPoly:
@@ -97,7 +88,7 @@ class BiHomPoly:
     def __init__(self, deg_wz: int, deg_xy: int, coeff):
         if deg_wz < 0 or deg_xy < 0:
             raise ValueError("bidegrees must be nonnegative")
-        grid = tuple(tuple(map(_exact, row)) for row in coeff)
+        grid = tuple(tuple(map(exact, row)) for row in coeff)
         if len(grid) != deg_wz + 1 or any(len(row) != deg_xy + 1 for row in grid):
             raise ValueError("coefficient grid does not match bidegree")
         self.deg_wz = deg_wz
@@ -143,7 +134,7 @@ class BiHomPoly:
         return self + other.scale(-1)
 
     def scale(self, c) -> "BiHomPoly":
-        c = _exact(c)
+        c = exact(c)
         return BiHomPoly(
             self.deg_wz, self.deg_xy, [[c * x for x in row] for row in self.coeff]
         )

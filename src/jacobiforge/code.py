@@ -11,7 +11,7 @@ Supports are int bitmasks (bit i-1 set when coordinate i is nonzero) and
 are counted in a Counter{mask: multiplicity} histogram, for every q:
 
   * codewords: one mask per monic message (first nonzero digit 1), built
-    by XOR span doubling over GF(2) and word by word otherwise; each
+    by span doubling, XOR over GF(2) and field-table rows otherwise; each
     stands for its q - 1 nonzero scalar multiples, so the list has
     (q^k - 1)/(q - 1) entries, no more than the r-dim subcodes for any
     0 < r < k;
@@ -39,10 +39,10 @@ histograms are checked against live with the tests, in ``tests/helpers.py``.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, compress
 from math import isqrt
-from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, getitem, sub
+from typing import Iterable, Sequence
 
 from .errors import (
     FieldMismatch,
@@ -205,18 +205,6 @@ def parse_code(text: str) -> LinearCode:
     return LinearCode(spec, n, rows)
 
 
-def _span_words(spec: FieldSpec, n: int, rows) -> Iterator[list[int]]:
-    """Every GF(q)-combination of the rows, coefficients in lexicographic order."""
-    scaled = [[tuple(spec.mul(a, x) for x in row) for a in range(spec.q)] for row in rows]
-    for msg in product(range(spec.q), repeat=len(rows)):
-        word = [0] * n
-        for a, row_mult in zip(msg, scaled):
-            if a:
-                mult = row_mult[a]
-                word = [spec.add(x, y) for x, y in zip(word, mult)]
-        yield word
-
-
 def subcode_count(code: LinearCode, r: int) -> int:
     return gauss_binom(code.k, r, code.spec.q)
 
@@ -257,13 +245,19 @@ def monic_masks(code: LinearCode) -> list[int]:
             block = [x ^ rmask for x in span]
             blocks.append(block)
             span += block
-        blocks.reverse()
     else:
-        for p, lead in enumerate(gen):
-            blocks.append([
-                support_mask([spec.add(x, y) for x, y in zip(lead, tail)])
-                for tail in _span_words(spec, n, gen[p + 1:])
-            ])
+        # the same doubling on words (bytes, as q <= 256): span holds the
+        # combinations of the rows after p in message order, the block of p
+        # adds row p to each, and adding a * row p is one add-table row per
+        # coordinate; only spans are kept as words, never the span of all k rows
+        bits = [1 << i for i in range(n)]
+        span = [bytes(n)]
+        for p in reversed(range(len(gen))):
+            shifts = [[spec._add[spec.mul(a, x)] for x in gen[p]] for a in range(spec.q)]
+            blocks.append([sum(compress(bits, map(getitem, shifts[1], w))) for w in span])
+            if p:
+                span += [bytes(map(getitem, shift, w)) for shift in shifts[1:] for w in span]
+    blocks.reverse()
     return [mask for block in blocks for mask in block]
 
 

@@ -25,6 +25,11 @@ is an s-design for s = min(t, w, n - t):
 
 ``subcode_support_designs`` tests each shell at that strength, which is
 what keeps the design-iff-independence equivalence true on every code.
+
+The tables are read off one lambda kernel (``BlockMultiset.lambdas``): if
+lambda_w(S) weight-w blocks contain S, |S| <= t, then by Moebius inversion
+N_w(T, j) = sum over S in T, |S| >= j, of (-1)^(|S|-j) C(|S|, j) lambda_w(S)
+of them meet T in exactly j points.
 """
 
 from __future__ import annotations
@@ -32,18 +37,12 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import perm
+from math import comb, perm
 from typing import NamedTuple
 
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet
-from .enumerators import (
-    JacobiTable,
-    higher_jacobi,
-    higher_weight_enum,
-    subcode_support_histogram,
-    table_from_bipoly,
-)
+from .enumerators import higher_weight_enum, subcode_support_histogram, table_from_bipoly
 from .errors import DesignHypothesisFails
 
 
@@ -53,11 +52,25 @@ class DesignVerdict(NamedTuple):
     lam: int | None
 
 
+# the run memo, {(build, *args): build(*args)} while verify_all runs, else None
+_memo: dict | None = None
+
+
+def _shared(build, *args):
+    """build(*args), built once per run and shared by the items that read it."""
+    if _memo is None:
+        return build(*args)
+    key = (build, *args)
+    if key not in _memo:
+        _memo[key] = build(*args)
+    return _memo[key]
+
+
 class BlockMultiset:
     """Equal-size subsets of {1, ..., n} as Counter{mask: multiplicity};
     len() counts occurrences."""
 
-    __slots__ = ("n", "counts", "block_size")
+    __slots__ = ("n", "counts", "block_size", "_lam")
 
     def __init__(self, n: int, counts: dict[int, int]):
         counts = Counter(counts)
@@ -69,6 +82,32 @@ class BlockMultiset:
         self.n = n
         self.counts = counts
         self.block_size = sizes.pop() if sizes else 0
+        self._lam: tuple[int, Counter] | None = None  # (depth, lambdas)
+
+    def lambdas(self, t: int) -> Counter:
+        """The lambda kernel, Counter{S: blocks containing S} for |S| <= t,
+        built once for the largest t asked: the masks of each multiplicity
+        are transposed to point incidences, and lambda(S) sums multiplicity
+        times the popcount of the AND of S's incidences."""
+        if self._lam is None or self._lam[0] < t:
+            n, width = self.n, max(1, (self.n + 7) // 8)
+            groups: defaultdict[int, bytearray] = defaultdict(bytearray)
+            for mask, mult in self.counts.items():
+                groups[mult] += mask.to_bytes(width, "little")
+            lam: Counter = Counter()
+
+            def visit(s: int, start: int, depth: int, cover: int) -> None:
+                lam[s] += mult * cover.bit_count()
+                if depth < t:  # AND one more point onto the shared prefix
+                    for i in range(start, n):
+                        if c := cover & incidence[i]:
+                            visit(s | 1 << i, i + 1, depth + 1, c)
+
+            for mult, rows in groups.items():
+                incidence = _incidence(rows, width, n)
+                visit(0, 0, 0, (1 << len(rows) // width) - 1)
+            self._lam = (t, lam)
+        return self._lam[1]
 
     def __len__(self):
         return sum(self.counts.values())
@@ -114,6 +153,12 @@ def is_t_design(blocks: BlockMultiset, t: int) -> DesignVerdict:
     return DesignVerdict(True, t, lam)
 
 
+def _incidence(rows, width: int, n: int) -> list[int]:
+    """The lambda kernel's n point incidences of a byte table of masks: the
+    transpose of ``is_t_design``, kept apart so the two share no incidence."""
+    return [int(b"0" + rows[i // 8 :: width].translate(_DIGITS[i % 8]), 2) for i in range(n)]
+
+
 def _coverages(incidence: list[int], start: int, t: int, covered: int):
     """popcount of covered AND the incidence of each t-subset of points
     from start on, by depth-first search over shared prefixes."""
@@ -147,8 +192,39 @@ def subcode_support_designs(
     Each verdict carries the s it was tested at."""
     return {
         w: is_t_design(shell, min(t, w, code.n - t))
-        for w, shell in support_shells(code, r, max_subcodes).items()
+        for w, shell in _shared(support_shells, code, r, max_subcodes).items()
     }
+
+
+def _mobius_row(size: int) -> list[int]:
+    """(-1)^(size - j) C(size, j) for j = 0..size: lambda(S)'s weight in N(T, j)."""
+    return [(-1) ** (size - j) * comb(size, j) for j in range(size + 1)]
+
+
+def kernel_tables(
+    code: LinearCode, r: int, t: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
+) -> dict[tuple[int, ...], BiHomPoly]:
+    """{T: the rank-r split-weight polynomial at T} for every t-subset T, in
+    lexicographic order, read off the shells' lambda kernel: shell w puts
+    N_w(T, j) at w^(t-j) z^j x^(n-t-w+j) y^(w-j)."""
+    n = code.n
+    shells = _shared(support_shells, code, r, max_subcodes)
+    lams = [(w, shell.lambdas(t)) for w, shell in shells.items()]
+    mobius = [_mobius_row(size) for size in range(t + 1)]
+    tables = {}
+    for coords in combinations(range(1, n + 1), t):
+        subsets = [0]
+        for c in coords:
+            subsets += [s | 1 << (c - 1) for s in subsets]
+        coeff = [[0] * (n - t + 1) for _ in range(t + 1)]
+        for w, lam in lams:
+            for s in subsets:
+                if v := lam.get(s):
+                    for j, sign_binom in enumerate(mobius[s.bit_count()]):
+                        if w - j <= n - t:  # else N_w(T, j) is 0
+                            coeff[j][w - j] += sign_binom * v
+        tables[coords] = BiHomPoly(t, n - t, coeff)
+    return tables
 
 
 def t_independence_check(
@@ -157,18 +233,14 @@ def t_independence_check(
     """Whether the rank-r split-weight table is the same for every t-subset T.
 
     Returns (True, None) or (False, (T1, T2)) with two witnesses whose
-    tables differ.  Must match the all-shells-are-designs verdict; both
-    are computed independently and the tests compare them.
+    tables differ.  Must match the all-shells-are-designs verdict, which
+    ``is_t_design`` reaches without the lambda kernel; the tests compare them.
     """
-    first_tset = None
-    first_table: JacobiTable | None = None
-    for coords in combinations(range(1, code.n + 1), t):
-        tset = RefSet.of(code.n, coords)
-        table = higher_jacobi(code, tset, r, max_subcodes)
-        if first_table is None:
-            first_tset, first_table = tset, table
-        elif table.grid != first_table.grid:
-            return False, (first_tset, tset)
+    tables = iter(_shared(kernel_tables, code, r, t, max_subcodes).items())
+    first = next(tables, None)
+    for coords, poly in tables:
+        if poly != first[1]:
+            return False, (RefSet.of(code.n, first[0]), RefSet.of(code.n, coords))
     return True, None
 
 

@@ -3,29 +3,43 @@ elimination routine over any field.
 
 Python ints are already arbitrary precision and ``fractions.Fraction``
 already stores lowest terms with a positive denominator, so those two
-stand in for the big-integer and rational types.
+stand in for the big-integer and rational types; a value is kept as an
+int wherever it is integral (``exact``), so ``QQ`` eliminations with
+pivots of 1 or -1 build no Fraction.
 
 ``rref`` is the one Gauss-Jordan elimination in the library.  It works
 over any field given as an object with ``inv``, ``mul``, ``sub`` and
 ``neg``: a ``FieldSpec`` for GF(q) on its integer encodings, or ``QQ``
-for the rationals on ints and Fractions.  ``nullspace`` and ``rat_solve``
-are read off its output, so the dual code, the harmonic bases and the
-recovery systems all share it.  Exactness, not speed, is the contract;
-the incremental rank sweep in ``enumerators`` is a separate algorithm.
+for the rationals on ints and Fractions.  ``nullspace`` and
+``rat_inverse`` (A^-1 as an int matrix over one denominator) are read off
+its output, so the dual code, the harmonic bases and the recovery
+systems all share it.  Exactness, not speed, is the contract; the
+incremental rank sweep in ``enumerators`` is a separate algorithm.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from .errors import SingularMatrix
 
+
+def exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 # the rationals, with the field operations of a FieldSpec
 QQ = SimpleNamespace(
-    inv=lambda a: 1 / Fraction(a), mul=operator.mul, sub=operator.sub, neg=operator.neg
+    inv=lambda a: exact(1 / Fraction(a)), mul=operator.mul, sub=operator.sub, neg=operator.neg
 )
 
 
@@ -105,23 +119,30 @@ class RatMatrix:
         self.rows = len(grid)
         self.cols = width
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.entries == other.entries
+def rat_inverse(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(M, D) with A^-1 = M / D, D > 0 least, from the RREF of [A | I];
+    raises SingularMatrix naming the first column of A without a pivot."""
+    n = len(rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots = rref(QQ, [list(row) + e for row, e in zip(rows, identity)], 2 * n)
+    missing = next((c for c in range(n) if c not in pivots), None)
+    if missing is not None:
+        raise SingularMatrix(f"no pivot in column {missing}")
+    den = lcm(*(Fraction(x).denominator for row in reduced for x in row[n:]))
+    return [[int(x * den) for x in row[n:]] for row in reduced], den
 
-    def __hash__(self):
-        return hash(self.entries)
 
-    def __repr__(self):
-        body = "; ".join(" ".join(format_rational(x) for x in row) for row in self.entries)
-        return f"RatMatrix[{body}]"
+def apply_inverse(inverse: tuple[list[list[int]], int], b: Sequence) -> list:
+    """A^-1 b for (M, D) from ``rat_inverse``: a mat-vec, in ints for an
+    integral b, then one division by D."""
+    m, den = inverse
+    totals = [sum(map(operator.mul, row, b)) for row in m]
+    return [x // den if x % den == 0 else Fraction(x, den) for x in totals]
 
 
-def rat_solve(a: RatMatrix, b: Sequence) -> list[Fraction]:
-    """Solve A x = b exactly for square nonsingular A, as the RREF of [A | b].
+def rat_solve(a: RatMatrix, b: Sequence) -> list:
+    """Solve A x = b exactly for square nonsingular A, through ``rat_inverse``.
 
     Raises SingularMatrix naming the first column of A without a pivot.
     """
@@ -129,10 +150,4 @@ def rat_solve(a: RatMatrix, b: Sequence) -> list[Fraction]:
         raise ValueError("rat_solve needs a square matrix")
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match")
-    n = a.rows
-    augmented = [row + (Fraction(x),) for row, x in zip(a.entries, b)]
-    reduced, pivots = rref(QQ, augmented, n + 1)
-    missing = next((c for c in range(n) if c not in pivots), None)
-    if missing is not None:
-        raise SingularMatrix(f"no pivot in column {missing}")
-    return [row[n] for row in reduced]
+    return apply_inverse(rat_inverse(a.entries), b)

@@ -8,8 +8,9 @@ significant.  So in GF(4) with modulus x^2+x+1 the encodings are
 The order is capped at q <= 256, and every field builds its full q x q
 addition and multiplication tables, and its negation and inverse tables,
 at construction: field operations dominate enumeration inner loops, so
-each one is a single lookup.  Polynomial reduction runs only to fill the
-multiplication table.
+each one is a single lookup.  The tables are filled row by row: the row
+of a = a0 + x a1 is read off the rows of a1 and of the constant a0, so no
+product is reduced modulo the modulus one at a time.
 """
 
 from __future__ import annotations
@@ -35,25 +36,6 @@ def _digits(value: int, p: int, e: int) -> list[int]:
     for _ in range(e):
         out.append(value % p)
         value //= p
-    return out
-
-
-def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    """Multiply coefficient lists and reduce by the monic modulus, all mod p."""
-    e = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for deg in range(len(prod) - 1, e - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for j in range(e + 1):
-                prod[deg - e + j] = (prod[deg - e + j] - c * modulus[j]) % p
-    out = prod[:e]
-    out += [0] * (e - len(out))
     return out
 
 
@@ -96,31 +78,29 @@ class FieldSpec:
         self.e = e
         self.q = p ** e
         self.modulus = modulus
-        elems = range(self.q)
-        self._add = tuple(tuple(self._add_raw(a, b) for b in elems) for a in elems)
-        self._mul = tuple(tuple(self._mul_raw(a, b) for b in elems) for a in elems)
+        q, top = self.q, self.q // p
+        elems = range(q)
+        # the encoding a = a0 + p * a1 is the polynomial a0 + x * a1, and sums
+        # are digitwise, so the row of a is the row of a1 one digit up
+        add = [list(elems)]
+        for a in range(1, q):
+            a0, rest = a % p, add[a // p]
+            add.append([(a0 + b) % p + p * rest[b // p] for b in elems])
+        # v * x: the digits move up one place, and the top one's x^e is minus
+        # the lower terms of the modulus
+        minus_low = [sum(-c * m % p * p ** i for i, m in enumerate(modulus[:e])) for c in range(p)]
+        times_x = [add[v % top * p][minus_low[v // top]] for v in elems]
+        # a constant c scales each digit, and a * b = a0 * b + x * (a1 * b)
+        mul = [[0] * q for _ in range(p)]
+        for c, row in enumerate(mul):
+            for b in range(1, q):
+                row[b] = c * (b % p) % p + p * row[b // p]
+        for a in range(p, q):
+            mul.append([add[s][times_x[m]] for s, m in zip(mul[a % p], mul[a // p])])
+        self._add = tuple(map(tuple, add))
+        self._mul = tuple(map(tuple, mul))
         self._neg = tuple(row.index(0) for row in self._add)
         self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
-
-    def _add_raw(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (a + b) % p
-        da, db = _digits(a, p, e), _digits(b, p, e)
-        total = 0
-        for i in range(e - 1, -1, -1):
-            total = total * p + (da[i] + db[i]) % p
-        return total
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (a * b) % p
-        prod = _poly_mul_mod(_digits(a, p, e), _digits(b, p, e), list(self.modulus), p)
-        total = 0
-        for i in range(e - 1, -1, -1):
-            total = total * p + prod[i]
-        return total
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]

@@ -20,22 +20,25 @@ parameters (t-n-1, -t-1, t+1) it induces, for each t-set T, a harmonic
 kernel whose extension depends only on (|X|, |X intersect T|), written
 h_{d,t}(l, i).  Inverting the resulting per-weight linear systems turns
 weighted weight enumerators back into split-weight coefficient grids.
+Each system depends only on (n, t, l), so it is inverted once per (n, t)
+and a recovery is an integer mat-vec per weight.  Values are ints where
+integral: harmonic basis values for n <= 16, d <= 3 are -1, 1 or 2, so
+those bases and the Delsarte sums build no Fraction.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
 from .enumerators import JacobiTable, subcode_support_histogram, table_from_bipoly
 from .errors import PochhammerZeroDenominator
-from .exactmath import QQ, RatMatrix, nullspace, rat_solve
+from .exactmath import QQ, apply_inverse, exact, nullspace, rat_inverse
 
 
 class SubsetFn:
@@ -52,7 +55,7 @@ class SubsetFn:
             z = _as_mask(key)
             if z.bit_count() != d or z >> n:
                 raise ValueError(f"{key!r} is not a d-subset of 1..{n}")
-            vals[z] = Fraction(v)
+            vals[z] = exact(v)
         self.n = n
         self.d = d
         self.values = vals
@@ -88,7 +91,7 @@ def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     if d == 0:
-        return (SubsetFn(n, 0, {0: Fraction(1)}),)
+        return (SubsetFn(n, 0, {0: 1}),)
     full = (1 << n) - 1
     cols = list(_subset_masks(full, d))
     matrix = [[int(y & z == y) for z in cols] for y in _subset_masks(full, d - 1)]
@@ -128,15 +131,12 @@ def delsarte_design_check(blocks, t: int) -> bool:
     vanishes for every harmonic basis function f of degree 1..t.
 
     That sum is sum_b f-tilde(b) = sum_Z f(Z) lambda_d(Z), where
-    lambda_d(Z) counts the blocks containing the d-set Z.  So for each
-    degree the incidence counts are taken once, adding each distinct
-    block's multiplicity at its C(|b|, d) d-subset masks, and each basis
-    function costs one pass over its values.
+    lambda_d(Z) counts the blocks containing the d-set Z: the block
+    multiset's lambda kernel (``BlockMultiset.lambdas``), taken once to
+    depth t, so each basis function costs one pass over its values.
     """
+    lam = blocks.lambdas(t)
     for d in range(1, t + 1):
-        lam: Counter = Counter()
-        for mask, mult in blocks.counts.items():
-            lam.update(dict.fromkeys(_subset_masks(mask, d), mult))
         for f in harm_basis(blocks.n, d):
             if sum(v * lam[z] for z, v in f.values.items() if z in lam):
                 return False
@@ -248,6 +248,23 @@ def h_dt(n: int, t: int, d: int, ell: int, i: int) -> Fraction:
 # coefficient recovery
 
 
+@lru_cache(maxsize=64)
+def _recovery_systems(n: int, t: int) -> tuple:
+    """Per total weight l: the feasible T-weights i (i <= l, l - i <= n - t),
+    the mass row and the rows h_{d,t}(l, i), each scaled to ints, and the
+    system's ``rat_inverse``."""
+    systems = []
+    for ell in range(n + 1):
+        feasible = [i for i in range(t + 1) if i <= ell and ell - i <= n - t]
+        rows = [[1] * len(feasible)]
+        for d in range(1, len(feasible)):
+            row = [h_dt(n, t, d, ell, i) for i in feasible]
+            scale = lcm(*(x.denominator for x in row))
+            rows.append([int(x * scale) for x in row])
+        systems.append((feasible, rows, rat_inverse(rows)))
+    return tuple(systems)
+
+
 def recover_jacobi(
     code: LinearCode,
     r: int,
@@ -261,10 +278,9 @@ def recover_jacobi(
     equation per kernel degree d whose coefficients are h_{d,t}(l, i); the
     right-hand side is the corresponding Hahn-weighted enumerator
     coefficient, which vanishes exactly when the support shells are
-    t-designs.  Columns that are structurally impossible (i > l, or
-    l - i exceeding the complement size) are eliminated before solving, and
-    the system uses as many kernel rows as there are surviving unknowns.
-    A singular reduced system is surfaced, not suppressed.
+    t-designs.  The system uses as many kernel rows as there are feasible
+    unknowns, and its inverse is built once per (n, t)
+    (``_recovery_systems``); a singular system is surfaced, not suppressed.
 
     The right-hand side is read from the same T-split counts n_{l,i} that
     the system solves for, so the solve returns them whatever h_{d,t} is:
@@ -282,19 +298,11 @@ def recover_jacobi(
     for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
         key = (mask.bit_count(), (mask & tmask).bit_count())
         stats[key] = stats.get(key, 0) + mult
-    terms = {}
-    for ell in range(n + 1):
-        feasible = [
-            i for i in range(t + 1) if i <= ell and ell - i <= n - t
-        ]
+    coeff = [[0] * (n - t + 1) for _ in range(t + 1)]
+    for ell, (feasible, rows, inverse) in enumerate(_recovery_systems(n, t)):
         counts = [stats.get((ell, i), 0) for i in feasible]
-        rows: list[list[Fraction]] = [[Fraction(1)] * len(feasible)]
-        rhs: list[Fraction] = [Fraction(sum(counts))]
-        for d in range(1, len(feasible)):
-            row = [h_dt(n, t, d, ell, i) for i in feasible]
-            rows.append(row)
-            rhs.append(sum(map(mul, row, counts), Fraction(0)))
-        solution = rat_solve(RatMatrix(rows), rhs)
-        terms.update(((i, ell - i), val) for i, val in zip(feasible, solution))
-    poly = BiHomPoly.from_terms(t, n - t, terms)
+        rhs = [sum(map(mul, row, counts)) for row in rows]
+        for i, x in zip(feasible, apply_inverse(inverse, rhs)):
+            coeff[i][ell - i] = x
+    poly = BiHomPoly(t, n - t, coeff)
     return table_from_bipoly("higher", r, code.spec.q, n, tset, poly)

@@ -16,9 +16,11 @@ seed only drives which reference sets and coordinates are sampled), so
 two runs with the same inputs produce byte-identical reports no matter
 how many processes execute the items.
 
-While ``verify_all`` runs, a run memo holds the objects that many items
-read: the direct rank-r table, the rank-decomposition extension table
-and the dual code, each built once per (code, T, parameter, guard).  It
+While ``verify_all`` runs, the run memo (``designs._shared``) holds the
+objects that many items read: the direct rank-r table, the
+rank-decomposition extension table, the dual code and the support shells
+of each rank, whose lambda kernel serves the design, polarization and
+Delsarte items, each built once per (code, T, parameter, guard).  It
 only shares one route's output among the items that read that route,
 and it is dropped when the run ends, so the next run (or a corrupted
 route) starts from scratch; outside a run every route builds directly.
@@ -27,8 +29,9 @@ With ``jobs`` above 1 the items are grouped by kind, and the calling
 process and ``jobs - 1`` forked children each claim the next whole kind
 from a pipe whenever they are free.  Before forking, the caller builds
 what two or more kinds read: the dual, the subcode histograms of the
-code and of the dual, the rank sweep grouped by each sampled T, and the
-memo's tables at the sampled T-sets.  The children inherit them, and
+code and of the dual, the rank sweep grouped by each sampled T, the
+memo's tables at the sampled T-sets, and the lambda kernel of each rank
+at the largest t asked of it.  The children inherit them, and
 freeze the garbage collector's view of them so that no collection
 touches (and copies) those pages.  An input that a guard or the sweep
 cap refuses is left to the items that read it, which report the SKIP as
@@ -55,9 +58,12 @@ from .code import (
     RefSet,
     subcode_count,
 )
+from . import designs
 from .designs import (
+    _shared,
     is_t_design,
     jacobi_by_polarization,
+    kernel_tables,
     punctured_split,
     reassemble_punctured,
     subcode_support_designs,
@@ -180,20 +186,6 @@ class Check(NamedTuple):
     skip_reason: str = ""
 
 
-# the run memo, {(build, *args): build(*args)} while verify_all runs, else None
-_memo: dict | None = None
-
-
-def _shared(build, *args):
-    """build(*args), built once per run and shared by the items that read it."""
-    if _memo is None:
-        return build(*args)
-    key = (build, *args)
-    if key not in _memo:
-        _memo[key] = build(*args)
-    return _memo[key]
-
-
 def _hjac(code, guards, r, T):
     """The rank-r table at T enumerated directly: the reference route."""
     return _shared(higher_jacobi, code, RefSet.of(code.n, T), r, guards[0])
@@ -274,15 +266,16 @@ def _t_over_n(code, guards, r, t) -> bool:
 
 
 def _polarize(code, guards, r, t):
-    """The polarized polynomial vs the table at each t-set."""
+    """The polarized polynomial vs the lambda kernel's table at each t-set."""
     poly = jacobi_by_polarization(code, r, t, guards[0])
-    tsets = list(combinations(range(1, code.n + 1), t))
-    return dict.fromkeys(tsets, poly), {T: _hjac(code, guards, r, T).to_bipoly() for T in tsets}
+    tables = _shared(kernel_tables, code, r, t, guards[0])
+    return dict.fromkeys(tables, poly), tables
 
 
 def _delsarte(code, guards, r, t):
     """Brute-force vs harmonic verdict on each shell of weight >= t."""
-    shells = [(w, s) for w, s in support_shells(code, r, guards[0]).items() if w >= t]
+    shells = _shared(support_shells, code, r, guards[0]).items()
+    shells = [(w, s) for w, s in shells if w >= t]
     brute = {w: is_t_design(shell, t).is_design for w, shell in shells}
     return brute, {w: delsarte_design_check(shell, t) for w, shell in shells}
 
@@ -292,46 +285,51 @@ def _punctured(code, guards, r, i):
     return reassemble_punctured(code.n, zero_w, one_w), _hjac(code, guards, r, (i,)).to_bipoly()
 
 
+# each entry's comment names the two kernels its routes read
 CHECKS: dict[str, Check] = {
-    "dual_involution": Check(_dual_involution, same_value),
-    "plain_vs_wenum": Check(_plain_vs_wenum, same_value),
-    "mass": Check(_mass, same_value, "mass {} vs {}"),
-    "hjac_via_q": Check(_hjac_via_q, same_grid, _FIRST_DIFFERENCE),
+    "dual_involution": Check(_dual_involution, same_value),  # GF(q) nullspace vs RREF
+    "plain_vs_wenum": Check(_plain_vs_wenum, same_value),  # codeword histogram, split vs not
+    "mass": Check(_mass, same_value, "mass {} vs {}"),  # subcode histogram vs q-binomial
+    "hjac_via_q": Check(_hjac_via_q, same_grid, _FIRST_DIFFERENCE),  # rank sweep vs split counts
+    # the rank sweep, inverted by rank decomposition, vs split counts
     "hjac_from_ext": Check(_hjac_from_ext, same_grid, _FIRST_DIFFERENCE),
+    # the rank sweep vs split counts summed by rank decomposition
     "ejac_via_q": Check(_ejac_via_q, same_grid, _FIRST_DIFFERENCE),
-    "ejac_direct": Check(
+    "ejac_direct": Check(  # the extension histogram vs split counts summed by rank
         _ejac_direct,
         same_grid,
         _FIRST_DIFFERENCE,
         skip_if=lambda code, guards, m, T: code.spec.q ** (m * code.k) > guards[1],
         skip_reason="extension word count exceeds the guard",
     ),
+    # the pair substitution of the code's table vs the dual's, both from split counts
     "mw_ejac": Check(_mw_ejac, same_grid, _FIRST_DIFFERENCE),
     "mw_hjac": Check(_mw_hjac, same_grid, _FIRST_DIFFERENCE),
-    "recover": Check(
+    "recover": Check(  # the cached Hahn inverse vs split counts (its input: ROADMAP item 3)
         _recover,
         same_grid,
         _FIRST_DIFFERENCE,
         skip_if=lambda code, guards, r, T: 2 * len(T) > code.n,
         skip_reason="|T| exceeds n/2",
     ),
-    "mw_hw": Check(_mw_hw, same_value),
-    "design_equiv": Check(
+    "mw_hw": Check(_mw_hw, same_value),  # substituted subcode histograms vs the dual's
+    "design_equiv": Check(  # is_t_design's incidence vs the lambda kernel's tables
         _design_equiv,
         same_per_key,
         "designs={1} independence={2} witness={0}",
         skip_if=_t_over_n,
         skip_reason="t exceeds n",
     ),
-    "polarize": Check(
+    "polarize": Check(  # is_t_design and polarization vs the lambda kernel's tables
         _polarize,
         same_per_key,
         "differs at T={}",
         skip_if=_t_over_n,
         skip_reason="t exceeds n",
     ),
+    # is_t_design's incidence vs the lambda kernel's Delsarte sums
     "delsarte": Check(_delsarte, same_per_key, "weight {}: brute={} harmonic={}"),
-    "punctured": Check(_punctured, same_value),
+    "punctured": Check(_punctured, same_value),  # histogram at one coordinate vs split counts
 }
 
 
@@ -388,10 +386,11 @@ def _run_claimed(code, items, kinds: list[list[int]], claims: int, guards) -> li
 def _build_shared(code, items, guards) -> None:
     """Build what two or more kinds read, for forked workers to inherit:
     the dual, the rank sweep grouped by each sampled T, the subcode
-    histograms of the dual, and the direct and rank-decomposition tables
-    at the sampled T-sets, which build the code's histograms.  A build
-    that a guard or the sweep cap refuses, or that comes out fractional,
-    is left to the items that read it, which report it."""
+    histograms of the dual, the direct and rank-decomposition tables at
+    the sampled T-sets, which build the code's histograms, and the lambda
+    kernel's tables that the t-set kinds read.  A build that a guard or
+    the sweep cap refuses, or that comes out fractional, is left to the
+    items that read it, which report it."""
     dual = _dual(code)
     builds: dict[tuple, None] = {}
     for _, kind, params in items:
@@ -406,7 +405,11 @@ def _build_shared(code, items, guards) -> None:
                 builds[subcode_support_histogram, dual, r, guards[0]] = None
         elif kind == "mw_hw":
             builds[subcode_support_histogram, dual, params[0], guards[0]] = None
-    for build, *args in builds:
+        elif kind in ("design_equiv", "polarize", "delsarte"):
+            builds[_shared, kernel_tables, code, *params, guards[0]] = None
+    # in reverse, so that each rank's largest t comes first: its lambdas
+    # serve every smaller t
+    for build, *args in reversed(builds):
         try:
             build(*args)
         except (TooLarge, NonIntegerResult):
@@ -510,8 +513,7 @@ def verify_all(
     for i, (_, kind, _) in enumerate(items):
         groups.setdefault(kind, []).append(i)
     processes = worker_count(jobs, len(groups))
-    global _memo
-    _memo = {}
+    designs._memo = {}
     try:
         if processes <= 1:
             results = [_run_one(code, kind, params, guards) for _, kind, params in items]
@@ -519,7 +521,7 @@ def verify_all(
             _build_shared(code, items, guards)
             results = _run_forked(code, items, list(groups.values()), guards, processes)
     finally:
-        _memo = None
+        designs._memo = None
     lines = []
     ok_all = True
     for (label, _, _), (status, detail) in zip(items, results):

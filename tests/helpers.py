@@ -1,6 +1,8 @@
 """Shared builders for the test suite: golden codes, seeded random codes,
 block multisets from coordinate sets, brute-force oracles for the
 vanishing-dimension route, the q-binomial expansion self-test, the
+schoolbook product that the field tables are checked against, the
+word-by-word monic masks that span doubling is checked against, the
 literal codeword, subcode and extension-word enumerations that the
 support histograms are checked against, and the small operations only
 the tests need: rendering a code, permuting its coordinates, evaluating
@@ -32,10 +34,10 @@ from jacobiforge import (
 from jacobiforge.code import (
     MAX_SUBCODES_DEFAULT,
     MAX_WORDS_DEFAULT,
-    _span_words,
     column_set_dim,
     coords_mask,
     subcode_count,
+    support_mask,
 )
 from jacobiforge.exactmath import rref
 from jacobiforge.harmonic import _subset_masks
@@ -93,6 +95,26 @@ def qbinom_expansion_check(a: int, b: int, q: int) -> bool:
         for i in range(b + 1)
     )
     return lhs == rhs
+
+
+def poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
+    """Schoolbook product of coefficient lists, reduced by the monic modulus,
+    all mod p: the field tables are checked against it."""
+    e = len(modulus) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    for deg in range(len(prod) - 1, e - 1, -1):
+        c = prod[deg]
+        if c:
+            prod[deg] = 0
+            for j in range(e + 1):
+                prod[deg - e + j] = (prod[deg - e + j] - c * modulus[j]) % p
+    out = prod[:e]
+    out += [0] * (e - len(out))
+    return out
 
 
 def mask_support(mask: int) -> frozenset[int]:
@@ -255,12 +277,35 @@ def support(vec: Sequence[int]) -> frozenset[int]:
     return frozenset(i + 1 for i, x in enumerate(vec) if x)
 
 
+def span_words(spec, n: int, rows) -> Iterator[list[int]]:
+    """Every GF(q)-combination of the rows, coefficients in lexicographic order."""
+    scaled = [[tuple(spec.mul(a, x) for x in row) for a in range(spec.q)] for row in rows]
+    for msg in product(range(spec.q), repeat=len(rows)):
+        word = [0] * n
+        for a, row_mult in zip(msg, scaled):
+            if a:
+                mult = row_mult[a]
+                word = [spec.add(x, y) for x, y in zip(word, mult)]
+        yield word
+
+
+def monic_masks_word_by_word(code: LinearCode) -> list[int]:
+    """``monic_masks`` as it was enumerated before span doubling: every monic
+    message's word added up from the generator rows, in the same order."""
+    spec, n, gen = code.spec, code.n, code.gen
+    return [
+        support_mask([spec.add(x, y) for x, y in zip(lead, tail)])
+        for p, lead in enumerate(gen)
+        for tail in span_words(spec, n, gen[p + 1:])
+    ]
+
+
 def codewords(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> Iterator[tuple[int, ...]]:
     """All q^k codewords, in message lexicographic order (m * G)."""
     spec, k, n = code.spec, code.k, code.n
     if spec.q ** k > max_words:
         raise TooLarge(f"{spec.q}^{k} codewords exceed the guard {max_words}")
-    for word in _span_words(spec, n, code.gen):
+    for word in span_words(spec, n, code.gen):
         yield tuple(word)
 
 

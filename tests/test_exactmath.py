@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobiforge import RatMatrix, SingularMatrix, field_new, rat_solve
-from jacobiforge.exactmath import QQ, format_rational, nullspace, parse_rational, rref
+from jacobiforge.exactmath import (
+    QQ,
+    apply_inverse,
+    format_rational,
+    nullspace,
+    parse_rational,
+    rat_inverse,
+    rref,
+)
 
 
 def identity(n):
@@ -26,6 +34,13 @@ def test_recovery_system_hand_eliminated():
     # the 2x2 system arising at total weight 2 for the [6,3] golden code
     a = RatMatrix([[1, 1], [Fraction(-2, 5), Fraction(4, 5)]])
     assert rat_solve(a, [3, 0]) == [Fraction(2), Fraction(1)]
+    # the inverse is [[2/3, -5/6], [1/3, 5/6]]: ints over the least denominator
+    inverse = rat_inverse(a.entries)
+    assert inverse == ([[4, -5], [2, 5]], 6)
+    assert all(type(x) is int for row in inverse[0] for x in row)
+    solution = apply_inverse(inverse, [3, 0])
+    assert solution == [2, 1] and all(type(x) is int for x in solution)
+    assert apply_inverse(inverse, [1, 0]) == [Fraction(2, 3), Fraction(1, 3)]
 
 
 def test_singular_raises():

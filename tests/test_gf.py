@@ -3,12 +3,19 @@ from itertools import product
 
 import pytest
 
+from helpers import poly_mul_mod
 from jacobiforge import (
     DivisionByZero,
     NotPrime,
     TooLarge,
     field_new,
 )
+from jacobiforge.gf import _digits, _is_prime
+
+# every (p, e) with p^e <= 256
+PRIME_POWERS = [
+    (p, e) for p in range(2, 257) if _is_prime(p) for e in range(1, 9) if p ** e <= 256
+]
 
 
 def test_prime_field_basics():
@@ -99,3 +106,23 @@ def test_largest_fields_satisfy_the_axioms_on_random_triples():
         for a in range(1, q):
             assert spec.mul(a, spec.inv(a)) == 1
         assert all(spec.mul(1, a) == a and spec.add(0, a) == a for a in range(q))
+
+
+def test_every_table_is_the_schoolbook_arithmetic():
+    assert len(PRIME_POWERS) == 70
+    for p, e in PRIME_POWERS:
+        spec = field_new(p, e)
+        q = spec.q
+        digits = [_digits(a, p, e) for a in range(q)]
+        encode = {tuple(d): a for a, d in enumerate(digits)}
+        modulus = list(spec.modulus)
+        for a in range(q):
+            if e == 1:
+                adds = [(a + b) % p for b in range(q)]
+                products = [a * b % p for b in range(q)]
+            else:
+                da = digits[a]
+                adds = [encode[tuple((x + y) % p for x, y in zip(da, db))] for db in digits]
+                products = [encode[tuple(poly_mul_mod(da, db, modulus, p))] for db in digits]
+            assert [spec.add(a, b) for b in range(q)] == adds, (q, a)
+            assert [spec.mul(a, b) for b in range(q)] == products, (q, a)

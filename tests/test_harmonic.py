@@ -63,6 +63,8 @@ def test_every_small_harm_basis_function_is_in_the_kernel_of_gamma():
             for f in harm_basis(n, d):
                 assert (f.n, f.d) == (n, d)
                 assert is_zero(gamma(f)), (n, d)
+                # the pivots are all 1 or -1, so the elimination built no Fraction
+                assert all(type(v) is int and v in (-1, 1, 2) for v in f.values.values())
 
 
 def test_harm_basis_in_kernel_and_degree_one_sums():

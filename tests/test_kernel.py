@@ -1,7 +1,8 @@
 """Oracle tests for the integer kernels: every support histogram must equal
 the one counted from literal codewords, subcodes and extension words, the
-rank sweep must equal one elimination per column set, and the Delsarte
-check must equal the literal f-tilde sums."""
+rank sweep must equal one elimination per column set, the lambda kernel's
+tables must equal the tables counted per T, and the Delsarte check must
+equal the literal f-tilde sums."""
 
 import random
 from collections import Counter
@@ -9,6 +10,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     block_multiset,
@@ -18,6 +21,7 @@ from helpers import (
     golay24,
     hamming74,
     mask_support,
+    monic_masks_word_by_word,
     occurrences,
     q_st,
     q_st_ext,
@@ -39,6 +43,7 @@ from jacobiforge import (
     field_new,
     gauss_binom,
     harm_basis,
+    higher_jacobi,
     is_t_design,
 )
 from jacobiforge import code as code_module
@@ -51,7 +56,7 @@ from jacobiforge.code import (
     or_power,
     support_mask,
 )
-from jacobiforge.designs import support_shells
+from jacobiforge.designs import kernel_tables, support_shells
 from jacobiforge.enumerators import (
     _extension_supports,
     _q_grid,
@@ -161,6 +166,17 @@ def test_monic_masks_follow_monic_message_order(q):
         ]
         assert monic_masks(code) == literal
         assert len(literal) == (q ** k - 1) // (q - 1)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_monic_masks_by_span_doubling_match_word_by_word(q):
+    rng = random.Random(2000 + q)
+    spec = field_new(*FIELDS[q])
+    for _ in range(8):
+        n = rng.randrange(1, 8)
+        mat = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(0, 5))]
+        code = LinearCode(spec, n, mat)
+        assert monic_masks(code) == monic_masks_word_by_word(code), code.gen
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -356,3 +372,56 @@ def test_delsarte_matches_literal_sum_and_brute_design_check():
         # criterion still asks for a d-design at every d <= block size
         if t <= shell.block_size or not shell.counts:
             assert got == is_t_design(shell, t).is_design, (shell.counts, t)
+
+
+@st.composite
+def kernel_codes(draw):
+    """Codes over every small field with n <= 10 and at most three rows."""
+    q = draw(st.sampled_from(sorted(FIELDS)))
+    n = draw(st.integers(1, 10))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    return LinearCode(field_new(*FIELDS[q]), n, draw(st.lists(row, max_size=3)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(kernel_codes())
+def test_lambda_kernel_tables_equal_the_counted_tables(code):
+    for r in range(min(2, code.k) + 1):
+        for t in range(min(3, code.n) + 1):
+            tables = kernel_tables(code, r, t)
+            assert list(tables) == list(combinations(range(1, code.n + 1), t))
+            for coords, poly in tables.items():
+                counted = higher_jacobi(code, RefSet.of(code.n, coords), r).to_bipoly()
+                assert poly == counted, (code.gen, r, coords)
+
+
+def literal_lambdas(blocks: BlockMultiset, t: int) -> Counter:
+    """lambda(S) for |S| <= t, one subset of one block occurrence at a time."""
+    lam: Counter = Counter()
+    for block in occurrences(blocks):
+        for size in range(min(t, len(block)) + 1):
+            lam.update(coords_mask(s) for s in combinations(sorted(block), size))
+    return lam
+
+
+def test_lambda_kernel_delsarte_sums_equal_the_literal_f_tilde_sums():
+    rng = random.Random(14)
+    cases = [UNEVEN, block_multiset(3, [{1}, {1}])]
+    for _ in range(30):
+        n = rng.randrange(1, 8)
+        pool = list(combinations(range(1, n + 1), rng.randrange(0, n + 1)))
+        drawn = [rng.choice(pool) for _ in range(rng.randrange(0, 6))]
+        cases.append(block_multiset(n, with_multiplicities(rng, drawn)))
+    cases += support_shells(c12(), 2).values()
+    nonzero = 0
+    for shell in cases:
+        t = min(3, shell.n)
+        lam = shell.lambdas(t)
+        assert lam == literal_lambdas(shell, t), shell.counts
+        blocks = occurrences(shell)
+        for d in range(1, t + 1):
+            for f in harm_basis(shell.n, d)[:6]:
+                kernel_sum = sum(v * lam[z] for z, v in f.values.items())
+                assert kernel_sum == sum(f_tilde(f, b) for b in blocks), (shell.counts, d)
+                nonzero += kernel_sum != 0
+    assert nonzero > 20

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import HAMMING74_TEXT, block_multiset, ex44, golay24, hamming74
 from jacobiforge import BiHomPoly, BlockMultiset, delsarte_design_check, is_t_design, verify_all
-from jacobiforge import bipoly, cli, code, enumerators, harmonic, transforms, verify
+from jacobiforge import bipoly, cli, code, designs, enumerators, harmonic, transforms, verify
 from jacobiforge.designs import support_shells
 from jacobiforge.verify import CHECKS, build_items
 
@@ -141,8 +141,10 @@ def test_fractional_fold_is_a_non_integer_fail(monkeypatch):
 
 
 def solve_then(change):
-    """harmonic.rat_solve with change applied to the last count of each solve."""
-    real = harmonic.rat_solve
+    """harmonic.apply_inverse, the per-weight solve of recover_jacobi, with
+    change applied to the last count of each solve (the cached inverses
+    are untouched, so no cache needs clearing)."""
+    real = harmonic.apply_inverse
 
     def corrupt(*args):
         solution = real(*args)
@@ -153,7 +155,7 @@ def solve_then(change):
 
 
 def test_fractional_recovered_count_is_a_non_integer_fail(monkeypatch):
-    monkeypatch.setattr(harmonic, "rat_solve", solve_then(lambda x: x + Fraction(1, 2)))
+    monkeypatch.setattr(harmonic, "apply_inverse", solve_then(lambda x: x + Fraction(1, 2)))
     lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
     assert not ok
     want = "FAIL recover r=1 T={1}: non-integer result: entry (0,0) = 1/2 is not an integer"
@@ -161,11 +163,47 @@ def test_fractional_recovered_count_is_a_non_integer_fail(monkeypatch):
 
 
 def test_wrong_recovered_count_fails_recover(monkeypatch):
-    monkeypatch.setattr(harmonic, "rat_solve", solve_then(lambda x: x + 1))
+    monkeypatch.setattr(harmonic, "apply_inverse", solve_then(lambda x: x + 1))
     lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
     assert not ok
     want = "FAIL recover r=1 T={1}: first difference at (i=0, j=0): 1 vs 0"
     assert want in lines, failing_labels(lines)
+
+
+def test_flipped_incidence_bit_fails_design_equiv_and_delsarte(monkeypatch):
+    # the lambda kernel reads one block's membership of point 1 wrongly;
+    # is_t_design builds its own incidence, so the two sides now disagree
+    real = designs._incidence
+
+    def flipped(*args):
+        incidence = real(*args)
+        incidence[0] ^= 1
+        return incidence
+
+    monkeypatch.setattr(designs, "_incidence", flipped)
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    for label in ("design-equiv r=1 t=1", "delsarte r=1 t=1"):
+        assert any(line.startswith("FAIL " + label) for line in fails), (label, fails)
+
+
+def test_flipped_moebius_sign_fails_polarize(monkeypatch):
+    real = designs._mobius_row
+
+    def flipped(size):
+        row = real(size)
+        if size == 1:
+            row[0] = -row[0]  # N(T, 0) = lambda({}) + lambda({i})
+        return row
+
+    monkeypatch.setattr(designs, "_mobius_row", flipped)
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    # every table is wrong in the same way, so only polarize sees it: the
+    # tables still vary with T exactly when lambda does
+    assert any(line.startswith("FAIL polarize r=1 t=1") for line in fails), fails
 
 
 def test_short_nullspace_fails_the_dual_checks(monkeypatch):
