@@ -290,6 +290,11 @@ def main(argv=None) -> int:
         if args.command == "harm-wenum":
             _check_rank(code, args.r)
             _check_range("d", args.d, 0, code.n)
+            if 2 * args.d > code.n:
+                raise UsageError(
+                    f"harm-wenum needs d <= n/2 = {code.n // 2}: "
+                    f"the degree-{args.d} harmonic space is {{0}}"
+                )
             basis = harm_basis(code.n, args.d)
             if not 0 <= args.basis_index < len(basis):
                 raise UsageError(

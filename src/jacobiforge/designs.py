@@ -36,8 +36,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb, perm
+from operator import add, and_
 from typing import NamedTuple
 
 from .bipoly import BiHomPoly
@@ -130,46 +132,53 @@ _DIGITS = [bytes(ord("0") + (x >> b & 1) for x in range(256)) for b in range(8)]
 def is_t_design(blocks: BlockMultiset, t: int) -> DesignVerdict:
     """Exhaustive coverage count over all t-subsets of the point set.
 
-    Each point is an int with one bit per block occurrence, so the blocks
-    covering a t-subset are the AND of its points' ints.  They are one
-    transpose of the histogram: occurrence j is row j of a byte table of
-    little-endian masks, and point i reads byte column i // 8 at bit i % 8
-    as binary digits, after a leading 0 that reads no blocks as 0.
+    The distinct masks are grouped by multiplicity, and each class is
+    transposed to point incidences: one int per point, one bit per mask,
+    by reading byte column i // 8 of the little-endian mask table at bit
+    i % 8 as binary digits.  The blocks of a class covering a t-subset are
+    then the AND of its points' ints.  For t >= 2 each class keeps its
+    C(n, 2) pairwise ANDs in lexicographic order (C(n, 2) ints of one bit
+    per mask), so the coverages of the t-subsets sharing a (t-2)-point
+    prefix are one C-level pass over the pairs after that prefix, summed
+    over the classes with their multiplicities.  It stops at the second
+    distinct coverage.  t = 0 gives lambda = len(blocks), and blocks
+    smaller than t give (True, t, 0).
     """
     if t < 0 or t > blocks.n:
         raise ValueError("need 0 <= t <= n")
-    width = (blocks.n + 7) // 8
-    rows = bytearray()
+    if t == 0 or t > blocks.block_size:
+        return DesignVerdict(True, t, 0 if t else len(blocks))
+    n, width, k = blocks.n, (blocks.n + 7) // 8, min(t, 2)
+    groups: defaultdict[int, bytearray] = defaultdict(bytearray)
     for mask, mult in blocks.counts.items():
-        rows += mask.to_bytes(width, "little") * mult
-    incidence = [
-        int(b"0" + rows[i // 8 :: width].translate(_DIGITS[i % 8]), 2)
-        for i in range(blocks.n)
-    ]
-    coverages = _coverages(incidence, 0, t, (1 << len(blocks)) - 1)
-    lam = next(coverages)
-    if any(cov != lam for cov in coverages):
-        return DesignVerdict(False, t, None)
-    return DesignVerdict(True, t, lam)
+        groups[mult] += mask.to_bytes(width, "little")
+    classes = []  # (multiplicity, point incidences, k-point ANDs in lexicographic order)
+    for mult, rows in groups.items():  # a transpose of its own, apart from _incidence
+        points = [
+            int(b"0" + rows[i // 8 :: width].translate(_DIGITS[i % 8]), 2) for i in range(n)
+        ]
+        tails = [a & b for a, b in combinations(points, 2)] if k == 2 else points
+        classes.append((mult, points, tails))
+    seen: set[int] = set()
+    for prefix in combinations(range(n - k), t - k):
+        start = comb(n, k) - comb(n - 1 - prefix[-1], k) if prefix else 0  # first k-set after it
+        total = None
+        for mult, points, tails in classes:
+            cover = reduce(and_, map(points.__getitem__, prefix), -1)
+            counts = map(int.bit_count, map(cover.__and__, tails[start:]))
+            if mult > 1:
+                counts = map(mult.__mul__, counts)
+            total = counts if total is None else map(add, total, counts)
+        seen.update(total)
+        if len(seen) > 1:
+            return DesignVerdict(False, t, None)
+    return DesignVerdict(True, t, seen.pop())
 
 
 def _incidence(rows, width: int, n: int) -> list[int]:
     """The lambda kernel's n point incidences of a byte table of masks: the
     transpose of ``is_t_design``, kept apart so the two share no incidence."""
     return [int(b"0" + rows[i // 8 :: width].translate(_DIGITS[i % 8]), 2) for i in range(n)]
-
-
-def _coverages(incidence: list[int], start: int, t: int, covered: int):
-    """popcount of covered AND the incidence of each t-subset of points
-    from start on, by depth-first search over shared prefixes."""
-    if t == 0:
-        yield covered.bit_count()
-    elif t == 1:
-        for bits in incidence[start:]:
-            yield (covered & bits).bit_count()
-    else:
-        for i in range(start, len(incidence) - t + 1):
-            yield from _coverages(incidence, i + 1, t - 1, covered & incidence[i])
 
 
 def support_shells(

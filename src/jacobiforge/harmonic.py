@@ -86,12 +86,15 @@ def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
     Degree 0 is the one-dimensional space of constants.  A nullspace
     vector is in the kernel of gamma by construction, so the functions are
     plain SubsetFns; the tests check the kernel property against a literal
-    gamma.
+    gamma.  For 2d > n gamma is injective, so the space is {0} and the
+    basis is empty, with no matrix built.
     """
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     if d == 0:
         return (SubsetFn(n, 0, {0: 1}),)
+    if 2 * d > n:
+        return ()
     full = (1 << n) - 1
     cols = list(_subset_masks(full, d))
     matrix = [[int(y & z == y) for z in cols] for y in _subset_masks(full, d - 1)]

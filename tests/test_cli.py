@@ -153,6 +153,17 @@ def test_harm_wenum(ex44_path):
     assert res.stdout.strip() == "0"
 
 
+def test_harm_wenum_above_half_n_names_the_cap(tmp_path):
+    # n = 10, d = 6: the degree-6 harmonic space is {0}, so no basis index exists
+    path = tmp_path / "n10.txt"
+    path.write_text("q=2 n=10\n1100000000\n0011111111\n")
+    res = run_cli("harm-wenum", "--code", str(path), "-r", "1", "-d", "6", timeout=10)
+    assert res.returncode == 2
+    assert res.stderr == (
+        "error: harm-wenum needs d <= n/2 = 5: the degree-6 harmonic space is {0}\n"
+    )
+
+
 def test_hahn_subcommand():
     res = run_cli("hahn", "-m", "1", "-x", "1", "--alpha", "-6", "--beta", "-2", "-N", "2")
     assert res.returncode == 0

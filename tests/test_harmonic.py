@@ -5,7 +5,17 @@ from math import comb
 
 import pytest
 
-from helpers import complement, ex44, gamma, hamming74, is_zero, random_code, sample_tsets, value
+from helpers import (
+    block_multiset,
+    complement,
+    ex44,
+    gamma,
+    hamming74,
+    is_zero,
+    random_code,
+    sample_tsets,
+    value,
+)
 from jacobiforge import (
     BiHomPoly,
     HahnParams,
@@ -23,6 +33,7 @@ from jacobiforge import (
     is_t_design,
     recover_jacobi,
 )
+from jacobiforge import harmonic
 from jacobiforge.designs import support_shells
 from jacobiforge.errors import DegreeUnderflow
 from jacobiforge.harmonic import hahn_kernel_fn
@@ -65,6 +76,25 @@ def test_every_small_harm_basis_function_is_in_the_kernel_of_gamma():
                 assert is_zero(gamma(f)), (n, d)
                 # the pivots are all 1 or -1, so the elimination built no Fraction
                 assert all(type(v) is int and v in (-1, 1, 2) for v in f.values.values())
+
+
+def test_harm_basis_above_half_n_is_empty_without_elimination(monkeypatch):
+    sixes = list(combinations(range(1, 8), 6))
+    shells = [block_multiset(7, sixes), block_multiset(7, sixes[1:])]  # a design, and not one
+    for d in range(1, 4):
+        harm_basis(7, d)  # the nonempty degrees, cached before the elimination goes
+
+    def refuse(*args):
+        raise AssertionError("nullspace called for an empty harmonic space")
+
+    monkeypatch.setattr(harmonic, "nullspace", refuse)
+    for n in range(1, 13):
+        for d in range(n // 2 + 1, n + 1):
+            assert harm_basis.__wrapped__(n, d) == (), (n, d)
+    # Delsarte above t = n/2 reads only the degrees up to n/2
+    for t in range(4, 7):
+        assert [delsarte_design_check(blocks, t) for blocks in shells] == [True, False]
+        assert [is_t_design(blocks, t).is_design for blocks in shells] == [True, False]
 
 
 def test_harm_basis_in_kernel_and_degree_one_sums():

@@ -242,6 +242,37 @@ def test_is_t_design_matches_brute_coverage():
         for t in range(4):
             v = is_t_design(shell, t)
             assert (v.is_design, v.lam) == brute_is_t_design(shell, t)
+    # two-byte rows (n = 9..12), t >= 3 and two or more multiplicity classes
+    for _ in range(12):
+        n = rng.randrange(9, 13)
+        size = rng.randrange(3, n - 1)
+        drawn = [rng.sample(range(1, n + 1), size) for _ in range(rng.randrange(2, 7))]
+        blocks = block_multiset(n, drawn + drawn[: rng.randrange(1, len(drawn))])
+        assert len(set(blocks.counts.values())) >= 2
+        for t in range(3, min(size + 1, 6) + 1):
+            v = is_t_design(blocks, t)
+            assert (v.is_design, v.lam) == brute_is_t_design(blocks, t)
+    # all 6-subsets of 12 points once, the 132 hexads of S(5, 6, 12) twice:
+    # a 5-design with lambda C(7, 1) + 1, but not a 6-design
+    counts = Counter(coords_mask(b) for b in combinations(range(1, 13), 6))
+    counts.update(support_shells(tgolay12(), 1)[6].counts)
+    both = BlockMultiset(12, counts)
+    assert sorted(Counter(both.counts.values()).items()) == [(1, 924 - 132), (2, 132)]
+    for t in range(3, 7):
+        v = is_t_design(both, t)
+        assert (v.is_design, v.lam) == brute_is_t_design(both, t)
+    assert is_t_design(both, 5) == (True, 5, 8)
+
+
+def test_is_t_design_finds_one_odd_t_set_in_the_last_prefix():
+    # every t-subset once and the lexicographically last one twice: only that
+    # t-set is covered twice, and its prefix is the last one searched
+    for n, t in ((12, 4), (9, 3), (10, 5)):
+        tsets = list(combinations(range(1, n + 1), t))
+        blocks = block_multiset(n, tsets + tsets[-1:])
+        assert brute_is_t_design(blocks, t) == (False, None)
+        assert is_t_design(blocks, t) == (False, t, None)
+        assert is_t_design(block_multiset(n, tsets), t) == (True, t, 1)
 
 
 def test_golay_weight8_shell_is_steiner_5_design():
@@ -258,7 +289,7 @@ def test_golay_rank2_shells_are_5_designs_with_large_multiplicities():
     assert shells[22].counts == dict.fromkeys(shells[22].counts, 616)
     assert len(shells[22].counts) == 276
     assert list(shells[24].counts.values()) == [5842]
-    for w, lam in ((22, 105336), (24, 5842)):
+    for w, lam in ((12, 660), (20, 271320), (22, 105336), (24, 5842)):
         v = is_t_design(shells[w], 5)
         assert (v.is_design, v.lam) == (True, lam)
         # a 5-design of b blocks of size w has lambda = b * C(w, 5) / C(24, 5)
