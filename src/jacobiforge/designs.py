@@ -142,7 +142,7 @@ def is_t_design(blocks: BlockMultiset, t: int) -> DesignVerdict:
     prefix are one C-level pass over the pairs after that prefix, summed
     over the classes with their multiplicities.  It stops at the second
     distinct coverage.  t = 0 gives lambda = len(blocks), and blocks
-    smaller than t give (True, t, 0).
+    smaller than t give (True, t, 0), as in ``delsarte_design_check``.
     """
     if t < 0 or t > blocks.n:
         raise ValueError("need 0 <= t <= n")

@@ -19,7 +19,8 @@ is evaluated exactly as the terminating hypergeometric sum; with the
 parameters (t-n-1, -t-1, t+1) it induces, for each t-set T, a harmonic
 kernel whose extension depends only on (|X|, |X intersect T|), written
 h_{d,t}(l, i).  Inverting the resulting per-weight linear systems turns
-weighted weight enumerators back into split-weight coefficient grids.
+weighted weight enumerators, read off the support shells' lambda kernel,
+back into split-weight coefficient grids without reading a split count.
 Each system depends only on (n, t, l), so it is inverted once per (n, t)
 and a recovery is an integer mat-vec per weight.  Values are ints where
 integral: harmonic basis values for n <= 16, d <= 3 are -1, 1 or 2, so
@@ -28,14 +29,15 @@ those bases and the Delsarte sums build no Fraction.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
-from operator import mul
 
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
+from .designs import _shared, support_shells
 from .enumerators import JacobiTable, subcode_support_histogram, table_from_bipoly
 from .errors import PochhammerZeroDenominator
 from .exactmath import QQ, apply_inverse, exact, nullspace, rat_inverse
@@ -130,14 +132,17 @@ def harmonic_higher_wenum(
 
 
 def delsarte_design_check(blocks, t: int) -> bool:
-    """Delsarte criterion: the blocks form a t-design iff the f-tilde sum
-    vanishes for every harmonic basis function f of degree 1..t.
+    """Delsarte criterion: blocks of size at least t form a t-design iff the
+    f-tilde sum vanishes for every harmonic basis function f of degree 1..t;
+    smaller blocks form one by the raw definition, as in ``is_t_design``.
 
     That sum is sum_b f-tilde(b) = sum_Z f(Z) lambda_d(Z), where
     lambda_d(Z) counts the blocks containing the d-set Z: the block
     multiset's lambda kernel (``BlockMultiset.lambdas``), taken once to
     depth t, so each basis function costs one pass over its values.
     """
+    if t > blocks.block_size:
+        return True
     lam = blocks.lambdas(t)
     for d in range(1, t + 1):
         for f in harm_basis(blocks.n, d):
@@ -203,18 +208,6 @@ def _hahn_qdt(n: int, t: int, d: int, x: int) -> Fraction:
     return hahn_eval(params, x)
 
 
-def hahn_kernel_fn(n: int, t: int, d: int, tset: RefSet) -> SubsetFn:
-    """The degree-t subset function Z -> Q_d^t(t - |Z meets T|) for a t-set T."""
-    if tset.size != t:
-        raise ValueError("T must be a t-set")
-    tmask = tset.mask
-    values = {
-        z: _hahn_qdt(n, t, d, t - (z & tmask).bit_count())
-        for z in _subset_masks((1 << n) - 1, t)
-    }
-    return SubsetFn(n, t, values)
-
-
 def _comb0(a: int, b: int) -> int:
     if b < 0 or a < 0 or b > a:
         return 0
@@ -254,17 +247,21 @@ def h_dt(n: int, t: int, d: int, ell: int, i: int) -> Fraction:
 @lru_cache(maxsize=64)
 def _recovery_systems(n: int, t: int) -> tuple:
     """Per total weight l: the feasible T-weights i (i <= l, l - i <= n - t),
-    the mass row and the rows h_{d,t}(l, i), each scaled to ints, and the
-    system's ``rat_inverse``."""
+    per kernel degree d the weights h_{d,t}(d, j) of the lambda sums over
+    the d-sets meeting T in j points, and the ``rat_inverse`` of the system
+    under the mass row; each kernel row h_{d,t}(l, i) and its weights are
+    scaled to ints together."""
     systems = []
     for ell in range(n + 1):
         feasible = [i for i in range(t + 1) if i <= ell and ell - i <= n - t]
-        rows = [[1] * len(feasible)]
+        rows, weights = [[1] * len(feasible)], []
         for d in range(1, len(feasible)):
             row = [h_dt(n, t, d, ell, i) for i in feasible]
-            scale = lcm(*(x.denominator for x in row))
+            side = [h_dt(n, t, d, d, j) for j in range(d + 1)]
+            scale = lcm(*(x.denominator for x in row + side))
             rows.append([int(x * scale) for x in row])
-        systems.append((feasible, rows, rat_inverse(rows)))
+            weights.append([int(x * scale) for x in side])
+        systems.append((feasible, weights, rat_inverse(rows)))
     return tuple(systems)
 
 
@@ -274,37 +271,39 @@ def recover_jacobi(
     tset: RefSet,
     max_subcodes: int = MAX_SUBCODES_DEFAULT,
 ) -> JacobiTable:
-    """Recover the rank-r split-weight grid from weighted weight statistics.
+    """Recover the rank-r split-weight grid from the lambda kernel of the
+    rank-r support shells (through the run memo).
 
     For each total weight l the unknowns n_{l,i} (i = the T-weight) satisfy
-    one mass equation (their sum is the rank-r weight count at l) and one
-    equation per kernel degree d whose coefficients are h_{d,t}(l, i); the
-    right-hand side is the corresponding Hahn-weighted enumerator
-    coefficient, which vanishes exactly when the support shells are
-    t-designs.  The system uses as many kernel rows as there are feasible
-    unknowns, and its inverse is built once per (n, t)
-    (``_recovery_systems``); a singular system is surfaced, not suppressed.
+    one mass equation (their sum is |shell_l|, lambda_l of the empty set)
+    and one equation per kernel degree d whose coefficients are
+    h_{d,t}(l, i), the extension of the degree-d harmonic function
+    Z -> h_{d,t}(d, |Z meets T|).  Summed over shell l that extension is
 
-    The right-hand side is read from the same T-split counts n_{l,i} that
-    the system solves for, so the solve returns them whatever h_{d,t} is:
-    this route is not yet independent of direct enumeration (ROADMAP
-    item 3).  The solutions become a table through ``table_from_bipoly``.
+        sum over d-sets Z of h_{d,t}(d, |Z meets T|) lambda_l(Z),
+
+    the right-hand side, which reads no T-split count and vanishes when
+    shell l is a d-design.  The system uses as many kernel rows as there
+    are feasible unknowns, and its inverse is built once per (n, t)
+    (``_recovery_systems``); a singular system is surfaced, not suppressed.
+    The solutions become a table through ``table_from_bipoly``.
     """
     t = tset.size
     if tset.n != code.n:
         raise ValueError("reference set length does not match the code")
     if 2 * t > code.n:
         raise ValueError("need |T| <= n/2 for the Hahn parameterization")
-    n = code.n
-    stats: dict[tuple[int, int], int] = {}
-    tmask = tset.mask
-    for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
-        key = (mask.bit_count(), (mask & tmask).bit_count())
-        stats[key] = stats.get(key, 0) + mult
+    n, tmask = code.n, tset.mask
+    shells = _shared(support_shells, code, r, max_subcodes)
+    lambdas = {ell: shell.lambdas(t) for ell, shell in shells.items()}
     coeff = [[0] * (n - t + 1) for _ in range(t + 1)]
-    for ell, (feasible, rows, inverse) in enumerate(_recovery_systems(n, t)):
-        counts = [stats.get((ell, i), 0) for i in feasible]
-        rhs = [sum(map(mul, row, counts)) for row in rows]
+    for ell, (feasible, weights, inverse) in enumerate(_recovery_systems(n, t)):
+        sums: Counter = Counter()  # (|Z|, |Z meets T|): the sum of lambda_l(Z)
+        for z, lam in lambdas.get(ell, {}).items():
+            sums[z.bit_count(), (z & tmask).bit_count()] += lam
+        rhs = [sums[0, 0]] + [
+            sum(w * sums[d, j] for j, w in enumerate(side)) for d, side in enumerate(weights, 1)
+        ]
         for i, x in zip(feasible, apply_inverse(inverse, rhs)):
             coeff[i][ell - i] = x
     poly = BiHomPoly(t, n - t, coeff)

@@ -19,11 +19,11 @@ how many processes execute the items.
 While ``verify_all`` runs, the run memo (``designs._shared``) holds the
 objects that many items read: the direct rank-r table, the
 rank-decomposition extension table, the dual code and the support shells
-of each rank, whose lambda kernel serves the design, polarization and
-Delsarte items, each built once per (code, T, parameter, guard).  It
-only shares one route's output among the items that read that route,
-and it is dropped when the run ends, so the next run (or a corrupted
-route) starts from scratch; outside a run every route builds directly.
+of each rank, whose lambda kernel serves the design, polarization,
+Delsarte and recovery items, each built once per (code, T, parameter,
+guard).  It only shares one route's output among the items that read that
+route, and it is dropped when the run ends, so the next run (or a
+corrupted route) starts afresh; outside a run every route builds directly.
 
 With ``jobs`` above 1 the items are grouped by kind, and the calling
 process and ``jobs - 1`` forked children each claim the next whole kind
@@ -83,7 +83,7 @@ from .enumerators import (
     subcode_support_histogram,
     weight_enum,
 )
-from .errors import DesignHypothesisFails, NonIntegerResult, TooLarge
+from .errors import DesignHypothesisFails, NonIntegerResult, SingularMatrix, TooLarge
 from .harmonic import delsarte_design_check, recover_jacobi
 from .qcomb import gauss_binom
 from .transforms import MWContext, mw_extended_jacobi, mw_higher_jacobi, mw_higher_weight
@@ -273,9 +273,8 @@ def _polarize(code, guards, r, t):
 
 
 def _delsarte(code, guards, r, t):
-    """Brute-force vs harmonic verdict on each shell of weight >= t."""
+    """Brute-force vs harmonic verdict on each shell."""
     shells = _shared(support_shells, code, r, guards[0]).items()
-    shells = [(w, s) for w, s in shells if w >= t]
     brute = {w: is_t_design(shell, t).is_design for w, shell in shells}
     return brute, {w: delsarte_design_check(shell, t) for w, shell in shells}
 
@@ -305,7 +304,7 @@ CHECKS: dict[str, Check] = {
     # the pair substitution of the code's table vs the dual's, both from split counts
     "mw_ejac": Check(_mw_ejac, same_grid, _FIRST_DIFFERENCE),
     "mw_hjac": Check(_mw_hjac, same_grid, _FIRST_DIFFERENCE),
-    "recover": Check(  # the cached Hahn inverse vs split counts (its input: ROADMAP item 3)
+    "recover": Check(  # the cached Hahn inverse of lambda kernel sums vs split counts
         _recover,
         same_grid,
         _FIRST_DIFFERENCE,
@@ -328,7 +327,9 @@ CHECKS: dict[str, Check] = {
         skip_reason="t exceeds n",
     ),
     # is_t_design's incidence vs the lambda kernel's Delsarte sums
-    "delsarte": Check(_delsarte, same_per_key, "weight {}: brute={} harmonic={}"),
+    "delsarte": Check(
+        _delsarte, same_per_key, "weight {}: brute={} harmonic={}", _t_over_n, "t exceeds n"
+    ),
     "punctured": Check(_punctured, same_value),  # histogram at one coordinate vs split counts
 }
 
@@ -347,14 +348,16 @@ def run_item(code: LinearCode, kind: str, params, guards) -> tuple[bool | None, 
 
 
 def _run_one(code: LinearCode, kind: str, params, guards) -> tuple[str, str]:
-    """One item's (status, detail): a guard hit is a SKIP, a fraction a FAIL."""
+    """One item's (status, detail): a guard hit is a SKIP, a fraction or a
+    singular system an exact route met is an identity violation, a FAIL."""
     try:
         ok, detail = run_item(code, kind, params, guards)
     except TooLarge as exc:
         return "SKIP", f"guard exceeded: {exc}"
     except NonIntegerResult as exc:
-        # an exact route produced a fraction: an identity violation, not a crash
         return "FAIL", f"non-integer result: {exc}"
+    except SingularMatrix as exc:
+        return "FAIL", f"singular system: {exc}"
     status = "SKIP" if ok is None else ("PASS" if ok else "FAIL")
     return status, detail
 

@@ -6,8 +6,9 @@ word-by-word monic masks that span doubling is checked against, the
 literal codeword, subcode and extension-word enumerations that the
 support histograms are checked against, and the small operations only
 the tests need: rendering a code, permuting its coordinates, evaluating
-a polynomial at a point, and the down operator gamma that the harmonic
-bases are checked against."""
+a polynomial at a point, the down operator gamma that the harmonic
+bases are checked against, and the Hahn kernel on t-sets that the
+extended kernel h_dt is checked against."""
 
 import math
 import random
@@ -40,7 +41,7 @@ from jacobiforge.code import (
     support_mask,
 )
 from jacobiforge.exactmath import rref
-from jacobiforge.harmonic import _subset_masks
+from jacobiforge.harmonic import _hahn_qdt, _subset_masks
 
 EX44_TEXT = "q=2 n=6\n110000\n001100\n000011\n"
 HAMMING74_TEXT = "q=2 n=7\n1000110\n0100101\n0010011\n0001111\n"
@@ -224,6 +225,17 @@ def gamma(f: SubsetFn) -> SubsetFn:
         above = (y | extra for extra in _subset_masks(full ^ y, 1))
         out[y] = sum((f.values.get(z, 0) for z in above), Fraction(0))
     return SubsetFn(f.n, f.d - 1, out)
+
+
+def hahn_kernel_fn(n: int, t: int, d: int, tset: RefSet) -> SubsetFn:
+    """The degree-t subset function Z -> Q_d^t(t - |Z meets T|) for a t-set T."""
+    if tset.size != t:
+        raise ValueError("T must be a t-set")
+    values = {
+        z: _hahn_qdt(n, t, d, t - (z & tset.mask).bit_count())
+        for z in _subset_masks((1 << n) - 1, t)
+    }
+    return SubsetFn(n, t, values)
 
 
 def value(f: SubsetFn, coords) -> Fraction:

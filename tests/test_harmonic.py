@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -7,13 +8,17 @@ import pytest
 
 from helpers import (
     block_multiset,
+    c12,
     complement,
     ex44,
     gamma,
+    golay24,
+    hahn_kernel_fn,
     hamming74,
     is_zero,
     random_code,
     sample_tsets,
+    tgolay12,
     value,
 )
 from jacobiforge import (
@@ -33,10 +38,10 @@ from jacobiforge import (
     is_t_design,
     recover_jacobi,
 )
-from jacobiforge import harmonic
+from jacobiforge import enumerators, harmonic
 from jacobiforge.designs import support_shells
+from jacobiforge.enumerators import subcode_support_histogram
 from jacobiforge.errors import DegreeUnderflow
-from jacobiforge.harmonic import hahn_kernel_fn
 
 
 def test_gamma_constant():
@@ -265,6 +270,48 @@ def test_hahn_kernel_is_harmonic_at_top_degree():
         tset = RefSet.of(n, range(1, t + 1))
         kern = hahn_kernel_fn(n, t, t, tset)
         assert is_zero(gamma(kern))
+
+
+def test_hahn_kernel_sum_over_t_sets_is_a_binomial_multiple_of_the_row():
+    # over t-sets Z, sum f(Z) lambda_l(Z) = C(l - d, t - d) sum_i h_{d,t}(l, i) n_{l,i}
+    # for the Hahn kernel f on t-sets: 0 on the shells below t, so this sum
+    # cannot pin them, and recover sums over the d-sets instead
+    nonzero = 0
+    for code in (hamming74(), c12(), tgolay12()):
+        n = code.n
+        for r in (1, 2):
+            shells = support_shells(code, r)
+            for t in range(1, min(4, n // 2) + 1):
+                tset = RefSet.of(n, range(2, 2 * t + 1, 2))
+                split: Counter = Counter()
+                for mask, mult in subcode_support_histogram(code, r).items():
+                    split[mask.bit_count(), (mask & tset.mask).bit_count()] += mult
+                for d in range(1, t + 1):
+                    kern = hahn_kernel_fn(n, t, d, tset)
+                    for ell, shell in shells.items():
+                        lam = shell.lambdas(t)
+                        got = sum(v * lam[z] for z, v in kern.values.items() if z in lam)
+                        if ell < t:
+                            assert got == 0, (code.spec.q, n, r, t, d, ell)
+                            continue
+                        row = sum(h_dt(n, t, d, ell, i) * split[ell, i] for i in range(t + 1))
+                        assert got == comb(ell - d, t - d) * row, (code.spec.q, n, r, t, d, ell)
+                        nonzero += got != 0
+    assert nonzero > 50
+
+
+def test_recover_reads_no_split_count(monkeypatch):
+    calls = []
+    real = enumerators._split_counts
+    monkeypatch.setattr(enumerators, "_split_counts", lambda *args: calls.append(1) or real(*args))
+    for code, r, coords in ((c12(), 2, (1, 5, 9)), (golay24(), 1, (3, 17))):
+        tset = RefSet.of(code.n, coords)
+        recovered = recover_jacobi(code, r, tset)
+        assert calls == []
+        # the direct route reads them, so the spy does see a split count
+        assert recovered.grid == higher_jacobi(code, tset, r).grid
+        assert calls == [1]
+        calls.clear()
 
 
 def test_recover_goldens():

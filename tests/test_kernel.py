@@ -42,12 +42,17 @@ from jacobiforge import (
     f_tilde,
     field_new,
     gauss_binom,
+    h_dt,
     harm_basis,
     higher_jacobi,
     is_t_design,
+    jacobi_by_polarization,
+    recover_jacobi,
 )
 from jacobiforge import code as code_module
+from jacobiforge import designs
 from jacobiforge.code import (
+    MAX_SUBCODES_DEFAULT,
     _or_power_dense,
     column_set_dim,
     coords_mask,
@@ -296,6 +301,31 @@ def test_golay_rank2_shells_are_5_designs_with_large_multiplicities():
         assert lam * comb(24, 5) == len(shells[w]) * comb(w, 5)
 
 
+def test_design_shells_make_recover_a_third_route_to_polarization(monkeypatch):
+    # every shell of Golay at r = 1, 2 and of ternary Golay at r = 1 is a
+    # 5-design, so lambda_l is constant on d-sets, each harmonic lambda side
+    # sums to 0, and the recovery follows from the weight enumerator alone.
+    # The memo shares the shells among the three sides, as in verify_all;
+    # the r = 2 histogram is the cached one of the test above.
+    monkeypatch.setattr(designs, "_memo", {})
+    for code, r in ((golay24(), 1), (golay24(), 2), (tgolay12(), 1)):
+        n = code.n
+        shells = designs._shared(support_shells, code, r, MAX_SUBCODES_DEFAULT)
+        for coords in ((3, 11), (5,)):  # the deeper lambdas first, built once
+            tset, t = RefSet.of(n, coords), len(coords)
+            for w, shell in shells.items():
+                lam = shell.lambdas(t)
+                for d in range(1, t + 1):
+                    side = sum(
+                        h_dt(n, t, d, d, (z & tset.mask).bit_count()) * v
+                        for z, v in lam.items()
+                        if z.bit_count() == d
+                    )
+                    assert side == 0, (n, r, coords, w, d)
+            recovered = recover_jacobi(code, r, tset).to_bipoly()
+            assert recovered == jacobi_by_polarization(code, r, t), (n, r, coords)
+
+
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
 def test_direct_extension_over_prime_power_base_field(p, e):
     rng = random.Random(10 * p + e)
@@ -398,11 +428,12 @@ def test_delsarte_matches_literal_sum_and_brute_design_check():
     inputs += [(shell, t) for shell in support_shells(c12(), 2).values() for t in range(3)]
     for shell, t in inputs:
         got = delsarte_design_check(shell, t)
-        assert got == literal_delsarte(shell, t), (shell.counts, t)
-        # above the block size the brute definition is vacuous, while the
-        # criterion still asks for a d-design at every d <= block size
-        if t <= shell.block_size or not shell.counts:
-            assert got == is_t_design(shell, t).is_design, (shell.counts, t)
+        assert got == is_t_design(shell, t).is_design, (shell.counts, t)
+        # above the block size both checks take the raw definition, which is
+        # vacuous, while the literal criterion still asks for a d-design at
+        # every d <= block size
+        if t <= shell.block_size:
+            assert got == literal_delsarte(shell, t), (shell.counts, t)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 check that compares it with an independent route must report it."""
 
 import inspect
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from helpers import HAMMING74_TEXT, block_multiset, ex44, golay24, hamming74
 from jacobiforge import BiHomPoly, BlockMultiset, delsarte_design_check, is_t_design, verify_all
 from jacobiforge import bipoly, cli, code, designs, enumerators, harmonic, transforms, verify
 from jacobiforge.designs import support_shells
+from jacobiforge.errors import SingularMatrix
 from jacobiforge.verify import CHECKS, build_items
 
 
@@ -170,6 +172,52 @@ def test_wrong_recovered_count_fails_recover(monkeypatch):
     assert want in lines, failing_labels(lines)
 
 
+@pytest.fixture
+def fresh_recovery_systems():
+    """No recovery system built from a corrupted route outlives the test."""
+    harmonic._recovery_systems.cache_clear()
+    yield
+    harmonic._recovery_systems.cache_clear()
+
+
+def test_corrupted_hahn_kernel_row_fails_recover(monkeypatch, fresh_recovery_systems):
+    # h_{1,1}(3, 0) on n = 7 is one coefficient of the weight-3 system; the
+    # right-hand side reads h_{d,t}(d, j) only, so it cannot follow the change
+    real = harmonic.h_dt
+
+    def corrupt(n, t, d, ell, i):
+        return real(n, t, d, ell, i) + ((t, d, ell, i) == (1, 1, 3, 0))
+
+    monkeypatch.setattr(harmonic, "h_dt", corrupt)
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    assert fails and all(line.startswith("FAIL recover r=1 ") for line in fails), fails
+
+
+def test_singular_recovery_system_fails_alike_for_any_jobs(
+    monkeypatch, tmp_path, capsys, fresh_recovery_systems
+):
+    def singular(rows):
+        raise SingularMatrix("no pivot in column 1")
+
+    monkeypatch.setattr(harmonic, "rat_inverse", singular)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = tmp_path / "ham.txt"
+    path.write_text(HAMMING74_TEXT)
+    runs = []
+    for jobs in ("1", "2"):
+        argv = ["verify", "--code", str(path), "-r", "1", "-t", "1", "-m", "1", "--jobs", jobs]
+        status = cli.main(argv)
+        runs.append((status, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    status, out, err = runs[0]
+    assert (status, err) == (1, "")
+    fails = failing_labels(out.splitlines())
+    assert "FAIL recover r=1 T={1}: singular system: no pivot in column 1" in fails, fails
+    assert all(line.startswith("FAIL recover ") for line in fails), fails
+
+
 def test_flipped_incidence_bit_fails_design_equiv_and_delsarte(monkeypatch):
     # the lambda kernel reads one block's membership of point 1 wrongly;
     # is_t_design builds its own incidence, so the two sides now disagree
@@ -292,6 +340,7 @@ SHOWN_ABOVE = {
     "mw_hw": test_pair_matrix_corruption_fails_the_transforms,
     "mw_hjac": test_mw_higher_jacobi_corruption_fails_verify_and_mw_check,
     "mw_ejac": test_pair_matrix_corruption_fails_the_transforms,
+    "recover": test_corrupted_hahn_kernel_row_fails_recover,
 }
 
 
@@ -299,8 +348,7 @@ def test_every_check_kind_has_a_failing_mode():
     items = build_items(ex44(), 2, 2, 2, seed=0)
     prefix = {kind: label.split()[0] for label, kind, _ in items}
     assert set(CHECKS) == set(prefix)
-    # recover has none yet: its right-hand side is not independent (ROADMAP item 3)
-    assert set(CORRUPTIONS) | set(SHOWN_ABOVE) == set(CHECKS) - {"recover"}
+    assert set(CORRUPTIONS) | set(SHOWN_ABOVE) == set(CHECKS)
     for kind, (_, _, label) in CORRUPTIONS.items():
         assert label.split()[0] == prefix[kind], kind
     for kind, test in SHOWN_ABOVE.items():

@@ -11,7 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "jacobiforge"
 KEEPERS = {
     "column_set_dim": "perfbench/tracer.py traces it by rebinding (ROADMAP items 1 and 7)",
     "rat_solve": "the public one-off solve; perfbench/tracer.py traces it (src inverts once)",
-    "hahn_kernel_fn": "the harmonic recovery's right-hand side will read it (ROADMAP item 3)",
     "JacobiTable.from_json_dict": "the README promises the --json round trip",
     "BiHomPoly.from_json_dict": "the README promises the --json round trip",
 }
