@@ -29,11 +29,11 @@ those bases and the Delsarte sums build no Fraction.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
+from operator import add
 
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
@@ -298,11 +298,16 @@ def recover_jacobi(
     lambdas = {ell: shell.lambdas(t) for ell, shell in shells.items()}
     coeff = [[0] * (n - t + 1) for _ in range(t + 1)]
     for ell, (feasible, weights, inverse) in enumerate(_recovery_systems(n, t)):
-        sums: Counter = Counter()  # (|Z|, |Z meets T|): the sum of lambda_l(Z)
-        for z, lam in lambdas.get(ell, {}).items():
-            sums[z.bit_count(), (z & tmask).bit_count()] += lam
-        rhs = [sums[0, 0]] + [
-            sum(w * sums[d, j] for j, w in enumerate(side)) for d, side in enumerate(weights, 1)
+        # slot |Z| (n + 1) + |Z meets T| sums lambda_l(Z); slots with |Z| > t go unread
+        sums = [0] * (n + 1) ** 2
+        lam = lambdas.get(ell, {})
+        sizes = map((n + 1).__mul__, map(int.bit_count, lam))
+        keys = map(add, sizes, map(int.bit_count, map(tmask.__and__, lam)))
+        for key, v in zip(keys, lam.values()):
+            sums[key] += v
+        rhs = [sums[0]] + [
+            sum(w * sums[d * (n + 1) + j] for j, w in enumerate(side))
+            for d, side in enumerate(weights, 1)
         ]
         for i, x in zip(feasible, apply_inverse(inverse, rhs)):
             coeff[i][ell - i] = x

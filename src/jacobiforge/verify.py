@@ -25,19 +25,19 @@ guard).  It only shares one route's output among the items that read that
 route, and it is dropped when the run ends, so the next run (or a
 corrupted route) starts afresh; outside a run every route builds directly.
 
-With ``jobs`` above 1 the items are grouped by kind, and the calling
-process and ``jobs - 1`` forked children each claim the next whole kind
-from a pipe whenever they are free.  Before forking, the caller builds
-what two or more kinds read: the dual, the subcode histograms of the
-code and of the dual, the rank sweep grouped by each sampled T, the
-memo's tables at the sampled T-sets, and the lambda kernel of each rank
-at the largest t asked of it.  The children inherit them, and
-freeze the garbage collector's view of them so that no collection
-touches (and copies) those pages.  An input that a guard or the sweep
-cap refuses is left to the items that read it, which report the SKIP as
-they would in one process.  The children send their verdicts back
-through a pipe with ``marshal`` and the report is assembled in item
-order.
+The items are grouped by kind.  Before any item runs, the caller builds
+what two or more kinds read: the dual, the codeword histogram, the
+subcode histograms of the code and of the dual, the rank sweep grouped
+by each sampled T, the memo's tables at the sampled T-sets, and the
+lambda kernel of each rank at the largest t asked of it, so that each is
+built once.  An input that a guard or the sweep cap refuses is left to
+the items that read it, which report the SKIP.  Then the calling process
+and ``jobs - 1`` forked children (none when ``jobs`` is 1) each claim the
+next whole kind from a pipe whenever they are free.  The children inherit
+the built inputs, and freeze the garbage collector's view of them so
+that no collection touches (and copies) those pages.  They send their
+verdicts back through a pipe with ``marshal`` and the report is
+assembled in item order.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .designs import (
 )
 from .enumerators import (
     _dims_by_split,
+    codeword_support_histogram,
     extended_jacobi,
     extended_jacobi_direct,
     extended_jacobi_via_q,
@@ -387,14 +388,14 @@ def _run_claimed(code, items, kinds: list[list[int]], claims: int, guards) -> li
 
 
 def _build_shared(code, items, guards) -> None:
-    """Build what two or more kinds read, for forked workers to inherit:
-    the dual, the rank sweep grouped by each sampled T, the subcode
-    histograms of the dual, the direct and rank-decomposition tables at
-    the sampled T-sets, which build the code's histograms, and the lambda
-    kernel's tables that the t-set kinds read.  A build that a guard or
-    the sweep cap refuses, or that comes out fractional, is left to the
-    items that read it, which report it."""
-    dual = _dual(code)
+    """Build what two or more kinds read, once, before any item runs and
+    any worker forks: the dual, the rank sweep grouped by each sampled T,
+    the codeword histogram, the subcode histograms of the dual, the direct
+    and rank-decomposition tables at the sampled T-sets, which build the
+    code's histograms, and the lambda kernel's tables that the t-set kinds
+    read, each rank's at its largest t.  A build that a guard or the sweep
+    cap refuses, or that comes out fractional, is left to the items that
+    read it, which report it."""
     builds: dict[tuple, None] = {}
     for _, kind, params in items:
         if kind == "hjac_via_q":
@@ -403,11 +404,10 @@ def _build_shared(code, items, guards) -> None:
             builds[_hjac, code, guards, r, T] = None
         elif kind == "ejac_via_q":
             builds[_ejac, code, guards, *params] = None
-        elif kind == "mw_ejac":
-            for r in range(min(params[0], dual.k) + 1):
-                builds[subcode_support_histogram, dual, r, guards[0]] = None
+        elif kind == "ejac_direct":
+            builds[codeword_support_histogram, code, guards[1]] = None
         elif kind == "mw_hw":
-            builds[subcode_support_histogram, dual, params[0], guards[0]] = None
+            builds[subcode_support_histogram, _dual(code), params[0], guards[0]] = None
         elif kind in ("design_equiv", "polarize", "delsarte"):
             builds[_shared, kernel_tables, code, *params, guards[0]] = None
     # in reverse, so that each rank's largest t comes first: its lambdas
@@ -446,8 +446,8 @@ def _fork_worker(work) -> tuple[int, int]:
 
 def _run_forked(code, items, kinds: list[list[int]], guards, processes: int) -> list:
     """(status, detail) per item, the kinds (lists of item indices) being
-    claimed in order by this process and processes - 1 forked children,
-    each taking the next kind when it is free."""
+    claimed in order by this process and processes - 1 forked children
+    (none when processes is 1), each taking the next kind when it is free."""
     claims, feed = os.pipe()
     os.write(feed, bytes(range(len(kinds))))
     os.close(feed)
@@ -502,8 +502,9 @@ def verify_all(
 ) -> tuple[list[str], bool]:
     """Run the whole identity suite; returns (report lines, all passed).
 
-    With ``jobs`` above 1 the calling process forks, so it should run no
-    other threads.  The run memo lives until this call returns or raises.
+    The shared inputs are built before any item runs.  With ``jobs`` above
+    1 the calling process forks, so it should run no other threads.  The
+    run memo lives until this call returns or raises.
     """
     for r in range(min(r_max, code.k) + 1):
         if subcode_count(code, r) > max_subcodes:
@@ -518,11 +519,8 @@ def verify_all(
     processes = worker_count(jobs, len(groups))
     designs._memo = {}
     try:
-        if processes <= 1:
-            results = [_run_one(code, kind, params, guards) for _, kind, params in items]
-        else:
-            _build_shared(code, items, guards)
-            results = _run_forked(code, items, list(groups.values()), guards, processes)
+        _build_shared(code, items, guards)
+        results = _run_forked(code, items, list(groups.values()), guards, processes)
     finally:
         designs._memo = None
     lines = []

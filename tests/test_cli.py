@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EX44_TEXT, HAMMING74_TEXT
+from helpers import C12_TEXT, EX44_TEXT, HAMMING74_TEXT, TGOLAY12_TEXT
 from jacobiforge import JacobiTable, RefSet, higher_jacobi, parse_code
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -222,6 +222,28 @@ def test_verify_passes_and_is_deterministic(ex44_path):
     parallel = run_cli("verify", "--code", ex44_path, "--jobs", "3")
     assert parallel.returncode == 0
     assert parallel.stdout == first.stdout
+
+
+@pytest.mark.parametrize(
+    "text, opts",
+    [(C12_TEXT, "-r 2 -t 2 -m 2"), (TGOLAY12_TEXT, "-r 1 -t 1 -m 2")],
+    ids=["c12", "tgolay12"],
+)
+def test_verify_output_is_byte_identical_for_jobs_1_and_2(tmp_path, text, opts):
+    # the codes and options of the benchmark's verify workloads
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    args = [sys.executable, "-m", "jacobiforge", "verify", "--code", str(path), *opts.split()]
+    one, two = (
+        subprocess.run(args + ["--seed", "1", "--jobs", jobs], capture_output=True, env=env,
+                       timeout=120)
+        for jobs in ("1", "2")
+    )
+    assert (one.returncode, one.stderr) == (0, b""), one.stderr
+    assert (two.returncode, two.stderr) == (0, b""), two.stderr
+    assert one.stdout == two.stdout
+    assert b"PASS" in one.stdout and b"FAIL" not in one.stdout
 
 
 def test_oversized_field_order_exits_promptly(tmp_path):

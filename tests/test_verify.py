@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ex44, hamming74, random_code
-from jacobiforge import LinearCode, TooLarge, enumerators, field_new, verify, verify_all
+from helpers import c12, ex44, hamming74, random_code, tgolay12
+from jacobiforge import LinearCode, TooLarge, designs, enumerators, field_new, harmonic, verify
+from jacobiforge import verify_all
 from jacobiforge import code as code_module
 from jacobiforge.code import subcode_count
 from jacobiforge.verify import build_items, worker_count
@@ -264,3 +265,73 @@ def test_only_a_forked_worker_freezes_the_collector(monkeypatch, time_limit):
     lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=2, jobs=2)
     assert {line.rsplit(": ", 1)[1] for line in lines[:-1]} == {"True True", "False False"}
     assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("code, transposes", [(hamming74, 7), (c12, 23)])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_lambda_kernel_is_built_once_per_run(monkeypatch, time_limit, code, transposes, jobs):
+    # the prebuild takes each rank's kernel at its largest t, so no item
+    # transposes a multiplicity class of a shell again at a deeper t
+    code = code()
+    real = designs._incidence
+    calls = []  # a forked child appends to its own copy
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(designs, "_incidence", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    lines, ok = verify_all(code, r_max=2, m_max=2, t_max=2, seed=1, jobs=jobs)
+    assert ok, [line for line in lines if line.startswith("FAIL")]
+    classes = sum(
+        len(set(shell.counts.values()))
+        for r in range(3)
+        for shell in designs.support_shells(code, r).values()
+    )
+    assert len(calls) == classes == transposes
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "code, caps",
+    [
+        (hamming74, dict(r_max=2, t_max=2, m_max=2)),
+        (c12, dict(r_max=2, t_max=2, m_max=2)),
+        (tgolay12, dict(r_max=1, t_max=1, m_max=2)),
+    ],
+)
+def test_prebuild_holds_every_input_two_kinds_read(monkeypatch, code, caps):
+    """Every run-memo key and every cached enumeration that two or more
+    kinds read is built before the items run; otherwise each process of a
+    parallel run that claims one of those kinds would build it again."""
+    readers: dict[tuple, set[str]] = {}
+    phase = ["prebuild"]
+
+    def record(fn):
+        def call(*args):
+            readers.setdefault((fn, *args), set()).add(phase[0])
+            return fn(*args)
+
+        return call
+
+    shared = record(designs._shared)
+    for module in (designs, harmonic, verify):
+        monkeypatch.setattr(module, "_shared", shared)
+    for name, fn in vars(enumerators).copy().items():
+        if hasattr(fn, "cache_info"):  # the code's cached enumerations
+            monkeypatch.setattr(enumerators, name, record(fn))
+            if getattr(verify, name, None) is fn:
+                monkeypatch.setattr(verify, name, getattr(enumerators, name))
+    run_one = verify._run_one
+
+    def claimed(code, kind, params, guards):
+        phase[0] = kind
+        return run_one(code, kind, params, guards)
+
+    monkeypatch.setattr(verify, "_run_one", claimed)
+    lines, ok = verify_all(code(), seed=1, jobs=1, **caps)
+    assert ok, [line for line in lines if line.startswith("FAIL")]
+    shared_reads = {key: kinds for key, kinds in readers.items() if len(kinds - {"prebuild"}) > 1}
+    assert shared_reads  # the spies see what the kinds share
+    assert {key: kinds for key, kinds in shared_reads.items() if "prebuild" not in kinds} == {}
