@@ -109,7 +109,7 @@ def _load_code(args) -> LinearCode:
     try:
         with open(args.code, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.code}: {exc}") from exc
     return parse_code(text)
 
@@ -146,6 +146,8 @@ def _check_range(name: str, value: int, low: int, high: int):
 
 def _parse_rational_arg(name: str, text: str):
     try:
+        if "e" in text.lower():  # no exponent: Fraction would build 10**exponent first
+            raise ValueError(text)
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad {name} value {text!r}") from exc
@@ -240,7 +242,13 @@ def main(argv=None) -> int:
                 args.N,
                 args.m,
             )
-            print(format_rational(hahn_eval(params, args.x)))
+            value = hahn_eval(params, args.x)
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)  # an exact value of any length prints
+            try:
+                print(format_rational(value))
+            finally:
+                sys.set_int_max_str_digits(limit)
             return 0
         code = _load_code(args)
         if args.command == "wenum":

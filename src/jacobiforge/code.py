@@ -142,7 +142,7 @@ def parse_code(text: str) -> LinearCode:
     First line: ``q=<int> n=<int>`` with optional ``p=<int> e=<int>``, each
     key at most once and no other key; q is at most 256.
     Remaining lines: rows of n digits (q <= 10, no separators) or
-    space-separated encodings (q > 10).
+    space-separated encodings (q > 10).  Every number is ASCII decimal digits.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -156,10 +156,9 @@ def parse_code(text: str) -> LinearCode:
             raise ParseError(f"unknown header key in {token!r}")
         if key in header:
             raise ParseError(f"header key {key!r} given twice")
-        try:
-            header[key] = int(value)
-        except ValueError as exc:
-            raise ParseError(f"bad header value in {token!r}") from exc
+        if not (value.isascii() and value.isdigit()):  # int() takes signs, _, other scripts
+            raise ParseError(f"bad header value in {token!r}")
+        header[key] = int(value)
     if "q" not in header or "n" not in header:
         raise ParseError("header must declare q= and n=")
     q, n = header["q"], header["n"]
@@ -182,22 +181,13 @@ def parse_code(text: str) -> LinearCode:
     spec = field_new(p, e)
     rows = []
     for ln in lines[1:]:
-        if q <= 10:
-            digits = ln.replace(" ", "")
-            if len(digits) != n:
-                raise ParseError(f"row {ln!r} does not have {n} digits")
-            try:
-                row = [int(ch) for ch in digits]
-            except ValueError as exc:
-                raise ParseError(f"non-digit in row {ln!r}") from exc
-        else:
-            fields = ln.split()
-            if len(fields) != n:
-                raise ParseError(f"row {ln!r} does not have {n} entries")
-            try:
-                row = [int(f) for f in fields]
-            except ValueError as exc:
-                raise ParseError(f"non-integer in row {ln!r}") from exc
+        entries = ln.replace(" ", "") if q <= 10 else ln.split()
+        if len(entries) != n:
+            raise ParseError(f"row {ln!r} does not have {n} entries")
+        digits = "".join(entries)
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"non-decimal entry in row {ln!r}")
+        row = [int(x) for x in entries]
         for x in row:
             if not 0 <= x < q:
                 raise FieldMismatch(f"entry {x} out of range for GF({q})")

@@ -12,9 +12,9 @@ over any field given as an object with ``inv``, ``mul``, ``sub`` and
 ``neg``: a ``FieldSpec`` for GF(q) on its integer encodings, or ``QQ``
 for the rationals on ints and Fractions.  ``nullspace`` and
 ``rat_inverse`` (A^-1 as an int matrix over one denominator) are read off
-its output, so the dual code, the harmonic bases and the recovery
-systems all share it.  Exactness, not speed, is the contract; the
-incremental rank sweep in ``enumerators`` is a separate algorithm.
+its output, so the dual code and the recovery systems share it (the
+harmonic bases are closed-form products).  Exactness, not speed, is the
+contract; the incremental rank sweep in ``enumerators`` is separate.
 """
 
 from __future__ import annotations

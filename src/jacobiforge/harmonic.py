@@ -22,9 +22,8 @@ h_{d,t}(l, i).  Inverting the resulting per-weight linear systems turns
 weighted weight enumerators, read off the support shells' lambda kernel,
 back into split-weight coefficient grids without reading a split count.
 Each system depends only on (n, t, l), so it is inverted once per (n, t)
-and a recovery is an integer mat-vec per weight.  Values are ints where
-integral: harmonic basis values for n <= 16, d <= 3 are -1, 1 or 2, so
-those bases and the Delsarte sums build no Fraction.
+and a recovery is an integer mat-vec per weight.  Every harmonic basis
+value is 1 or -1, so the bases and the Delsarte sums build no Fraction.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
 from .designs import _shared, support_shells
 from .enumerators import JacobiTable, subcode_support_histogram, table_from_bipoly
 from .errors import PochhammerZeroDenominator
-from .exactmath import QQ, apply_inverse, exact, nullspace, rat_inverse
+from .exactmath import apply_inverse, exact, rat_inverse
 
 
 class SubsetFn:
@@ -79,31 +78,32 @@ def _subset_masks(mask: int, d: int):
 
 @lru_cache(maxsize=64)
 def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
-    """Exact rational basis of the degree-d harmonic space.
+    """Basis of the degree-d harmonic space: one product per top set.
 
-    Computed as ``nullspace(QQ, ...)`` of the 0/1 gamma matrix, whose
-    rows are the (d-1)-subsets and whose columns are the d-subsets in
-    lexicographic order.  There is one basis function per free column of
-    the matrix's unique RREF, so the basis and its order are reproducible.
-    Degree 0 is the one-dimensional space of constants.  A nullspace
-    vector is in the kernel of gamma by construction, so the functions are
-    plain SubsetFns; the tests check the kernel property against a literal
-    gamma.  For 2d > n gamma is injective, so the space is {0} and the
-    basis is empty, with no matrix built.
+    A top set B = {b_1 < ... < b_d}, b_i >= 2i, is the second row of a
+    standard tableau of shape (n-d, d).  With a_1 < ... < a_d the d smallest
+    points outside B, f_B = prod_i (x_{a_i} - x_{b_i}) is (-1)^{|Z meets B|}
+    on the 2^d d-sets Z with one point of each pair {a_i, b_i}, 0 elsewhere.
+    It is harmonic, as a (d-1)-set extends into its support by a_i and by
+    b_i with opposite signs.  The f_B are the Specht polynomials of the
+    standard tableaux, so independent (James, LNM 682), and there are
+    C(n, d) - C(n, d-1) of them (Filmus, EJC 2016).  Top sets go in
+    lexicographic order: the empty set alone at d = 0, none for 2d > n.
     """
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
-    if d == 0:
-        return (SubsetFn(n, 0, {0: 1}),)
-    if 2 * d > n:
-        return ()
-    full = (1 << n) - 1
-    cols = list(_subset_masks(full, d))
-    matrix = [[int(y & z == y) for z in cols] for y in _subset_masks(full, d - 1)]
-    return tuple(
-        SubsetFn(n, d, {z: v for z, v in zip(cols, vec) if v})
-        for vec in nullspace(QQ, matrix, len(cols))
-    )
+    points = range(1, n + 1)
+    basis = []
+    for top in combinations(points, d):
+        if any(b < 2 * i for i, b in enumerate(top, 1)):
+            continue
+        bottom = [a for a in points if a not in top][:d]
+        values = {0: 1}
+        for a, b in zip(bottom, top):
+            pair = ((1 << a - 1, 1), (1 << b - 1, -1))
+            values = {z | bit: s * v for z, v in values.items() for bit, s in pair}
+        basis.append(SubsetFn(n, d, values))
+    return tuple(basis)
 
 
 def f_tilde(f: SubsetFn, x_set) -> Fraction:

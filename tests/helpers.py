@@ -216,14 +216,14 @@ def evaluate(poly: BiHomPoly, w, z, x, y) -> Fraction:
 
 
 def gamma(f: SubsetFn) -> SubsetFn:
-    """Down operator: (gamma f)(Y) = sum of f over the d-sets containing Y."""
+    """Down operator: (gamma f)(Y) = sum of f over the d-sets containing Y,
+    summed from the d-set side: each f(Z) goes to the d sets Z minus a point."""
     if f.d == 0:
         raise DegreeUnderflow("gamma needs degree at least 1")
-    full = (1 << f.n) - 1
-    out: dict[int, Fraction] = {}
-    for y in _subset_masks(full, f.d - 1):
-        above = (y | extra for extra in _subset_masks(full ^ y, 1))
-        out[y] = sum((f.values.get(z, 0) for z in above), Fraction(0))
+    out: Counter = Counter()
+    for z, v in f.values.items():
+        for point in _subset_masks(z, 1):
+            out[z ^ point] += v
     return SubsetFn(f.n, f.d - 1, out)
 
 

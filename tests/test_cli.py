@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import C12_TEXT, EX44_TEXT, HAMMING74_TEXT, TGOLAY12_TEXT
-from jacobiforge import JacobiTable, RefSet, higher_jacobi, parse_code
+from jacobiforge import HahnParams, JacobiTable, RefSet, cli, hahn_eval, higher_jacobi, parse_code
+from jacobiforge.exactmath import format_rational
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -51,12 +53,24 @@ def test_rank_validation_exit_code(ex44_path):
 
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
-    # a short row, an unknown header key, a repeated header key
-    for text in ("q=2 n=3\n01\n", "q=2 n=3 x=7\n010\n", "q=3 q=2 n=3\n010\n"):
-        bad.write_text(text)
+    # a short row, an unknown header key, a repeated header key; and numbers that
+    # int() reads but that are not ASCII decimal: underscores, an Arabic-Indic 1
+    for text in ("q=2 n=3\n01\n", "q=2 n=3 x=7\n010\n", "q=3 q=2 n=3\n010\n",
+                 "q=2_0 n=3\n010\n", "q=2 n=1_0\n0101010101\n", "q=11 n=2\n1_0 1\n",
+                 "q=2 n=3\n\u066101\n"):
+        bad.write_text(text, encoding="utf-8")
         res = run_cli("wenum", "--code", str(bad))
         assert res.returncode == 2, text
         assert "ParseError" in res.stderr, text
+
+
+def test_a_matrix_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes("q=2 n=3\n010\n".encode("utf-16"))  # starts with the BOM ff fe
+    res = run_cli("wenum", "--code", str(bad))
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in res.stderr
 
 
 def test_wenum_and_hwenum(ex44_path):
@@ -173,6 +187,33 @@ def test_hahn_subcommand():
     joined = run_cli("hahn", "-m", "1", "-x", "1", "--alpha", "-6", "--beta=-3/4", "-N", "2")
     assert spaced.returncode == joined.returncode == 0, spaced.stderr
     assert spaced.stdout == joined.stdout
+
+
+def test_hahn_prints_an_exact_value_of_any_length(capsys):
+    argv = ["hahn", "-m", "2900", "-x", "1500", "--alpha", "1/3", "--beta", "1/7", "-N", "100000"]
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.strip()
+    # Python's int-to-str digit limit is lifted only while the value prints
+    assert sys.get_int_max_str_digits() == limit
+    value = hahn_eval(HahnParams(Fraction(1, 3), Fraction(1, 7), 100000, 2900), 1500)
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = format_rational(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == expected and len(out) > limit
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("text", ["1e5", "2E-3", "1e10000000"])
+def test_hahn_refuses_exponent_notation(flag, text):
+    # README documents p/q; an exponent would first build 10**exponent
+    args = {"--alpha": "1", "--beta": "1", flag: text}
+    res = run_cli("hahn", "-m", "1", "-x", "1", "-N", "3", *(x for kv in args.items() for x in kv),
+                  timeout=10)
+    assert res.returncode == 2
+    assert res.stderr == f"error: bad {flag} value {text!r}\n"
 
 
 HAHN = ("hahn", "-x", "1", "--beta", "1")

@@ -29,7 +29,7 @@ def _subcommands() -> dict[str, argparse.ArgumentParser]:
 SUBCOMMANDS = _subcommands()
 small_ints = st.integers(min_value=-3, max_value=9)
 tset_texts = st.text(alphabet="0123456789, -", max_size=8)
-rational_texts = st.text(alphabet="0123456789/-", min_size=1, max_size=5)
+rational_texts = st.text(alphabet="0123456789/-e._", min_size=1, max_size=5)
 
 
 def option_value(action: argparse.Action, code_path: str):

@@ -24,6 +24,7 @@ from helpers import (
 from jacobiforge import (
     BiHomPoly,
     HahnParams,
+    LinearCode,
     PochhammerZeroDenominator,
     RefSet,
     SubsetFn,
@@ -38,7 +39,7 @@ from jacobiforge import (
     is_t_design,
     recover_jacobi,
 )
-from jacobiforge import enumerators, harmonic
+from jacobiforge import enumerators, exactmath
 from jacobiforge.designs import support_shells
 from jacobiforge.enumerators import subcode_support_histogram
 from jacobiforge.errors import DegreeUnderflow
@@ -79,27 +80,41 @@ def test_every_small_harm_basis_function_is_in_the_kernel_of_gamma():
             for f in harm_basis(n, d):
                 assert (f.n, f.d) == (n, d)
                 assert is_zero(gamma(f)), (n, d)
-                # the pivots are all 1 or -1, so the elimination built no Fraction
-                assert all(type(v) is int and v in (-1, 1, 2) for v in f.values.values())
+                # each value is the sign of a product of d differences, so no Fraction
+                assert all(type(v) is int and v in (-1, 1) for v in f.values.values())
 
 
 def test_harm_basis_above_half_n_is_empty_without_elimination(monkeypatch):
     sixes = list(combinations(range(1, 8), 6))
     shells = [block_multiset(7, sixes), block_multiset(7, sixes[1:])]  # a design, and not one
-    for d in range(1, 4):
-        harm_basis(7, d)  # the nonempty degrees, cached before the elimination goes
 
     def refuse(*args):
-        raise AssertionError("nullspace called for an empty harmonic space")
+        raise AssertionError("harm_basis ran an elimination")
 
-    monkeypatch.setattr(harmonic, "nullspace", refuse)
-    for n in range(1, 13):
-        for d in range(n // 2 + 1, n + 1):
-            assert harm_basis.__wrapped__(n, d) == (), (n, d)
+    # rref is the one elimination; nullspace and rat_inverse go through it
+    monkeypatch.setattr(exactmath, "rref", refuse)
+    for n in range(0, 13):
+        for d in range(0, n + 1):
+            basis = harm_basis.__wrapped__(n, d)
+            assert len(basis) == max(0, comb(n, d) - (comb(n, d - 1) if d else 0)), (n, d)
+            for f in basis:
+                assert (f.n, f.d) == (n, d)
+                assert all(type(v) is int and v in (-1, 1) for v in f.values.values())
+                assert d == 0 or is_zero(gamma(f)), (n, d)
     # Delsarte above t = n/2 reads only the degrees up to n/2
     for t in range(4, 7):
         assert [delsarte_design_check(blocks, t) for blocks in shells] == [True, False]
         assert [is_t_design(blocks, t).is_design for blocks in shells] == [True, False]
+
+
+def test_harm_basis_has_full_rank_over_the_rationals():
+    for n in range(1, 11):
+        for d in range(0, n // 2 + 1):
+            basis = harm_basis(n, d)
+            cols = [sum(1 << c - 1 for c in z) for z in combinations(range(1, n + 1), d)]
+            rows = [[f.values.get(z, 0) for z in cols] for f in basis]
+            reduced, _ = exactmath.rref(exactmath.QQ, rows, len(cols))
+            assert len(reduced) == len(basis) == comb(n, d) - (comb(n, d - 1) if d else 0)
 
 
 def test_harm_basis_in_kernel_and_degree_one_sums():
@@ -168,6 +183,27 @@ def test_delsarte_agrees_with_brute_force():
             for w, shell in support_shells(code, r).items():
                 for t in range(1, min(w, 3) + 1):
                     assert delsarte_design_check(shell, t) == is_t_design(shell, t).is_design
+
+
+def test_delsarte_confirms_the_golay_5_designs():
+    # degree 5 is C(24, 5) - C(24, 4) = 31,878 basis functions
+    for w, shell in support_shells(golay24(), 1).items():
+        assert delsarte_design_check(shell, 5), w
+        assert is_t_design(shell, 5).is_design, w
+
+
+def test_delsarte_sees_the_defect_only_at_degree_5():
+    # ternary Golay punctured at coordinate 12, an [11, 6]_3 code: its weight-5
+    # and weight-6 shells are 4-designs and not 5-designs
+    tg = tgolay12()
+    code = LinearCode(tg.spec, 11, [row[:11] for row in tg.gen])
+    shells = support_shells(code, 1)
+    for w in (5, 6):
+        assert delsarte_design_check(shells[w], 4), w
+        assert not delsarte_design_check(shells[w], 5), w
+    for w, shell in shells.items():
+        for t in range(1, 6):
+            assert delsarte_design_check(shell, t) == is_t_design(shell, t).is_design, (w, t)
 
 
 def test_delsarte_vacuous_on_empty():
