@@ -2,12 +2,14 @@
 
 Exit codes: 0 for success and EQUAL verdicts, 1 when an identity check
 reports DIFFER (or a stated hypothesis fails), 2 for usage, parse, and
-guard errors.  All numeric output is exact; rationals print as p/q.
+guard errors, and for a closed stdout.  All numeric output is exact;
+rationals print as p/q.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .code import (
@@ -99,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="processes sharing the items, one whole item kind at a time "
-        "(capped by the usable CPUs); the output is the same for any value",
+        help="accepted for existing command lines and changes nothing: "
+        "verify runs in one process",
     )
     return parser
 
@@ -118,10 +120,11 @@ def _parse_tset(code: LinearCode, text: str) -> RefSet:
     text = (text or "").strip()
     if not text:
         return RefSet.of(code.n)
-    try:
-        coords = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad -T value {text!r}") from exc
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    # ASCII decimal only: int() also takes signs, underscores and other scripts' digits
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise UsageError(f"bad -T value {text!r}")
+    coords = [int(tok) for tok in tokens]
     if len(set(coords)) != len(coords):
         raise UsageError("-T coordinates must be distinct")
     for c in coords:
@@ -208,7 +211,6 @@ def _cmd_verify(args, code: LinearCode) -> int:
         m_max=args.m,
         t_max=args.t,
         seed=args.seed,
-        jobs=args.jobs,
         max_subcodes=args.max_subcodes,
         max_words=args.max_words,
     )
@@ -230,6 +232,19 @@ def _attach_rational_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is still buffered to devnull,
+        # so that the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout is closed", file=sys.stderr)
+        return 2
+    return status
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_rational_values(sys.argv[1:] if argv is None else argv))
     try:

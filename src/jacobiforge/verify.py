@@ -13,41 +13,26 @@ its entries compute, and the acceptance tests sweep through ``run_item``.
 
 The item list is built deterministically from the code and a seed (the
 seed only drives which reference sets and coordinates are sampled), so
-two runs with the same inputs produce byte-identical reports no matter
-how many processes execute the items.
+two runs with the same inputs produce byte-identical reports.
 
-While ``verify_all`` runs, the run memo (``designs._shared``) holds the
-objects that many items read: the direct rank-r table, the
-rank-decomposition extension table, the dual code and the support shells
-of each rank, whose lambda kernel serves the design, polarization,
-Delsarte and recovery items, each built once per (code, T, parameter,
-guard).  It only shares one route's output among the items that read that
-route, and it is dropped when the run ends, so the next run (or a
-corrupted route) starts afresh; outside a run every route builds directly.
-
-The items are grouped by kind.  Before any item runs, the caller builds
-what two or more kinds read: the dual, the codeword histogram, the
-subcode histograms of the code and of the dual, the rank sweep grouped
-by each sampled T, the memo's tables at the sampled T-sets, and the
-lambda kernel of each rank at the largest t asked of it, so that each is
-built once.  An input that a guard or the sweep cap refuses is left to
-the items that read it, which report the SKIP.  Then the calling process
-and ``jobs - 1`` forked children (none when ``jobs`` is 1) each claim the
-next whole kind from a pipe whenever they are free.  The children inherit
-the built inputs, and freeze the garbage collector's view of them so
-that no collection touches (and copies) those pages.  They send their
-verdicts back through a pipe with ``marshal`` and the report is
-assembled in item order.
+``verify_all`` runs every item, in item order, in the calling process.
+While it runs, the run memo (``designs._shared``) holds the objects that
+many items read: the direct rank-r table, the rank-decomposition
+extension table, the dual code and the support shells of each rank,
+whose lambda kernel serves the design, polarization, Delsarte and
+recovery items, each built once per (code, T, parameter, guard).  The
+code's enumerations (histograms, rank sweep) are cached by
+``enumerators``, so each is built once too.  The memo only shares one
+route's output among the items that read that route, and it is dropped
+when the run ends, so the next run (or a corrupted route) starts afresh;
+outside a run every route builds directly.  Before the items run, each
+rank's lambda kernel is built at the largest t of the run, so that no
+item rebuilds it deeper.
 """
 
 from __future__ import annotations
 
-import gc
-import marshal
-import os
 import random
-import sys
-from functools import partial
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -71,8 +56,6 @@ from .designs import (
     t_independence_check,
 )
 from .enumerators import (
-    _dims_by_split,
-    codeword_support_histogram,
     extended_jacobi,
     extended_jacobi_direct,
     extended_jacobi_via_q,
@@ -81,7 +64,6 @@ from .enumerators import (
     higher_jacobi_via_q,
     higher_weight_enum,
     jacobi,
-    subcode_support_histogram,
     weight_enum,
 )
 from .errors import DesignHypothesisFails, NonIntegerResult, SingularMatrix, TooLarge
@@ -363,164 +345,37 @@ def _run_one(code: LinearCode, kind: str, params, guards) -> tuple[str, str]:
     return status, detail
 
 
-def worker_count(jobs: int, items: int) -> int:
-    """Processes worth starting: never more than the items or the usable CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, items, cpus))
-
-
-# a process claims a kind by reading its number, one byte, from a pipe
-assert len(CHECKS) < 256
-
-
-def _run_claimed(code, items, kinds: list[list[int]], claims: int, guards) -> list:
-    """Run whole kinds, each claimed from the claims pipe, until the pipe is
-    empty; returns [(item index, status, detail)]."""
-    done = []
-    while claim := os.read(claims, 1):
-        for i in kinds[claim[0]]:
-            _, kind, params = items[i]
-            done.append((i, *_run_one(code, kind, params, guards)))
-    return done
-
-
-def _build_shared(code, items, guards) -> None:
-    """Build what two or more kinds read, once, before any item runs and
-    any worker forks: the dual, the rank sweep grouped by each sampled T,
-    the codeword histogram, the subcode histograms of the dual, the direct
-    and rank-decomposition tables at the sampled T-sets, which build the
-    code's histograms, and the lambda kernel's tables that the t-set kinds
-    read, each rank's at its largest t.  A build that a guard or the sweep
-    cap refuses, or that comes out fractional, is left to the items that
-    read it, which report it."""
-    builds: dict[tuple, None] = {}
-    for _, kind, params in items:
-        if kind == "hjac_via_q":
-            r, T = params
-            builds[_dims_by_split, code, RefSet.of(code.n, T).mask] = None
-            builds[_hjac, code, guards, r, T] = None
-        elif kind == "ejac_via_q":
-            builds[_ejac, code, guards, *params] = None
-        elif kind == "ejac_direct":
-            builds[codeword_support_histogram, code, guards[1]] = None
-        elif kind == "mw_hw":
-            builds[subcode_support_histogram, _dual(code), params[0], guards[0]] = None
-        elif kind in ("design_equiv", "polarize", "delsarte"):
-            builds[_shared, kernel_tables, code, *params, guards[0]] = None
-    # in reverse, so that each rank's largest t comes first: its lambdas
-    # serve every smaller t
-    for build, *args in reversed(builds):
-        try:
-            build(*args)
-        except (TooLarge, NonIntegerResult):
-            pass
-
-
-def _fork_worker(work) -> tuple[int, int]:
-    """Fork a child that writes marshal (error, work()) to a pipe and exits;
-    returns its pid and the pipe's read end."""
-    reply_r, reply_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        gc.freeze()  # no collection walks (and so copies) the inherited objects
-        status = 1
-        try:
-            os.close(reply_r)
-            try:
-                reply = (None, work())
-            except Exception:
-                import traceback
-
-                reply = (traceback.format_exc(), None)
-            with open(reply_w, "wb") as fh:
-                fh.write(marshal.dumps(reply))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(reply_w)
-    return pid, reply_r
-
-
-def _run_forked(code, items, kinds: list[list[int]], guards, processes: int) -> list:
-    """(status, detail) per item, the kinds (lists of item indices) being
-    claimed in order by this process and processes - 1 forked children
-    (none when processes is 1), each taking the next kind when it is free."""
-    claims, feed = os.pipe()
-    os.write(feed, bytes(range(len(kinds))))
-    os.close(feed)
-    work = partial(_run_claimed, code, items, kinds, claims, guards)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children: dict[int, int] = {}  # pid: read end of its reply pipe
-    replies = []
-    try:
-        for _ in range(processes - 1):
-            pid, reply_r = _fork_worker(work)
-            children[pid] = reply_r
-        done = work()
-        for pid, reply_r in children.items():
-            with open(reply_r, "rb", closefd=False) as fh:
-                data = fh.read()
-            replies.append((pid, os.waitpid(pid, 0)[1], data))
-    except BaseException:
-        import signal
-
-        for pid in children.keys() - {pid for pid, _, _ in replies}:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    finally:
-        os.close(claims)
-        for reply_r in children.values():
-            os.close(reply_r)
-    for pid, wait_status, data in replies:
-        exit_code = os.waitstatus_to_exitcode(wait_status)
-        if exit_code != 0:
-            raise RuntimeError(f"verify worker {pid} exited with status {exit_code}")
-        error, share = marshal.loads(data)
-        if error is not None:
-            raise RuntimeError(f"verify worker {pid} raised:\n{error}")
-        done.extend(share)
-    results: list = [None] * len(items)
-    for i, status, detail in done:
-        results[i] = (status, detail)
-    return results
-
-
 def verify_all(
     code: LinearCode,
     r_max: int = 2,
     m_max: int = 2,
     t_max: int = 2,
     seed: int = 0,
-    jobs: int = 1,
     max_subcodes: int = MAX_SUBCODES_DEFAULT,
     max_words: int = MAX_WORDS_DEFAULT,
 ) -> tuple[list[str], bool]:
     """Run the whole identity suite; returns (report lines, all passed).
 
-    The shared inputs are built before any item runs.  With ``jobs`` above
-    1 the calling process forks, so it should run no other threads.  The
-    run memo lives until this call returns or raises.
+    The items run in order in the calling process, after each rank's
+    lambda kernel is built.  The run memo lives until this call returns or
+    raises.
     """
-    for r in range(min(r_max, code.k) + 1):
+    ranks = range(min(r_max, code.k) + 1)
+    for r in ranks:
         if subcode_count(code, r) > max_subcodes:
             raise TooLarge(
                 f"rank {r} needs {subcode_count(code, r)} subcodes, guard {max_subcodes}"
             )
     items = build_items(code, r_max, m_max, t_max, seed)
     guards = (max_subcodes, max_words)
-    groups: dict[str, list[int]] = {}
-    for i, (_, kind, _) in enumerate(items):
-        groups.setdefault(kind, []).append(i)
-    processes = worker_count(jobs, len(groups))
     designs._memo = {}
     try:
-        _build_shared(code, items, guards)
-        results = _run_forked(code, items, list(groups.values()), guards, processes)
+        # each rank's lambda kernel at the run's largest t: every shell is
+        # transposed once, and the items read each smaller t off that table
+        for r in ranks:
+            for shell in _shared(support_shells, code, r, max_subcodes).values():
+                shell.lambdas(min(t_max, code.n))
+        results = [_run_one(code, kind, params, guards) for _, kind, params in items]
     finally:
         designs._memo = None
     lines = []

@@ -235,10 +235,14 @@ HAHN = ("hahn", "-x", "1", "--beta", "1")
         ("verify", "--code", "{code}", "-m", "-1"),
         ("verify", "--code", "{code}", "--jobs", "0"),
         ("mw-check", "--code", "{code}", "--kind", "hjac", "-r", "1", "--json"),
+        ("jacobi", "--code", "{code}", "-T", "\u0661,2"),
+        ("jacobi", "--code", "{code}", "-T", "2_0"),
+        ("jacobi", "--code", "{code}", "-T", "+1"),
     ],
     ids=["hahn-m-ge-N", "hahn-alpha-abc", "hahn-alpha-div0", "harm-d-9", "harm-d-neg",
          "recover-T-4", "polarize-t-9", "polarize-t-neg", "verify-r-neg", "verify-t-neg",
-         "verify-m-neg", "verify-jobs-0", "mw-check-json"],
+         "verify-m-neg", "verify-jobs-0", "mw-check-json", "jacobi-T-arabic-indic",
+         "jacobi-T-underscore", "jacobi-T-plus"],
 )
 def test_malformed_input_is_a_usage_error(hamming_path, argv):
     # exit 1 is reserved for DIFFER; bad arguments on the [7,4] code exit 2
@@ -246,6 +250,39 @@ def test_malformed_input_is_a_usage_error(hamming_path, argv):
     assert res.returncode == 2
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_t_coordinates_are_ascii_decimal(hamming_path, capsys):
+    # int() reads signs, underscores and other scripts' digits; -T does not
+    for text in ("\u0661,2", "2_0", "+1"):
+        assert cli.main(["jacobi", "--code", hamming_path, "-T", text]) == 2
+        assert capsys.readouterr().err == f"error: bad -T value {text!r}\n"
+    assert cli.main(["jacobi", "--code", hamming_path, "-T", "1, 2"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(["jacobi", "--code", hamming_path, "-T", "1,2"]) == 0
+    assert capsys.readouterr().out == spaced
+
+
+@pytest.mark.parametrize(
+    "entry",
+    # python -m, and what the installed jacobiforge script runs
+    [["-m", "jacobiforge"], ["-c", "import sys; from jacobiforge.cli import main; sys.exit(main())"]],
+    ids=["python-m", "script"],
+)
+def test_a_closed_stdout_is_a_usage_error(hamming_path, entry):
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, *entry, "jacobi", "--code", hamming_path, "-T", "1,2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2
+    assert res.stderr == "error: stdout is closed\n"
 
 
 def test_recover_equal(hamming_path):
@@ -285,6 +322,20 @@ def test_verify_output_is_byte_identical_for_jobs_1_and_2(tmp_path, text, opts):
     assert (two.returncode, two.stderr) == (0, b""), two.stderr
     assert one.stdout == two.stdout
     assert b"PASS" in one.stdout and b"FAIL" not in one.stdout
+
+
+def test_verify_never_forks(hamming_path, monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("verify forked")
+
+    argv = ["verify", "--code", hamming_path, "--seed", "1"]
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+    one = capsys.readouterr()
+    monkeypatch.setattr(os, "fork", no_fork)
+    # two CPUs that a pool of processes could use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli.main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr() == one
 
 
 def test_oversized_field_order_exits_promptly(tmp_path):

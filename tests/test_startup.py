@@ -2,16 +2,16 @@
 
 Each check runs a fresh interpreter under ``-X importtime``, which lists
 every module the process imports on stderr; the test process itself has
-long since imported everything.  ``verify --jobs`` forks its workers
-with ``os`` and sends their results back with ``marshal``, and the records
-are NamedTuple or ``__slots__`` classes, so neither ``multiprocessing`` nor
-``pickle`` nor ``dataclasses`` (nor the ``inspect`` that ``dataclasses``
-pulls in) belongs on the import path of a command, a parallel one included.
+long since imported everything.  ``verify`` runs in one process for any
+``--jobs``, and the records are NamedTuple or ``__slots__`` classes, so
+neither ``multiprocessing`` nor ``pickle`` nor ``dataclasses`` (nor the
+``inspect`` that ``dataclasses`` pulls in) belongs on the import path of a
+command, one given ``--jobs 2`` included.
 
-The garbage collector is frozen by the entry point and by forked verify
-workers, never by a library call: ``python -m jacobiforge`` freezes what
-it has imported, while ``import jacobiforge`` and ``verify_all`` leave the
-caller's collector as they found it.
+The garbage collector is frozen by the entry point, never by a library
+call: ``python -m jacobiforge`` freezes what it has imported, while
+``import jacobiforge`` and ``verify_all`` leave the caller's collector as
+they found it.
 """
 
 import os
@@ -100,10 +100,12 @@ def run_python(*argv) -> str:
 
 
 def test_the_library_leaves_the_collector_unfrozen():
+    """A whole verify_all run, the library's longest call, leaves the
+    collector unfrozen."""
     script = (
         "import gc, jacobiforge\n"
         "code = jacobiforge.parse_code(%r)\n"
-        "lines, ok = jacobiforge.verify_all(code, jobs=2)\n"
+        "lines, ok = jacobiforge.verify_all(code)\n"
         "print(ok, gc.get_freeze_count())\n" % HAMMING74_TEXT
     )
     assert run_python("-c", script).split() == ["True", "0"]
