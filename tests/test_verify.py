@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HAMMING74_TEXT, c12, ex44, hamming74, random_code, tgolay12
+from helpers import HAMMING74_TEXT, c12, ex44, hamming74, random_code, render_code, tgolay12
 from jacobiforge import LinearCode, TooLarge, cli, designs, enumerators, field_new, verify
 from jacobiforge import verify_all
 from jacobiforge import code as code_module
@@ -133,11 +133,16 @@ def test_verify_all_skips_when_a_shared_input_trips_a_limit():
 
 
 @pytest.mark.parametrize("code, transposes", [(hamming74, 7), (c12, 23)])
-def test_each_lambda_kernel_is_built_once_per_run(monkeypatch, code, transposes):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_lambda_kernel_is_built_once_per_run(
+    monkeypatch, tmp_path, capsys, code, transposes, jobs
+):
     # each rank's kernel is taken at the run's largest t before the items
     # run, so no item transposes a multiplicity class of a shell again at
-    # a deeper t
+    # a deeper t, whatever --jobs says
     code = code()
+    path = tmp_path / "code.txt"
+    path.write_text(render_code(code))
     real = designs._incidence
     calls = []
 
@@ -146,8 +151,10 @@ def test_each_lambda_kernel_is_built_once_per_run(monkeypatch, code, transposes)
         return real(*args)
 
     monkeypatch.setattr(designs, "_incidence", spy)
-    lines, ok = verify_all(code, r_max=2, m_max=2, t_max=2, seed=1)
-    assert ok, [line for line in lines if line.startswith("FAIL")]
+    argv = ["verify", "--code", str(path), "-r", "2", "-m", "2", "-t", "2", "--seed", "1"]
+    status = cli.main(argv + ["--jobs", str(jobs)])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0, [line for line in lines if line.startswith("FAIL")]
     classes = sum(
         len(set(shell.counts.values()))
         for r in range(3)
