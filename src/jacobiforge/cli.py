@@ -19,7 +19,7 @@ from .code import (
     RefSet,
     parse_code,
 )
-from .designs import is_t_design, jacobi_by_polarization, support_shells
+from .designs import Run, is_t_design, jacobi_by_polarization, support_shells
 from .enumerators import (
     extended_jacobi,
     higher_jacobi,
@@ -193,7 +193,7 @@ def _cmd_mw_check(args, code: LinearCode) -> int:
             raise UsageError(f"r exceeds min(k, n-k) = {cap}")
         params = (args.r,) if args.kind == "hw" else (args.r, T)
     check = CHECKS["mw_" + args.kind]
-    lhs, rhs = check.routes(code, (args.max_subcodes, args.max_words), *params)
+    lhs, rhs = check.routes(code, Run(args.max_subcodes, args.max_words), *params)
     print(f"transform: {lhs.render()}")
     print(f"dual:      {rhs.render()}")
     return _verdict(check, lhs, rhs, None if args.kind == "hw" else ("transform", "dual"))
@@ -304,7 +304,8 @@ def _run(argv) -> int:
             _check_rank(code, args.r)
             _check_range("t", args.t, 0, code.n)
             try:
-                poly = jacobi_by_polarization(code, args.r, args.t, args.max_subcodes)
+                run = Run(args.max_subcodes, args.max_words)
+                poly = jacobi_by_polarization(code, args.r, args.t, run)
             except DesignHypothesisFails as exc:
                 print(f"DesignHypothesisFails: {exc}")
                 return 1
@@ -334,8 +335,8 @@ def _run(argv) -> int:
             if 2 * tset.size > code.n:
                 raise UsageError(f"recover needs |T| <= n/2 = {code.n // 2}")
             check = CHECKS["recover"]
-            guards = (args.max_subcodes, args.max_words)
-            lhs, rhs = check.routes(code, guards, args.r, tset.sorted())
+            run = Run(args.max_subcodes, args.max_words)
+            lhs, rhs = check.routes(code, run, args.r, tset.sorted())
             _emit(lhs, args.json)
             return _verdict(check, lhs, rhs, ("recovered", "direct"))
         if args.command == "verify":

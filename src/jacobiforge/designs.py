@@ -43,7 +43,7 @@ from operator import add, and_
 from typing import NamedTuple
 
 from .bipoly import BiHomPoly
-from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet
+from .code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT, LinearCode, RefSet
 from .enumerators import higher_weight_enum, subcode_support_histogram, table_from_bipoly
 from .errors import DesignHypothesisFails
 
@@ -54,18 +54,24 @@ class DesignVerdict(NamedTuple):
     lam: int | None
 
 
-# the run memo, {(build, *args): build(*args)} while verify_all runs, else None
-_memo: dict | None = None
+class Run:
+    """The guards of one run and its memo, which the routes given the run
+    share their inputs through; a route given no run makes its own."""
 
+    __slots__ = ("max_subcodes", "max_words", "memo")
 
-def _shared(build, *args):
-    """build(*args), built once per run and shared by the items that read it."""
-    if _memo is None:
-        return build(*args)
-    key = (build, *args)
-    if key not in _memo:
-        _memo[key] = build(*args)
-    return _memo[key]
+    def __init__(self, max_subcodes=MAX_SUBCODES_DEFAULT, max_words=MAX_WORDS_DEFAULT):
+        self.max_subcodes = max_subcodes
+        self.max_words = max_words
+        self.memo: dict = {}
+
+    def shared(self, build, *args):
+        """build(*args), built once per run; the key leaves out the run
+        itself, so that the memo holds no reference back to it."""
+        key = (build, *(arg for arg in args if arg is not self))
+        if key not in self.memo:
+            self.memo[key] = build(*args)
+        return self.memo[key]
 
 
 class BlockMultiset:
@@ -192,16 +198,17 @@ def support_shells(
 
 
 def subcode_support_designs(
-    code: LinearCode, r: int, t: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
+    code: LinearCode, r: int, t: int, run: Run | None = None
 ) -> dict[int, DesignVerdict]:
     """Verdict of every nonempty support shell of the r-dim subcodes on the
     polarization hypothesis at t: the shell of weight w is tested as an
     s-design for s = min(t, w, n - t), the strength at which all shells
     being designs is equivalent to the t-set independence of the table.
     Each verdict carries the s it was tested at."""
+    run = run or Run()
     return {
         w: is_t_design(shell, min(t, w, code.n - t))
-        for w, shell in _shared(support_shells, code, r, max_subcodes).items()
+        for w, shell in run.shared(support_shells, code, r, run.max_subcodes).items()
     }
 
 
@@ -211,13 +218,13 @@ def _mobius_row(size: int) -> list[int]:
 
 
 def kernel_tables(
-    code: LinearCode, r: int, t: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
+    code: LinearCode, r: int, t: int, run: Run | None = None
 ) -> dict[tuple[int, ...], BiHomPoly]:
     """{T: the rank-r split-weight polynomial at T} for every t-subset T, in
     lexicographic order, read off the shells' lambda kernel: shell w puts
     N_w(T, j) at w^(t-j) z^j x^(n-t-w+j) y^(w-j)."""
-    n = code.n
-    shells = _shared(support_shells, code, r, max_subcodes)
+    n, run = code.n, run or Run()
+    shells = run.shared(support_shells, code, r, run.max_subcodes)
     lams = [(w, shell.lambdas(t)) for w, shell in shells.items()]
     mobius = [_mobius_row(size) for size in range(t + 1)]
     tables = {}
@@ -237,7 +244,7 @@ def kernel_tables(
 
 
 def t_independence_check(
-    code: LinearCode, r: int, t: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
+    code: LinearCode, r: int, t: int, run: Run | None = None
 ) -> tuple[bool, tuple[RefSet, RefSet] | None]:
     """Whether the rank-r split-weight table is the same for every t-subset T.
 
@@ -245,7 +252,8 @@ def t_independence_check(
     tables differ.  Must match the all-shells-are-designs verdict, which
     ``is_t_design`` reaches without the lambda kernel; the tests compare them.
     """
-    tables = iter(_shared(kernel_tables, code, r, t, max_subcodes).items())
+    run = run or Run()
+    tables = iter(run.shared(kernel_tables, code, r, t, run).items())
     first = next(tables, None)
     for coords, poly in tables:
         if poly != first[1]:
@@ -254,7 +262,7 @@ def t_independence_check(
 
 
 def jacobi_by_polarization(
-    code: LinearCode, r: int, t: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
+    code: LinearCode, r: int, t: int, run: Run | None = None
 ) -> BiHomPoly:
     """Split-weight polynomial for any t-set T, straight from the rank-r
     weight enumerator: polarize t times and divide by n(n-1)...(n-t+1).
@@ -265,7 +273,8 @@ def jacobi_by_polarization(
     would produce a wrong table.  The result is read through
     ``table_from_bipoly`` as well, so it cannot come out fractional.
     """
-    verdicts = subcode_support_designs(code, r, t, max_subcodes)
+    run = run or Run()
+    verdicts = subcode_support_designs(code, r, t, run)
     failing: dict[int, list[int]] = {}  # strength: the weights that failed at it
     for w, v in verdicts.items():
         if not v.is_design:
@@ -274,7 +283,7 @@ def jacobi_by_polarization(
         raise DesignHypothesisFails("support shells " + ", ".join(
             f"at weights {weights} are not {s}-designs" for s, weights in failing.items()
         ))
-    poly = higher_weight_enum(code, r, max_subcodes)
+    poly = higher_weight_enum(code, r, run.max_subcodes)
     for _ in range(t):
         poly = poly.polarize()
     poly = poly.scale(Fraction(1, perm(code.n, t)))

@@ -36,7 +36,7 @@ from operator import add
 
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
-from .designs import _shared, support_shells
+from .designs import Run, support_shells
 from .enumerators import JacobiTable, subcode_support_histogram, table_from_bipoly
 from .errors import PochhammerZeroDenominator
 from .exactmath import apply_inverse, exact, rat_inverse
@@ -222,21 +222,17 @@ def h_dt(n: int, t: int, d: int, ell: int, i: int) -> Fraction:
     An empty constraint set yields 0.
     """
     lam = comb(n - 2 * d, t - d)
-    total = Fraction(0)
+    by_x: dict[int, int] = {}  # Hahn argument x = t - i1 - i2: its binomial products
     for i1 in range(0, i + 1):
         for i2 in range(0, t - i + 1):
-            for i3 in range(0, ell - i + 1):
-                if i1 + i2 + i3 > t or i1 + i3 < d:
-                    continue
-                v = (
-                    _comb0(i, i1)
-                    * _comb0(t - i, i2)
-                    * _comb0(ell - i, i3)
-                    * _comb0(n - ell - t + i, t - i1 - i2 - i3)
-                    * _comb0(i1 + i3, d)
-                )
-                if v:
-                    total += v * _hahn_qdt(n, t, d, t - i1 - i2)
+            x = t - i1 - i2
+            v = _comb0(i, i1) * _comb0(t - i, i2) * sum(
+                _comb0(ell - i, i3) * _comb0(n - ell - t + i, x - i3) * _comb0(i1 + i3, d)
+                for i3 in range(max(0, d - i1), min(ell - i, x) + 1)
+            )
+            if v:
+                by_x[x] = by_x.get(x, 0) + v
+    total = sum((v * _hahn_qdt(n, t, d, x) for x, v in by_x.items()), Fraction(0))
     return total / lam
 
 
@@ -269,10 +265,10 @@ def recover_jacobi(
     code: LinearCode,
     r: int,
     tset: RefSet,
-    max_subcodes: int = MAX_SUBCODES_DEFAULT,
+    run: Run | None = None,
 ) -> JacobiTable:
     """Recover the rank-r split-weight grid from the lambda kernel of the
-    rank-r support shells (through the run memo).
+    rank-r support shells, shared through the run (a fresh one when None).
 
     For each total weight l the unknowns n_{l,i} (i = the T-weight) satisfy
     one mass equation (their sum is |shell_l|, lambda_l of the empty set)
@@ -293,8 +289,8 @@ def recover_jacobi(
         raise ValueError("reference set length does not match the code")
     if 2 * t > code.n:
         raise ValueError("need |T| <= n/2 for the Hahn parameterization")
-    n, tmask = code.n, tset.mask
-    shells = _shared(support_shells, code, r, max_subcodes)
+    n, tmask, run = code.n, tset.mask, run or Run()
+    shells = run.shared(support_shells, code, r, run.max_subcodes)
     lambdas = {ell: shell.lambdas(t) for ell, shell in shells.items()}
     coeff = [[0] * (n - t + 1) for _ in range(t + 1)]
     for ell, (feasible, weights, inverse) in enumerate(_recovery_systems(n, t)):

@@ -15,19 +15,19 @@ The item list is built deterministically from the code and a seed (the
 seed only drives which reference sets and coordinates are sampled), so
 two runs with the same inputs produce byte-identical reports.
 
-``verify_all`` runs every item, in item order, in the calling process.
-While it runs, the run memo (``designs._shared``) holds the objects that
-many items read: the direct rank-r table, the rank-decomposition
-extension table, the dual code and the support shells of each rank,
-whose lambda kernel serves the design, polarization, Delsarte and
-recovery items, each built once per (code, T, parameter, guard).  The
-code's enumerations (histograms, rank sweep) are cached by
-``enumerators``, so each is built once too.  The memo only shares one
-route's output among the items that read that route, and it is dropped
-when the run ends, so the next run (or a corrupted route) starts afresh;
-outside a run every route builds directly.  Before the items run, each
-rank's lambda kernel is built at the largest t of the run, so that no
-item rebuilds it deeper.
+``verify_all`` runs every item, in item order, in the calling process,
+with one ``designs.Run``: the guards every route is bounded by, and the
+memo (``run.shared``) of the objects that many items read: the direct
+rank-r table, the rank-decomposition extension table, the dual code and
+the support shells of each rank, whose lambda kernel serves the design,
+polarization, Delsarte and recovery items, each built once per (code, T,
+parameter).  The code's enumerations (histograms, rank sweep) are cached
+by ``enumerators``, so each is built once too.  The memo only shares one
+route's output among the items that read that route, and it belongs to
+the run, so the next run (or a corrupted route) starts afresh; a library
+call given no run makes its own.  Before the items run, each rank's
+lambda kernel is built at the largest t of the run, so that no item
+rebuilds it deeper.  The summary line counts the items and the SKIPs.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from .code import (
     RefSet,
     subcode_count,
 )
-from . import designs
 from .designs import (
-    _shared,
+    Run,
     is_t_design,
     jacobi_by_polarization,
     kernel_tables,
@@ -154,12 +153,12 @@ def same_per_key(lhs, rhs):
 class Check(NamedTuple):
     """One identity: two independent routes to one object, compared.
 
-    ``routes(code, guards, *params)`` returns (lhs, rhs), guards being
-    (max_subcodes, max_words).  ``compare(lhs, rhs)`` returns (ok, fields)
-    and the detail is ``detail.format(*fields)`` unless fields is None.
-    The item is a SKIP with ``skip_reason`` when ``skip_if(code, guards,
-    *params)`` holds, and with its message when a route raises
-    DesignHypothesisFails.
+    ``routes(code, run, *params)`` returns (lhs, rhs), run being the
+    ``Run`` whose guards bound the routes and whose memo shares their
+    inputs.  ``compare(lhs, rhs)`` returns (ok, fields) and the detail is
+    ``detail.format(*fields)`` unless fields is None.  The item is a SKIP
+    with ``skip_reason`` when ``skip_if(code, run, *params)`` holds, and
+    with its message when a route raises DesignHypothesisFails.
     """
 
     routes: Callable
@@ -169,102 +168,103 @@ class Check(NamedTuple):
     skip_reason: str = ""
 
 
-def _hjac(code, guards, r, T):
+def _hjac(code, run, r, T):
     """The rank-r table at T enumerated directly: the reference route."""
-    return _shared(higher_jacobi, code, RefSet.of(code.n, T), r, guards[0])
+    return run.shared(higher_jacobi, code, RefSet.of(code.n, T), r, run.max_subcodes)
 
 
-def _ejac(code, guards, m, T):
+def _ejac(code, run, m, T):
     """The degree-m table at T by rank decomposition."""
-    return _shared(extended_jacobi, code, RefSet.of(code.n, T), m, guards[0])
+    return run.shared(extended_jacobi, code, RefSet.of(code.n, T), m, run.max_subcodes)
 
 
-def _dual(code):
-    return _shared(LinearCode.dual, code)
+def _dual(code, run):
+    return run.shared(LinearCode.dual, code)
 
 
-def _dual_involution(code, guards):
-    return _dual(_dual(code)), code
+def _dual_involution(code, run):
+    return _dual(_dual(code, run), run), code
 
 
-def _plain_vs_wenum(code, guards):
-    return jacobi(code, RefSet.of(code.n), guards[1]).to_bipoly(), weight_enum(code, guards[1])
+def _plain_vs_wenum(code, run):
+    plain = jacobi(code, RefSet.of(code.n), run.max_words).to_bipoly()
+    return plain, weight_enum(code, run.max_words)
 
 
-def _mass(code, guards, r):
-    return _hjac(code, guards, r, ()).mass(), gauss_binom(code.k, r, code.spec.q)
+def _mass(code, run, r):
+    return _hjac(code, run, r, ()).mass(), gauss_binom(code.k, r, code.spec.q)
 
 
-def _hjac_via_q(code, guards, r, T):
-    return higher_jacobi_via_q(code, RefSet.of(code.n, T), r), _hjac(code, guards, r, T)
+def _hjac_via_q(code, run, r, T):
+    return higher_jacobi_via_q(code, RefSet.of(code.n, T), r), _hjac(code, run, r, T)
 
 
-def _hjac_from_ext(code, guards, r, T):
-    return higher_from_extended(code, RefSet.of(code.n, T), r), _hjac(code, guards, r, T)
+def _hjac_from_ext(code, run, r, T):
+    return higher_from_extended(code, RefSet.of(code.n, T), r), _hjac(code, run, r, T)
 
 
-def _ejac_via_q(code, guards, m, T):
-    return extended_jacobi_via_q(code, RefSet.of(code.n, T), m), _ejac(code, guards, m, T)
+def _ejac_via_q(code, run, m, T):
+    return extended_jacobi_via_q(code, RefSet.of(code.n, T), m), _ejac(code, run, m, T)
 
 
-def _ejac_direct(code, guards, m, T):
-    direct = extended_jacobi_direct(code, RefSet.of(code.n, T), m, guards[1])
-    return direct, _ejac(code, guards, m, T)
+def _ejac_direct(code, run, m, T):
+    direct = extended_jacobi_direct(code, RefSet.of(code.n, T), m, run.max_words)
+    return direct, _ejac(code, run, m, T)
 
 
 def _mw_context(code, T) -> MWContext:
     return MWContext(q=code.spec.q, n=code.n, k=code.k, tsize=len(T))
 
 
-def _mw_hw(code, guards, r):
-    enums = [higher_weight_enum(code, ell, guards[0]) for ell in range(r + 1)]
+def _mw_hw(code, run, r):
+    enums = [higher_weight_enum(code, ell, run.max_subcodes) for ell in range(r + 1)]
     lhs = mw_higher_weight(enums, _mw_context(code, ()))
-    return lhs, higher_weight_enum(_dual(code), r, guards[0])
+    return lhs, higher_weight_enum(_dual(code, run), r, run.max_subcodes)
 
 
-def _mw_hjac(code, guards, r, T):
-    tables = [_hjac(code, guards, ell, T) for ell in range(r + 1)]
-    return mw_higher_jacobi(tables, _mw_context(code, T)), _hjac(_dual(code), guards, r, T)
+def _mw_hjac(code, run, r, T):
+    tables = [_hjac(code, run, ell, T) for ell in range(r + 1)]
+    return mw_higher_jacobi(tables, _mw_context(code, T)), _hjac(_dual(code, run), run, r, T)
 
 
-def _mw_ejac(code, guards, m, T):
-    lhs = mw_extended_jacobi(_ejac(code, guards, m, T), _mw_context(code, T))
-    return lhs, _ejac(_dual(code), guards, m, T)
+def _mw_ejac(code, run, m, T):
+    lhs = mw_extended_jacobi(_ejac(code, run, m, T), _mw_context(code, T))
+    return lhs, _ejac(_dual(code, run), run, m, T)
 
 
-def _recover(code, guards, r, T):
-    return recover_jacobi(code, r, RefSet.of(code.n, T), guards[0]), _hjac(code, guards, r, T)
+def _recover(code, run, r, T):
+    return recover_jacobi(code, r, RefSet.of(code.n, T), run), _hjac(code, run, r, T)
 
 
-def _design_equiv(code, guards, r, t):
+def _design_equiv(code, run, r, t):
     """All shells are t-designs vs the table is the same at every t-set,
     keyed by the witness pair of t-sets (None when it is the same)."""
-    verdicts = subcode_support_designs(code, r, t, guards[0])
-    independent, witness = t_independence_check(code, r, t, guards[0])
+    verdicts = subcode_support_designs(code, r, t, run)
+    independent, witness = t_independence_check(code, r, t, run)
     return {witness: all(v.is_design for v in verdicts.values())}, {witness: independent}
 
 
-def _t_over_n(code, guards, r, t) -> bool:
+def _t_over_n(code, run, r, t) -> bool:
     return t > code.n
 
 
-def _polarize(code, guards, r, t):
+def _polarize(code, run, r, t):
     """The polarized polynomial vs the lambda kernel's table at each t-set."""
-    poly = jacobi_by_polarization(code, r, t, guards[0])
-    tables = _shared(kernel_tables, code, r, t, guards[0])
+    poly = jacobi_by_polarization(code, r, t, run)
+    tables = run.shared(kernel_tables, code, r, t, run)
     return dict.fromkeys(tables, poly), tables
 
 
-def _delsarte(code, guards, r, t):
+def _delsarte(code, run, r, t):
     """Brute-force vs harmonic verdict on each shell."""
-    shells = _shared(support_shells, code, r, guards[0]).items()
+    shells = run.shared(support_shells, code, r, run.max_subcodes).items()
     brute = {w: is_t_design(shell, t).is_design for w, shell in shells}
     return brute, {w: delsarte_design_check(shell, t) for w, shell in shells}
 
 
-def _punctured(code, guards, r, i):
-    zero_w, one_w = punctured_split(code, r, i, guards[0])
-    return reassemble_punctured(code.n, zero_w, one_w), _hjac(code, guards, r, (i,)).to_bipoly()
+def _punctured(code, run, r, i):
+    zero_w, one_w = punctured_split(code, r, i, run.max_subcodes)
+    return reassemble_punctured(code.n, zero_w, one_w), _hjac(code, run, r, (i,)).to_bipoly()
 
 
 # each entry's comment names the two kernels its routes read
@@ -281,7 +281,7 @@ CHECKS: dict[str, Check] = {
         _ejac_direct,
         same_grid,
         _FIRST_DIFFERENCE,
-        skip_if=lambda code, guards, m, T: code.spec.q ** (m * code.k) > guards[1],
+        skip_if=lambda code, run, m, T: code.spec.q ** (m * code.k) > run.max_words,
         skip_reason="extension word count exceeds the guard",
     ),
     # the pair substitution of the code's table vs the dual's, both from split counts
@@ -291,7 +291,7 @@ CHECKS: dict[str, Check] = {
         _recover,
         same_grid,
         _FIRST_DIFFERENCE,
-        skip_if=lambda code, guards, r, T: 2 * len(T) > code.n,
+        skip_if=lambda code, run, r, T: 2 * len(T) > code.n,
         skip_reason="|T| exceeds n/2",
     ),
     "mw_hw": Check(_mw_hw, same_value),  # substituted subcode histograms vs the dual's
@@ -317,24 +317,27 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def run_item(code: LinearCode, kind: str, params, guards) -> tuple[bool | None, str]:
-    """Execute one item; returns (ok, detail) with ok None meaning SKIP."""
+def run_item(code: LinearCode, kind: str, params, run) -> tuple[bool | None, str]:
+    """Execute one item in run, a ``Run`` or a (max_subcodes, max_words)
+    tuple; returns (ok, detail) with ok None meaning SKIP."""
+    if isinstance(run, tuple):
+        run = Run(*run)
     check = CHECKS[kind]
-    if check.skip_if and check.skip_if(code, guards, *params):
+    if check.skip_if and check.skip_if(code, run, *params):
         return None, check.skip_reason
     try:
-        lhs, rhs = check.routes(code, guards, *params)
+        lhs, rhs = check.routes(code, run, *params)
     except DesignHypothesisFails as exc:
         return None, str(exc)
     ok, fields = check.compare(lhs, rhs)
     return ok, "" if fields is None else check.detail.format(*fields)
 
 
-def _run_one(code: LinearCode, kind: str, params, guards) -> tuple[str, str]:
+def _run_one(code: LinearCode, kind: str, params, run: Run) -> tuple[str, str]:
     """One item's (status, detail): a guard hit is a SKIP, a fraction or a
     singular system an exact route met is an identity violation, a FAIL."""
     try:
-        ok, detail = run_item(code, kind, params, guards)
+        ok, detail = run_item(code, kind, params, run)
     except TooLarge as exc:
         return "SKIP", f"guard exceeded: {exc}"
     except NonIntegerResult as exc:
@@ -356,9 +359,9 @@ def verify_all(
 ) -> tuple[list[str], bool]:
     """Run the whole identity suite; returns (report lines, all passed).
 
-    The items run in order in the calling process, after each rank's
-    lambda kernel is built.  The run memo lives until this call returns or
-    raises.
+    The items run in order in the calling process, in one ``Run``, after
+    each rank's lambda kernel is built.  The summary line counts the items
+    and the SKIPs among them.
     """
     ranks = range(min(r_max, code.k) + 1)
     for r in ranks:
@@ -367,23 +370,20 @@ def verify_all(
                 f"rank {r} needs {subcode_count(code, r)} subcodes, guard {max_subcodes}"
             )
     items = build_items(code, r_max, m_max, t_max, seed)
-    guards = (max_subcodes, max_words)
-    designs._memo = {}
-    try:
-        # each rank's lambda kernel at the run's largest t: every shell is
-        # transposed once, and the items read each smaller t off that table
-        for r in ranks:
-            for shell in _shared(support_shells, code, r, max_subcodes).values():
-                shell.lambdas(min(t_max, code.n))
-        results = [_run_one(code, kind, params, guards) for _, kind, params in items]
-    finally:
-        designs._memo = None
-    lines = []
-    ok_all = True
-    for (label, _, _), (status, detail) in zip(items, results):
-        if status == "FAIL":
-            ok_all = False
-        lines.append(f"{status} {label}" + (f": {detail}" if detail else ""))
-    summary = "all checks passed" if ok_all else "IDENTITY VIOLATION FOUND"
-    lines.append(f"verify: {summary} ({len(items)} items, seed={seed})")
-    return lines, ok_all
+    run = Run(max_subcodes, max_words)
+    # each rank's lambda kernel at the run's largest t: every shell is
+    # transposed once, and the items read each smaller t off that table
+    for r in ranks:
+        for shell in run.shared(support_shells, code, r, max_subcodes).values():
+            shell.lambdas(min(t_max, code.n))
+    results = [_run_one(code, kind, params, run) for _, kind, params in items]
+    lines = [
+        f"{status} {label}" + (f": {detail}" if detail else "")
+        for (label, _, _), (status, detail) in zip(items, results)
+    ]
+    statuses = [status for status, _ in results]
+    ok = "FAIL" not in statuses
+    summary = "all checks passed" if ok else "IDENTITY VIOLATION FOUND"
+    skipped = statuses.count("SKIP")
+    lines.append(f"verify: {summary} ({len(items)} items, {skipped} skipped, seed={seed})")
+    return lines, ok

@@ -43,7 +43,7 @@ from jacobiforge import (
     qfact,
 )
 from jacobiforge.code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT
-from jacobiforge.designs import support_shells
+from jacobiforge.designs import Run, support_shells
 from jacobiforge.verify import CHECKS, run_item
 
 import random
@@ -124,7 +124,7 @@ def test_criterion_2_macwilliams_sweep():
             for m in (1, 2):
                 failures += failed(code, "mw_ejac", m, T)
                 # two more routes to the dual table than the check's own
-                got, _ = CHECKS["mw_ejac"].routes(code, GUARDS, m, T)
+                got, _ = CHECKS["mw_ejac"].routes(code, Run(*GUARDS), m, T)
                 if got.grid != extended_jacobi_via_q(dual, tset, m).grid:
                     failures.append((code, "via-dims dual", m, T))
                 if q ** (m * dual.k) <= 1 << 13:

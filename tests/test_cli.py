@@ -111,6 +111,29 @@ def test_guard_flag_exit_code(hamming_path):
     assert "TooLarge" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "polarize -r 2 -t 1",
+        "design-check -r 2 -t 1",
+        "recover -r 2 -T 1",
+        "mw-check --kind hjac -r 2 -T 1",
+        "mw-check --kind hw -r 2",
+        "mw-check --kind ejac -m 1 -T 1",
+        "verify",
+    ],
+)
+def test_the_subcode_guard_stops_each_command_that_shares_a_run(tmp_path, capsys, argv):
+    # C12 has 63 rank-1 subcodes: the guard of 5 is hit before any output
+    path = tmp_path / "c12.txt"
+    path.write_text(C12_TEXT)
+    command, *rest = argv.split()
+    assert cli.main([command, "--code", str(path), "--max-subcodes", "5", *rest]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: TooLarge: "), err
+
+
 def test_mw_check_non_self_dual(hamming_path):
     res = run_cli("mw-check", "--code", hamming_path, "--kind", "hjac", "-r", "1", "-T", "3")
     assert res.returncode == 0

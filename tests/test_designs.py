@@ -18,7 +18,7 @@ from jacobiforge import (
     t_independence_check,
 )
 from jacobiforge.code import LinearCode
-from jacobiforge.designs import reassemble_punctured, support_shells
+from jacobiforge.designs import Run, reassemble_punctured, support_shells
 from jacobiforge.gf import field_new
 
 S12 = block_multiset(6, [{1, 2}, {3, 4}, {5, 6}])
@@ -84,6 +84,17 @@ def test_t_independence_goldens():
     zero = LinearCode(field_new(2), 4, [])
     for t in range(3):
         assert t_independence_check(zero, 0, t) == (True, None)
+
+
+def test_a_run_shares_each_input_and_its_memo_holds_no_reference_to_it():
+    # a key holding the run would keep a finished run's memo alive until
+    # the cyclic collector runs, where dropping the run frees it at once
+    run = Run()
+    assert t_independence_check(hamming74(), 1, 2, run) == t_independence_check(hamming74(), 1, 2)
+    shells = run.shared(support_shells, hamming74(), 1, run.max_subcodes)
+    assert run.shared(support_shells, hamming74(), 1, run.max_subcodes) is shells
+    assert len(run.memo) == 2
+    assert all(arg is not run for key in run.memo for arg in key)
 
 
 @pytest.mark.parametrize("build", [ex44, hamming74])

@@ -50,9 +50,7 @@ from jacobiforge import (
     recover_jacobi,
 )
 from jacobiforge import code as code_module
-from jacobiforge import designs
 from jacobiforge.code import (
-    MAX_SUBCODES_DEFAULT,
     _or_power_dense,
     column_set_dim,
     coords_mask,
@@ -61,7 +59,7 @@ from jacobiforge.code import (
     or_power,
     support_mask,
 )
-from jacobiforge.designs import kernel_tables, support_shells
+from jacobiforge.designs import Run, kernel_tables, support_shells
 from jacobiforge.enumerators import (
     _extension_supports,
     _q_grid,
@@ -301,16 +299,16 @@ def test_golay_rank2_shells_are_5_designs_with_large_multiplicities():
         assert lam * comb(24, 5) == len(shells[w]) * comb(w, 5)
 
 
-def test_design_shells_make_recover_a_third_route_to_polarization(monkeypatch):
+def test_design_shells_make_recover_a_third_route_to_polarization():
     # every shell of Golay at r = 1, 2 and of ternary Golay at r = 1 is a
     # 5-design, so lambda_l is constant on d-sets, each harmonic lambda side
     # sums to 0, and the recovery follows from the weight enumerator alone.
-    # The memo shares the shells among the three sides, as in verify_all;
+    # One run shares the shells among the three sides, as in verify_all;
     # the r = 2 histogram is the cached one of the test above.
-    monkeypatch.setattr(designs, "_memo", {})
+    run = Run()
     for code, r in ((golay24(), 1), (golay24(), 2), (tgolay12(), 1)):
         n = code.n
-        shells = designs._shared(support_shells, code, r, MAX_SUBCODES_DEFAULT)
+        shells = run.shared(support_shells, code, r, run.max_subcodes)
         for coords in ((3, 11), (5,)):  # the deeper lambdas first, built once
             tset, t = RefSet.of(n, coords), len(coords)
             for w, shell in shells.items():
@@ -322,8 +320,8 @@ def test_design_shells_make_recover_a_third_route_to_polarization(monkeypatch):
                         if z.bit_count() == d
                     )
                     assert side == 0, (n, r, coords, w, d)
-            recovered = recover_jacobi(code, r, tset).to_bipoly()
-            assert recovered == jacobi_by_polarization(code, r, t), (n, r, coords)
+            recovered = recover_jacobi(code, r, tset, run).to_bipoly()
+            assert recovered == jacobi_by_polarization(code, r, t, run), (n, r, coords)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])

@@ -77,8 +77,11 @@ def test_a_parallel_verify_loads_no_unwanted_module(tmp_path):
 
 
 def test_importing_the_package_loads_every_library_module():
-    # perfbench's tracer rebinds names in every module that `import
-    # jacobiforge` has loaded, so the package __init__ must stay eager
+    # the restored_jacobiforge fixture of perfbench/tests/test_tracer.py
+    # saves and restores only the modules `import jacobiforge` has loaded,
+    # and its test asserts that the tracer rebinds more than 20 names in
+    # them, so the package __init__ must stay eager (the tracer's install()
+    # imports every module it rebinds by name, so it does not need this)
     library = {
         f"jacobiforge.{info.name}"
         for info in pkgutil.iter_modules(jacobiforge.__path__)

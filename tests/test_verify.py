@@ -91,6 +91,15 @@ def test_verify_all_random_codes(monkeypatch):
     assert {q for name, q in reached if name == "sweep"} == set(SWEEP_FIELDS)
 
 
+def test_the_summary_line_counts_the_skips():
+    # |T| > n/2, t > n and a failed design hypothesis each make a SKIP, and
+    # the last line says how many there are next to "all checks passed"
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=8, seed=0)
+    assert ok
+    assert sum(line.startswith("SKIP ") for line in lines) == 22
+    assert lines[-1] == "verify: all checks passed (218 items, 22 skipped, seed=0)"
+
+
 def test_verify_all_deterministic_lines():
     a, _ = verify_all(ex44(), seed=5)
     b, _ = verify_all(ex44(), seed=5)
@@ -117,7 +126,6 @@ def test_verify_raises_when_a_route_raises(monkeypatch):
     monkeypatch.setitem(verify.CHECKS, "mass", verify.CHECKS["mass"]._replace(routes=divide))
     with pytest.raises(ZeroDivisionError):
         verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=2)
-    assert designs._memo is None  # the run memo is dropped on error too
 
 
 def test_verify_all_skips_when_a_shared_input_trips_a_limit():
