@@ -5,19 +5,14 @@ support designs, and Hahn-kernel coefficient recovery.
 Everything is computed in exact integer and rational arithmetic; every
 identity has at least two independent computation routes and the test
 suite insists they agree to the last digit.
+
+The table layer is imported with the package.  The names exported from
+the design, harmonic and verify modules are resolved on first use, so a
+process that computes only tables never compiles those modules.
 """
 
 from .bipoly import BiHomPoly, PairSubstitution
 from .code import LinearCode, RefSet, parse_code
-from .designs import (
-    BlockMultiset,
-    DesignVerdict,
-    is_t_design,
-    jacobi_by_polarization,
-    punctured_split,
-    subcode_support_designs,
-    t_independence_check,
-)
 from .enumerators import (
     JacobiTable,
     extended_jacobi,
@@ -46,19 +41,37 @@ from .errors import (
 )
 from .exactmath import RatMatrix, rat_solve
 from .gf import FieldSpec, field_new
-from .harmonic import (
-    HahnParams,
-    SubsetFn,
-    delsarte_design_check,
-    f_tilde,
-    h_dt,
-    hahn_eval,
-    harm_basis,
-    harmonic_higher_wenum,
-    recover_jacobi,
-)
 from .qcomb import gauss_binom, qbracket, qfact
 from .transforms import MWContext, mw_extended_jacobi, mw_higher_jacobi, mw_higher_weight
-from .verify import verify_all
 
 __version__ = "0.1.0"
+
+# exported name -> the module that defines it, imported on first use
+_LAZY = {
+    "BlockMultiset": "designs",
+    "DesignVerdict": "designs",
+    "is_t_design": "designs",
+    "jacobi_by_polarization": "designs",
+    "punctured_split": "designs",
+    "subcode_support_designs": "designs",
+    "t_independence_check": "designs",
+    "HahnParams": "harmonic",
+    "SubsetFn": "harmonic",
+    "delsarte_design_check": "harmonic",
+    "f_tilde": "harmonic",
+    "h_dt": "harmonic",
+    "hahn_eval": "harmonic",
+    "harm_basis": "harmonic",
+    "harmonic_higher_wenum": "harmonic",
+    "recover_jacobi": "harmonic",
+    "verify_all": "verify",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)

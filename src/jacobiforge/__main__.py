@@ -3,5 +3,7 @@ import sys
 
 from .cli import main
 
-gc.freeze()  # the imported modules live until exit: keep collections off them
+# the imported modules live until exit: keep collections off them; a module
+# a command imports later (designs, harmonic, verify) is not frozen
+gc.freeze()
 sys.exit(main())

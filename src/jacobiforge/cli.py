@@ -4,6 +4,9 @@ Exit codes: 0 for success and EQUAL verdicts, 1 when an identity check
 reports DIFFER (or a stated hypothesis fails), 2 for usage, parse, and
 guard errors, and for a closed stdout.  All numeric output is exact;
 rationals print as p/q.
+
+Each command imports the design, harmonic or verify module it runs where
+it runs it, so a table command compiles none of them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .code import (
     RefSet,
     parse_code,
 )
-from .designs import Run, is_t_design, jacobi_by_polarization, support_shells
 from .enumerators import (
     extended_jacobi,
     higher_jacobi,
@@ -29,8 +31,6 @@ from .enumerators import (
 )
 from .errors import DesignHypothesisFails, JacobiForgeError
 from .exactmath import format_rational, parse_rational
-from .harmonic import HahnParams, hahn_eval, harm_basis, harmonic_higher_wenum
-from .verify import CHECKS, verify_all
 
 
 class UsageError(Exception):
@@ -181,6 +181,9 @@ def _verdict(check, lhs, rhs, names=None) -> int:
 
 
 def _cmd_mw_check(args, code: LinearCode) -> int:
+    from .designs import Run
+    from .verify import CHECKS
+
     T = _parse_tset(code, args.T).sorted()
     if args.kind == "ejac":
         if args.m is None or args.m < 1:
@@ -205,6 +208,8 @@ def _cmd_verify(args, code: LinearCode) -> int:
             raise UsageError(f"{flag} must be nonnegative")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    from .verify import verify_all
+
     lines, ok = verify_all(
         code,
         r_max=args.r,
@@ -249,6 +254,8 @@ def _run(argv) -> int:
     args = parser.parse_args(_attach_rational_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "hahn":
+            from .harmonic import HahnParams, hahn_eval
+
             if not 0 <= args.m < args.N:
                 raise UsageError("hahn needs 0 <= m < N")
             params = HahnParams(
@@ -265,6 +272,10 @@ def _run(argv) -> int:
             finally:
                 sys.set_int_max_str_digits(limit)
             return 0
+        guards = (("--max-subcodes", args.max_subcodes), ("--max-words", args.max_words))
+        for flag, guard in guards:
+            if guard < 1:
+                raise UsageError(f"{flag} must be at least 1")
         code = _load_code(args)
         if args.command == "wenum":
             _emit(weight_enum(code, args.max_words), args.json)
@@ -291,6 +302,8 @@ def _run(argv) -> int:
         if args.command == "mw-check":
             return _cmd_mw_check(args, code)
         if args.command == "design-check":
+            from .designs import is_t_design, support_shells
+
             _check_rank(code, args.r)
             _check_range("t", args.t, 0, code.n)
             for w, shell in support_shells(code, args.r, args.max_subcodes).items():
@@ -301,6 +314,8 @@ def _run(argv) -> int:
                     print(f"i={w}: not a {args.t}-design")
             return 0
         if args.command == "polarize":
+            from .designs import Run, jacobi_by_polarization
+
             _check_rank(code, args.r)
             _check_range("t", args.t, 0, code.n)
             try:
@@ -312,6 +327,8 @@ def _run(argv) -> int:
             _emit(poly, args.json)
             return 0
         if args.command == "harm-wenum":
+            from .harmonic import harm_basis, harmonic_higher_wenum
+
             _check_rank(code, args.r)
             _check_range("d", args.d, 0, code.n)
             if 2 * args.d > code.n:
@@ -330,6 +347,9 @@ def _run(argv) -> int:
             _emit(poly, args.json)
             return 0
         if args.command == "recover":
+            from .designs import Run
+            from .verify import CHECKS
+
             _check_rank(code, args.r)
             tset = _parse_tset(code, args.T)
             if 2 * tset.size > code.n:

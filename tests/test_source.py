@@ -14,6 +14,7 @@ KEEPERS = {
     "rat_solve": "the public one-off solve; perfbench/tracer.py traces it (src inverts once)",
     "JacobiTable.from_json_dict": "the README promises the --json round trip",
     "BiHomPoly.from_json_dict": "the README promises the --json round trip",
+    "__getattr__": "the import system calls it (PEP 562)",
 }
 
 

@@ -2,11 +2,18 @@
 
 Each check runs a fresh interpreter under ``-X importtime``, which lists
 every module the process imports on stderr; the test process itself has
-long since imported everything.  ``verify`` runs in one process for any
-``--jobs``, and the records are NamedTuple or ``__slots__`` classes, so
-neither ``multiprocessing`` nor ``pickle`` nor ``dataclasses`` (nor the
-``inspect`` that ``dataclasses`` pulls in) belongs on the import path of a
-command, one given ``--jobs 2`` included.
+long since imported everything.  ``import jacobiforge`` loads the table
+layer and resolves the names of the checks layer (designs, harmonic,
+verify) on first use, so a table command never compiles that layer, and
+``design-check`` and ``polarize`` compile only ``designs`` of it.  The
+table layer stays eager for perfbench's tracer test, which this module
+also runs on its own, as ``python -m pytest perfbench/tests`` does.
+
+``verify`` runs in one process for any ``--jobs``, and the records are
+NamedTuple or ``__slots__`` classes, so neither ``multiprocessing`` nor
+``pickle`` nor ``dataclasses`` (nor the ``inspect`` that ``dataclasses``
+pulls in) belongs on the import path of a command, one given ``--jobs 2``
+included.
 
 The garbage collector is frozen by the entry point, never by a library
 call: ``python -m jacobiforge`` freezes what it has imported, while
@@ -20,13 +27,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jacobiforge
 from helpers import HAMMING74_TEXT
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 UNWANTED = ("multiprocessing", "pickle", "dataclasses", "inspect")
 # the command-line front end and the entry point are not library modules
 FRONT_END = {"cli", "__main__"}
+# what `import jacobiforge` loads; a command imports the checks it runs
+TABLE_LAYER = {"bipoly", "code", "enumerators", "errors", "exactmath", "gf", "qcomb", "transforms"}
+CHECKS_LAYER = {"designs", "harmonic", "verify"}
 
 
 def imported(*argv) -> set[str]:
@@ -76,20 +89,107 @@ def test_a_parallel_verify_loads_no_unwanted_module(tmp_path):
     assert unwanted(modules) == []
 
 
-def test_importing_the_package_loads_every_library_module():
-    # the restored_jacobiforge fixture of perfbench/tests/test_tracer.py
-    # saves and restores only the modules `import jacobiforge` has loaded,
-    # and its test asserts that the tracer rebinds more than 20 names in
-    # them, so the package __init__ must stay eager (the tracer's install()
-    # imports every module it rebinds by name, so it does not need this)
-    library = {
-        f"jacobiforge.{info.name}"
-        for info in pkgutil.iter_modules(jacobiforge.__path__)
-        if info.name not in FRONT_END
-    }
-    assert len(library) >= 10
-    modules = imported("-c", "import jacobiforge")
-    assert library <= modules, sorted(library - modules)
+def library_modules(modules: set[str]) -> set[str]:
+    """The bare names of the jacobiforge submodules among modules."""
+    return {mod.split(".", 1)[1] for mod in modules if mod.startswith("jacobiforge.")}
+
+
+def test_importing_the_package_loads_the_table_layer_only():
+    # perfbench/tests/test_tracer.py's restored_jacobiforge fixture saves
+    # and restores only the modules `import jacobiforge` loads, and asserts
+    # that the tracer rebinds more than 20 names in them: the table layer
+    # holds enough of them, so only the checks layer waits for a command
+    package = {info.name for info in pkgutil.iter_modules(jacobiforge.__path__)}
+    assert package == TABLE_LAYER | CHECKS_LAYER | FRONT_END
+    assert library_modules(imported("-c", "import jacobiforge")) == TABLE_LAYER
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        (("wenum",), set()),
+        (("jacobi", "-T", "1,2"), set()),
+        (("hwenum", "-r", "1"), set()),
+        (("hjacobi", "-r", "1", "-T", "1,2"), set()),
+        (("ejacobi", "-m", "2", "-T", "1,2"), set()),
+        (("design-check", "-r", "1", "-t", "2"), {"designs"}),
+        (("polarize", "-r", "1", "-t", "2"), {"designs"}),
+    ],
+    ids=["wenum", "jacobi", "hwenum", "hjacobi", "ejacobi", "design-check", "polarize"],
+)
+def test_a_command_loads_only_the_checks_it_runs(tmp_path, argv, checks):
+    code = tmp_path / "hamming7.txt"
+    code.write_text(HAMMING74_TEXT)
+    modules = imported("-m", "jacobiforge", *argv, "--code", str(code))
+    assert library_modules(modules) & CHECKS_LAYER == checks
+
+
+def test_the_tracer_tests_pass_on_their_own():
+    # run after tests/, which imports every module, the restored_jacobiforge
+    # fixture saves every module whatever the package __init__ imports; run
+    # alone, as here, it sees only what `import jacobiforge` loads
+    res = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/tests/test_tracer.py", "-q"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
+# every name `import jacobiforge` exports, by the module that defines it
+EXPORTS = {
+    "bipoly": ("BiHomPoly", "PairSubstitution"),
+    "code": ("LinearCode", "RefSet", "parse_code"),
+    "designs": (
+        "BlockMultiset", "DesignVerdict", "is_t_design", "jacobi_by_polarization",
+        "punctured_split", "subcode_support_designs", "t_independence_check",
+    ),
+    "enumerators": (
+        "JacobiTable", "extended_jacobi", "extended_jacobi_direct", "extended_jacobi_via_q",
+        "higher_from_extended", "higher_jacobi", "higher_jacobi_via_q", "higher_weight_enum",
+        "jacobi", "weight_enum",
+    ),
+    "errors": (
+        "DegreeMismatch", "DegreeUnderflow", "DesignHypothesisFails", "DivisionByZero",
+        "FieldMismatch", "JacobiForgeError", "NonIntegerResult", "NotPrime", "ParseError",
+        "PochhammerZeroDenominator", "SingularMatrix", "TooLarge",
+    ),
+    "exactmath": ("RatMatrix", "rat_solve"),
+    "gf": ("FieldSpec", "field_new"),
+    "harmonic": (
+        "HahnParams", "SubsetFn", "delsarte_design_check", "f_tilde", "h_dt", "hahn_eval",
+        "harm_basis", "harmonic_higher_wenum", "recover_jacobi",
+    ),
+    "qcomb": ("gauss_binom", "qbracket", "qfact"),
+    "transforms": ("MWContext", "mw_extended_jacobi", "mw_higher_jacobi", "mw_higher_weight"),
+    "verify": ("verify_all",),
+}
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    """In a fresh interpreter, so that each checks-layer name is resolved
+    before its module is loaded; the package caches none of them."""
+    script = (
+        "import importlib, jacobiforge\n"
+        "exports = %r\n"
+        "for module, names in exports.items():\n"
+        "    for name in names:\n"
+        "        ns = {}\n"
+        "        exec(f'from jacobiforge import {name}', ns)\n"
+        "        defining = importlib.import_module(f'jacobiforge.{module}')\n"
+        "        assert ns[name] is getattr(defining, name), (module, name)\n"
+        "    exec(f'from jacobiforge import {module}', ns)\n"
+        "    assert ns[module] is defining, module\n"
+        "try:\n"
+        "    jacobiforge.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(*sorted(n for ns in exports.values() for n in ns if n in vars(jacobiforge)))\n"
+        % EXPORTS
+    )
+    out = run_python("-c", script).splitlines()
+    assert out[0] == "module 'jacobiforge' has no attribute 'no_such_name'"
+    eager = [name for module in TABLE_LAYER for name in EXPORTS[module]]
+    assert out[1].split() == sorted(eager)
 
 
 def run_python(*argv) -> str:
