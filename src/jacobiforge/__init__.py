@@ -52,7 +52,6 @@ _LAZY = {
     "DesignVerdict": "designs",
     "is_t_design": "designs",
     "jacobi_by_polarization": "designs",
-    "punctured_split": "designs",
     "subcode_support_designs": "designs",
     "t_independence_check": "designs",
     "HahnParams": "harmonic",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from .code import (
     MAX_SUBCODES_DEFAULT,
@@ -124,7 +125,10 @@ def _parse_tset(code: LinearCode, text: str) -> RefSet:
     # ASCII decimal only: int() also takes signs, underscores and other scripts' digits
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise UsageError(f"bad -T value {text!r}")
-    coords = [int(tok) for tok in tokens]
+    try:
+        coords = [int(tok) for tok in tokens]
+    except ValueError:  # more digits than int() reads from a str
+        raise UsageError(f"coordinate of {max(map(len, tokens))} digits outside 1..{code.n}")
     if len(set(coords)) != len(coords):
         raise UsageError("-T coordinates must be distinct")
     for c in coords:
@@ -156,13 +160,26 @@ def _parse_rational_arg(name: str, text: str):
         raise UsageError(f"bad {name} value {text!r}") from exc
 
 
-def _emit(poly_or_table, as_json: bool):
-    if as_json:
-        import json  # only --json pays for it at start-up
+@contextmanager
+def _any_length():
+    """Lift Python's cap on the digits of an int written in decimal inside the
+    block only: exact values print at any length, and input keeps the cap."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
-        print(json.dumps(poly_or_table.to_json_dict()))
-    else:
-        print(poly_or_table.render())
+
+def _emit(poly_or_table, as_json: bool):
+    with _any_length():
+        if as_json:
+            import json  # only --json pays for it at start-up
+
+            print(json.dumps(poly_or_table.to_json_dict()))
+        else:
+            print(poly_or_table.render())
 
 
 def _verdict(check, lhs, rhs, names=None) -> int:
@@ -197,9 +214,10 @@ def _cmd_mw_check(args, code: LinearCode) -> int:
         params = (args.r,) if args.kind == "hw" else (args.r, T)
     check = CHECKS["mw_" + args.kind]
     lhs, rhs = check.routes(code, Run(args.max_subcodes, args.max_words), *params)
-    print(f"transform: {lhs.render()}")
-    print(f"dual:      {rhs.render()}")
-    return _verdict(check, lhs, rhs, None if args.kind == "hw" else ("transform", "dual"))
+    with _any_length():
+        print(f"transform: {lhs.render()}")
+        print(f"dual:      {rhs.render()}")
+        return _verdict(check, lhs, rhs, None if args.kind == "hw" else ("transform", "dual"))
 
 
 def _cmd_verify(args, code: LinearCode) -> int:
@@ -265,12 +283,8 @@ def _run(argv) -> int:
                 args.m,
             )
             value = hahn_eval(params, args.x)
-            limit = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)  # an exact value of any length prints
-            try:
+            with _any_length():
                 print(format_rational(value))
-            finally:
-                sys.set_int_max_str_digits(limit)
             return 0
         guards = (("--max-subcodes", args.max_subcodes), ("--max-words", args.max_words))
         for flag, guard in guards:

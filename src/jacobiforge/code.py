@@ -158,7 +158,10 @@ def parse_code(text: str) -> LinearCode:
             raise ParseError(f"header key {key!r} given twice")
         if not (value.isascii() and value.isdigit()):  # int() takes signs, _, other scripts
             raise ParseError(f"bad header value in {token!r}")
-        header[key] = int(value)
+        try:
+            header[key] = int(value)
+        except ValueError:  # more digits than int() reads from a str
+            raise ParseError(f"header value {key}= has {len(value)} digits") from None
     if "q" not in header or "n" not in header:
         raise ParseError("header must declare q= and n=")
     q, n = header["q"], header["n"]
@@ -187,7 +190,10 @@ def parse_code(text: str) -> LinearCode:
         digits = "".join(entries)
         if not (digits.isascii() and digits.isdigit()):
             raise ParseError(f"non-decimal entry in row {ln!r}")
-        row = [int(x) for x in entries]
+        try:
+            row = [int(x) for x in entries]
+        except ValueError:  # more digits than int() reads from a str
+            raise ParseError(f"entry of {max(map(len, entries))} digits in row {len(rows) + 1}")
         for x in row:
             if not 0 <= x < q:
                 raise FieldMismatch(f"entry {x} out of range for GF({q})")

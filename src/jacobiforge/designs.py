@@ -289,33 +289,3 @@ def jacobi_by_polarization(
     poly = poly.scale(Fraction(1, perm(code.n, t)))
     tset = RefSet.of(code.n, range(1, t + 1))
     return table_from_bipoly("higher", r, code.spec.q, code.n, tset, poly).to_bipoly()
-
-
-def punctured_split(
-    code: LinearCode, r: int, coord: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> tuple[Counter, Counter]:
-    """Split the rank-r support indicators by their value at one coordinate.
-
-    Returns the two weight histograms Counter{weight: multiplicity} after
-    puncturing that coordinate: supports avoiding it, then supports
-    containing it.  Reassembling w * sum x^(n-1-w0) y^w0 + z * sum
-    x^(n-1-w1) y^w1 gives the split-weight polynomial for T = {coord}.
-    """
-    if not 1 <= coord <= code.n:
-        raise ValueError(f"coordinate must lie in 1..{code.n}")
-    zero_side: Counter = Counter()
-    one_side: Counter = Counter()
-    bit = 1 << (coord - 1)
-    for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
-        if mask & bit:
-            one_side[mask.bit_count() - 1] += mult
-        else:
-            zero_side[mask.bit_count()] += mult
-    return zero_side, one_side
-
-
-def reassemble_punctured(n: int, zero_weights: Counter, one_weights: Counter) -> BiHomPoly:
-    """Rebuild the T = {i} split-weight polynomial from a punctured split."""
-    terms = {(0, w): c for w, c in zero_weights.items()}
-    terms.update(((1, w), c) for w, c in one_weights.items())
-    return BiHomPoly.from_terms(1, n - 1, terms)

@@ -37,7 +37,7 @@ from operator import add
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
 from .designs import Run, support_shells
-from .enumerators import JacobiTable, subcode_support_histogram, table_from_bipoly
+from .enumerators import JacobiTable, table_from_bipoly
 from .errors import PochhammerZeroDenominator
 from .exactmath import apply_inverse, exact, rat_inverse
 
@@ -109,7 +109,8 @@ def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
 def f_tilde(f: SubsetFn, x_set) -> Fraction:
     """Extension to arbitrary sets: sum of f over the d-subsets of X.
 
-    Zero when |X| < d; for d = 0 it is the value at the empty set.
+    Zero when |X| < d; for d = 0 it is the value at the empty set.  The
+    literal definition: ``_kernel_sum`` takes it over a whole shell at once.
     """
     subsets = _subset_masks(_as_mask(x_set), f.d)
     return sum((f.values.get(z, 0) for z in subsets), Fraction(0))
@@ -122,13 +123,20 @@ def harmonic_higher_wenum(
     max_subcodes: int = MAX_SUBCODES_DEFAULT,
 ) -> BiHomPoly:
     """Weight enumerator of the r-dim subcodes, each counted with weight
-    f-tilde of its support; coefficients are exact rationals."""
+    f-tilde of its support: at weight w, the lambda kernel sum of the
+    weight-w shell (see ``delsarte_design_check``), an exact rational."""
     if f.n != code.n:
         raise ValueError("function and code live on different coordinate sets")
-    counts = [Fraction(0)] * (code.n + 1)
-    for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
-        counts[mask.bit_count()] += mult * f_tilde(f, mask)
+    counts = [0] * (code.n + 1)
+    for w, shell in support_shells(code, r, max_subcodes).items():
+        counts[w] = _kernel_sum(f, shell.lambdas(f.d))
     return BiHomPoly(0, code.n, [counts])
+
+
+def _kernel_sum(f: SubsetFn, lam) -> int | Fraction:
+    """sum_Z f(Z) lambda(Z), which is sum_b f-tilde(b) over the blocks
+    whose lambda kernel lam is, taken to depth at least f.d."""
+    return sum(v * lam[z] for z, v in f.values.items() if z in lam)
 
 
 def delsarte_design_check(blocks, t: int) -> bool:
@@ -146,7 +154,7 @@ def delsarte_design_check(blocks, t: int) -> bool:
     lam = blocks.lambdas(t)
     for d in range(1, t + 1):
         for f in harm_basis(blocks.n, d):
-            if sum(v * lam[z] for z, v in f.values.items() if z in lam):
+            if _kernel_sum(f, lam):
                 return False
     return True
 

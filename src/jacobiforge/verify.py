@@ -20,14 +20,16 @@ with one ``designs.Run``: the guards every route is bounded by, and the
 memo (``run.shared``) of the objects that many items read: the direct
 rank-r table, the rank-decomposition extension table, the dual code and
 the support shells of each rank, whose lambda kernel serves the design,
-polarization, Delsarte and recovery items, each built once per (code, T,
-parameter).  The code's enumerations (histograms, rank sweep) are cached
-by ``enumerators``, so each is built once too.  The memo only shares one
-route's output among the items that read that route, and it belongs to
-the run, so the next run (or a corrupted route) starts afresh; a library
-call given no run makes its own.  Before the items run, each rank's
-lambda kernel is built at the largest t of the run, so that no item
-rebuilds it deeper.  The summary line counts the items and the SKIPs.
+polarization, Delsarte, recovery and punctured items, each built once per
+(code, T, parameter).  The code's enumerations (histograms, rank sweep)
+are cached by ``enumerators``, so each is built once too.  The memo only
+shares one route's output among the items that read that route, and it
+belongs to the run, so the next run (or a corrupted route) starts afresh;
+a library call given no run makes its own.  Before the items run, each
+rank's lambda kernel is built at the largest t of the run (at least 1,
+the punctured items' depth, and at most n), so that no item rebuilds it
+deeper.  The design items run for t <= n.  The summary line counts the
+items and the SKIPs.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ from .designs import (
     is_t_design,
     jacobi_by_polarization,
     kernel_tables,
-    punctured_split,
-    reassemble_punctured,
     subcode_support_designs,
     support_shells,
     t_independence_check,
@@ -78,8 +78,6 @@ def _sample_tsets(n: int, t_max: int, seed: int) -> list[tuple[int, ...]]:
     rng = random.Random(seed)
     out: list[tuple[int, ...]] = []
     for t in range(0, t_max + 1):
-        if t > n:
-            break
         chosen = {tuple(range(1, t + 1))}
         universe = list(combinations(range(1, n + 1), t))
         while len(chosen) < min(_SAMPLES_PER_SIZE, len(universe)):
@@ -91,7 +89,8 @@ def _sample_tsets(n: int, t_max: int, seed: int) -> list[tuple[int, ...]]:
 def build_items(code: LinearCode, r_max: int, m_max: int, t_max: int, seed: int):
     """Deterministic list of (label, kind, params) verification items."""
     n, k, q = code.n, code.k, code.spec.q
-    tsets = _sample_tsets(n, min(t_max, n), seed)
+    t_max = min(t_max, n)
+    tsets = _sample_tsets(n, t_max, seed)
     rng = random.Random(seed + 1)
     coords = sorted(rng.sample(range(1, n + 1), min(_COORD_SAMPLES, n)))
     rs = list(range(0, min(r_max, k) + 1))
@@ -244,10 +243,6 @@ def _design_equiv(code, run, r, t):
     return {witness: all(v.is_design for v in verdicts.values())}, {witness: independent}
 
 
-def _t_over_n(code, run, r, t) -> bool:
-    return t > code.n
-
-
 def _polarize(code, run, r, t):
     """The polarized polynomial vs the lambda kernel's table at each t-set."""
     poly = jacobi_by_polarization(code, r, t, run)
@@ -263,8 +258,9 @@ def _delsarte(code, run, r, t):
 
 
 def _punctured(code, run, r, i):
-    zero_w, one_w = punctured_split(code, r, i, run.max_subcodes)
-    return reassemble_punctured(code.n, zero_w, one_w), _hjac(code, run, r, (i,)).to_bipoly()
+    """The lambda kernel's table at T = {i} vs the split counts at {i}."""
+    tables = run.shared(kernel_tables, code, r, 1, run)
+    return tables[(i,)], _hjac(code, run, r, (i,)).to_bipoly()
 
 
 # each entry's comment names the two kernels its routes read
@@ -277,13 +273,8 @@ CHECKS: dict[str, Check] = {
     "hjac_from_ext": Check(_hjac_from_ext, same_grid, _FIRST_DIFFERENCE),
     # the rank sweep vs split counts summed by rank decomposition
     "ejac_via_q": Check(_ejac_via_q, same_grid, _FIRST_DIFFERENCE),
-    "ejac_direct": Check(  # the extension histogram vs split counts summed by rank
-        _ejac_direct,
-        same_grid,
-        _FIRST_DIFFERENCE,
-        skip_if=lambda code, run, m, T: code.spec.q ** (m * code.k) > run.max_words,
-        skip_reason="extension word count exceeds the guard",
-    ),
+    # the extension histogram vs split counts summed by rank
+    "ejac_direct": Check(_ejac_direct, same_grid, _FIRST_DIFFERENCE),
     # the pair substitution of the code's table vs the dual's, both from split counts
     "mw_ejac": Check(_mw_ejac, same_grid, _FIRST_DIFFERENCE),
     "mw_hjac": Check(_mw_hjac, same_grid, _FIRST_DIFFERENCE),
@@ -296,24 +287,14 @@ CHECKS: dict[str, Check] = {
     ),
     "mw_hw": Check(_mw_hw, same_value),  # substituted subcode histograms vs the dual's
     "design_equiv": Check(  # is_t_design's incidence vs the lambda kernel's tables
-        _design_equiv,
-        same_per_key,
-        "designs={1} independence={2} witness={0}",
-        skip_if=_t_over_n,
-        skip_reason="t exceeds n",
+        _design_equiv, same_per_key, "designs={1} independence={2} witness={0}"
     ),
-    "polarize": Check(  # is_t_design and polarization vs the lambda kernel's tables
-        _polarize,
-        same_per_key,
-        "differs at T={}",
-        skip_if=_t_over_n,
-        skip_reason="t exceeds n",
-    ),
+    # is_t_design and polarization vs the lambda kernel's tables
+    "polarize": Check(_polarize, same_per_key, "differs at T={}"),
     # is_t_design's incidence vs the lambda kernel's Delsarte sums
-    "delsarte": Check(
-        _delsarte, same_per_key, "weight {}: brute={} harmonic={}", _t_over_n, "t exceeds n"
-    ),
-    "punctured": Check(_punctured, same_value),  # histogram at one coordinate vs split counts
+    "delsarte": Check(_delsarte, same_per_key, "weight {}: brute={} harmonic={}"),
+    # the lambda kernel's Moebius table at one coordinate vs split counts
+    "punctured": Check(_punctured, same_value),
 }
 
 
@@ -371,11 +352,12 @@ def verify_all(
             )
     items = build_items(code, r_max, m_max, t_max, seed)
     run = Run(max_subcodes, max_words)
-    # each rank's lambda kernel at the run's largest t: every shell is
-    # transposed once, and the items read each smaller t off that table
+    # each rank's lambda kernel at the run's largest t, and at least at the
+    # t = 1 of the punctured items: every shell is transposed once, and the
+    # items read each smaller t off that table
     for r in ranks:
         for shell in run.shared(support_shells, code, r, max_subcodes).values():
-            shell.lambdas(min(t_max, code.n))
+            shell.lambdas(min(max(t_max, 1), code.n))
     results = [_run_one(code, kind, params, run) for _, kind, params in items]
     lines = [
         f"{status} {label}" + (f": {detail}" if detail else "")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,16 @@ from pathlib import Path
 import pytest
 
 from helpers import C12_TEXT, EX44_TEXT, HAMMING74_TEXT, TGOLAY12_TEXT
-from jacobiforge import HahnParams, JacobiTable, RefSet, cli, hahn_eval, higher_jacobi, parse_code
+from jacobiforge import (
+    HahnParams,
+    JacobiTable,
+    RefSet,
+    cli,
+    extended_jacobi,
+    hahn_eval,
+    higher_jacobi,
+    parse_code,
+)
 from jacobiforge.exactmath import format_rational
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -228,6 +238,34 @@ def test_hahn_prints_an_exact_value_of_any_length(capsys):
     assert out == expected and len(out) > limit
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["ejacobi", "-m", "5000", "-T", "1"], ["ejacobi", "-m", "5000", "-T", "1", "--json"],
+     ["mw-check", "--kind", "ejac", "-m", "5000", "-T", "1"]],
+    ids=["text", "json", "mw-check"],
+)
+def test_tables_print_exact_values_of_any_length(hamming_path, capsys, argv):
+    # at m = 5000 the tables of the [7,4] code and of its dual have entries
+    # of over 4,300 digits, more than Python writes in decimal by default
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(argv + ["--code", hamming_path]) == 0
+    out = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    assert max(map(len, re.findall(r"[0-9]+", out))) > limit
+    if argv[0] == "mw-check":
+        assert out.splitlines()[-1] == "EQUAL"
+        return
+    table = extended_jacobi(parse_code(HAMMING74_TEXT), RefSet.of(7, [1]), 5000)
+    sys.set_int_max_str_digits(0)
+    try:
+        if "--json" in argv:
+            assert JacobiTable.from_json_dict(json.loads(out)) == table
+        else:
+            assert out == table.render() + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
 @pytest.mark.parametrize("text", ["1e5", "2E-3", "1e10000000"])
 def test_hahn_refuses_exponent_notation(flag, text):
@@ -240,6 +278,12 @@ def test_hahn_refuses_exponent_notation(flag, text):
 
 
 HAHN = ("hahn", "-x", "1", "--beta", "1")
+# the matrix files the cases below name in braces
+MATRIX_FILES = {
+    "{code}": HAMMING74_TEXT,
+    "{long-q}": "q=" + "1" * 5000 + " n=2\n11\n",
+    "{long-entry}": "q=11 n=2\n" + "1" * 5000 + " 1\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -272,16 +316,27 @@ HAHN = ("hahn", "-x", "1", "--beta", "1")
          "error: --max-words must be at least 1"),
         (("verify", "--code", "{code}", "--max-words", "-1"),
          "error: --max-words must be at least 1"),
+        # numbers longer than int() reads from a str
+        (("wenum", "--code", "{long-q}"), "error: ParseError: header value q= has 5000 digits"),
+        (("wenum", "--code", "{long-entry}"), "error: ParseError: entry of 5000 digits in row 1"),
+        (("jacobi", "--code", "{code}", "-T", "1" * 5000),
+         "error: coordinate of 5000 digits outside 1..7"),
     ],
     ids=["hahn-m-ge-N", "hahn-alpha-abc", "hahn-alpha-div0", "harm-d-9", "harm-d-neg",
          "recover-T-4", "polarize-t-9", "polarize-t-neg", "verify-r-neg", "verify-t-neg",
          "verify-m-neg", "verify-jobs-0", "mw-check-json", "jacobi-T-arabic-indic",
          "jacobi-T-underscore", "jacobi-T-plus", "hwenum-max-subcodes-neg",
-         "design-check-max-subcodes-0", "wenum-max-words-0", "verify-max-words-neg"],
+         "design-check-max-subcodes-0", "wenum-max-words-0", "verify-max-words-neg",
+         "header-q-5000-digits", "row-entry-5000-digits", "jacobi-T-5000-digits"],
 )
-def test_malformed_input_is_a_usage_error(hamming_path, argv, message):
-    # exit 1 is reserved for DIFFER; bad arguments on the [7,4] code exit 2
-    res = run_cli(*(hamming_path if a == "{code}" else a for a in argv))
+def test_malformed_input_is_a_usage_error(tmp_path, argv, message):
+    # exit 1 is reserved for DIFFER; bad arguments on the [7,4] code, and
+    # bad matrix files, exit 2
+    paths = {}
+    for name, text in MATRIX_FILES.items():
+        paths[name] = tmp_path / f"{name.strip('{}')}.txt"
+        paths[name].write_text(text)
+    res = run_cli(*(str(paths[a]) if a in paths else a for a in argv))
     assert res.returncode == 2
     assert res.stderr.splitlines()[-1] == message
     assert "Traceback" not in res.stderr

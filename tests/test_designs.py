@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -13,12 +12,11 @@ from jacobiforge import (
     higher_jacobi,
     is_t_design,
     jacobi_by_polarization,
-    punctured_split,
     subcode_support_designs,
     t_independence_check,
 )
 from jacobiforge.code import LinearCode
-from jacobiforge.designs import Run, reassemble_punctured, support_shells
+from jacobiforge.designs import Run, support_shells
 from jacobiforge.gf import field_new
 
 S12 = block_multiset(6, [{1, 2}, {3, 4}, {5, 6}])
@@ -174,21 +172,3 @@ def test_polarization_failure_names_the_strength_each_shell_failed_at():
     with pytest.raises(DesignHypothesisFails) as exc:
         jacobi_by_polarization(ex44(), 1, 2)
     assert str(exc.value) == "support shells at weights [2, 4] are not 2-designs"
-
-
-def test_punctured_split_goldens():
-    code = ex44()
-    assert punctured_split(code, 1, 1) == (Counter({2: 2, 4: 1}), Counter({1: 1, 3: 2, 5: 1}))
-    assert punctured_split(code, 0, 1) == (Counter({0: 1}), Counter())
-    rep = LinearCode(field_new(2), 2, [[1, 1]])
-    assert punctured_split(rep, 1, 1) == (Counter(), Counter({1: 1}))
-
-
-def test_punctured_reassembly_equals_direct():
-    for code in (ex44(), hamming74()):
-        for r in range(code.k + 1):
-            for i in range(1, code.n + 1):
-                zero_w, one_w = punctured_split(code, r, i)
-                rebuilt = reassemble_punctured(code.n, zero_w, one_w)
-                direct = higher_jacobi(code, RefSet.of(code.n, [i]), r).to_bipoly()
-                assert rebuilt == direct, (code, r, i)

@@ -177,6 +177,43 @@ def test_harmonic_wenum_zero_weight_coefficient_vanishes():
             assert poly.coeff[0][0] == 0
 
 
+def literal_harmonic_wenum(code, f, r) -> list:
+    """The definition: f-tilde of each r-dim subcode's support, by weight."""
+    counts = [Fraction(0)] * (code.n + 1)
+    for mask, mult in subcode_support_histogram(code, r).items():
+        counts[mask.bit_count()] += mult * f_tilde(f, mask)
+    return counts
+
+
+@pytest.mark.parametrize("code", [hamming74, c12, tgolay12])
+def test_harmonic_wenum_equals_the_literal_f_tilde_sum(code):
+    # the lambda kernel's sums against f-tilde summed over the blocks, at the
+    # first, a middle and the last basis index
+    code = code()
+    for d in range(4):
+        basis = harm_basis(code.n, d)
+        for f in {basis[0], basis[len(basis) // 2], basis[-1]}:
+            for r in range(3):
+                got = harmonic_higher_wenum(code, f, r)
+                assert list(got.coeff[0]) == literal_harmonic_wenum(code, f, r), (d, r)
+
+
+def test_harmonic_wenum_of_a_rational_function_above_a_block_size():
+    # a Fraction-valued, non-harmonic f of degree 4 on Hamming [7, 4]: the
+    # weight-3 shell's blocks are smaller than d and contribute nothing
+    rng = random.Random(11)
+    code = hamming74()
+    f = SubsetFn(7, 4, {
+        z: Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        for z in combinations(range(1, 8), 4)
+    })
+    for r in range(code.k + 1):
+        got = list(harmonic_higher_wenum(code, f, r).coeff[0])
+        assert got == literal_harmonic_wenum(code, f, r), r
+        assert got[3] == 0
+    assert any(isinstance(c, Fraction) for c in harmonic_higher_wenum(code, f, 1).coeff[0])
+
+
 def test_delsarte_agrees_with_brute_force():
     for code in (ex44(), hamming74()):
         for r in range(1, code.k + 1):

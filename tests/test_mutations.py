@@ -286,6 +286,11 @@ def doubled(fn):
     return lambda *args: fn(*args).scale(2)
 
 
+def each_doubled(fn):
+    """fn returning {key: polynomial}, with every polynomial doubled."""
+    return lambda *args: {key: poly.scale(2) for key, poly in fn(*args).items()}
+
+
 # kind -> (route name the table reads in verify, its corruption, an item label
 # that must then FAIL)
 CORRUPTIONS = {
@@ -300,7 +305,8 @@ CORRUPTIONS = {
     "delsarte": (
         "delsarte_design_check", lambda fn: lambda *args: not fn(*args), "delsarte r=1 t=1"
     ),
-    "punctured": ("reassemble_punctured", doubled, "punctured-split r=1 "),
+    # the lambda side; test_split_side_corruption_fails_punctured corrupts the other
+    "punctured": ("kernel_tables", each_doubled, "punctured-split r=1 "),
 }
 
 
@@ -312,6 +318,16 @@ def test_corrupted_route_fails_its_check(monkeypatch, kind):
     assert not ok
     fails = failing_labels(lines)
     assert any(line.startswith("FAIL " + label) for line in fails), fails
+
+
+def test_split_side_corruption_fails_punctured(monkeypatch):
+    # the other side of the punctured item: the directly enumerated table at {i}
+    real = verify.higher_jacobi
+    monkeypatch.setattr(verify, "higher_jacobi", lambda *args: plus_one_at_origin(real(*args)))
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    assert any(line.startswith("FAIL punctured-split r=1 ") for line in fails), fails
 
 
 def test_mw_higher_jacobi_corruption_fails_verify_and_mw_check(monkeypatch, tmp_path, capsys):

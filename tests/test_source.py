@@ -12,6 +12,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "jacobiforge"
 KEEPERS = {
     "column_set_dim": "perfbench/tracer.py traces it by rebinding (ROADMAP items 1 and 7)",
     "rat_solve": "the public one-off solve; perfbench/tracer.py traces it (src inverts once)",
+    "f_tilde": "the literal sum over d-subsets that the tests check the lambda kernel sums "
+    "against; perfbench/tracer.py counts its calls (ROADMAP items 7 and 13)",
     "JacobiTable.from_json_dict": "the README promises the --json round trip",
     "BiHomPoly.from_json_dict": "the README promises the --json round trip",
     "__getattr__": "the import system calls it (PEP 562)",

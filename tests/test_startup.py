@@ -141,7 +141,7 @@ EXPORTS = {
     "code": ("LinearCode", "RefSet", "parse_code"),
     "designs": (
         "BlockMultiset", "DesignVerdict", "is_t_design", "jacobi_by_polarization",
-        "punctured_split", "subcode_support_designs", "t_independence_check",
+        "subcode_support_designs", "t_independence_check",
     ),
     "enumerators": (
         "JacobiTable", "extended_jacobi", "extended_jacobi_direct", "extended_jacobi_via_q",

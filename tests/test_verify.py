@@ -92,12 +92,23 @@ def test_verify_all_random_codes(monkeypatch):
 
 
 def test_the_summary_line_counts_the_skips():
-    # |T| > n/2, t > n and a failed design hypothesis each make a SKIP, and
-    # the last line says how many there are next to "all checks passed"
+    # |T| > n/2 and a failed design hypothesis each make a SKIP, t > n makes
+    # no item, and the last line counts the SKIPs next to "all checks passed"
     lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=8, seed=0)
     assert ok
-    assert sum(line.startswith("SKIP ") for line in lines) == 22
-    assert lines[-1] == "verify: all checks passed (218 items, 22 skipped, seed=0)"
+    assert sum(line.startswith("SKIP ") for line in lines) == 16
+    assert lines[-1] == "verify: all checks passed (212 items, 16 skipped, seed=0)"
+    assert not any(" t=8" in line for line in lines)
+
+
+def test_an_extension_over_the_word_guard_is_a_skip_that_names_the_count():
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=2, t_max=1, seed=0, max_words=255)
+    assert ok
+    skips = [line for line in lines if line.startswith("SKIP ")]
+    assert len(skips) == 3
+    for line in skips:
+        assert line.startswith("SKIP ejac-direct m=2 T=")
+        assert line.endswith(": guard exceeded: 2^8 extension words exceed the guard")
 
 
 def test_verify_all_deterministic_lines():
@@ -145,9 +156,10 @@ def test_verify_all_skips_when_a_shared_input_trips_a_limit():
 def test_each_lambda_kernel_is_built_once_per_run(
     monkeypatch, tmp_path, capsys, code, transposes, jobs
 ):
-    # each rank's kernel is taken at the run's largest t before the items
-    # run, so no item transposes a multiplicity class of a shell again at
-    # a deeper t, whatever --jobs says
+    # each rank's kernel is taken at the run's largest t, and at least at
+    # the punctured items' t = 1, before the items run, so no item
+    # transposes a multiplicity class of a shell again at a deeper t,
+    # whatever -t and --jobs say
     code = code()
     path = tmp_path / "code.txt"
     path.write_text(render_code(code))
@@ -159,16 +171,19 @@ def test_each_lambda_kernel_is_built_once_per_run(
         return real(*args)
 
     monkeypatch.setattr(designs, "_incidence", spy)
-    argv = ["verify", "--code", str(path), "-r", "2", "-m", "2", "-t", "2", "--seed", "1"]
-    status = cli.main(argv + ["--jobs", str(jobs)])
-    lines = capsys.readouterr().out.splitlines()
-    assert status == 0, [line for line in lines if line.startswith("FAIL")]
     classes = sum(
         len(set(shell.counts.values()))
         for r in range(3)
         for shell in designs.support_shells(code, r).values()
     )
-    assert len(calls) == classes == transposes
+    assert classes == transposes
+    for t in ("0", "1", "2"):
+        calls.clear()
+        argv = ["verify", "--code", str(path), "-r", "2", "-m", "2", "-t", t, "--seed", "1"]
+        status = cli.main(argv + ["--jobs", str(jobs)])
+        lines = capsys.readouterr().out.splitlines()
+        assert status == 0, [line for line in lines if line.startswith("FAIL")]
+        assert len(calls) == transposes, t
 
 
 def _hashable(arg):
