@@ -2,8 +2,8 @@
 
 Exit codes: 0 for success and EQUAL verdicts, 1 when an identity check
 reports DIFFER (or a stated hypothesis fails), 2 for usage, parse, and
-guard errors, and for a closed stdout.  All numeric output is exact;
-rationals print as p/q.
+guard errors (``verify`` reports a guard hit as a SKIP), and for a closed
+stdout.  All numeric output is exact; rationals print as p/q.
 
 Each command imports the design, harmonic or verify module it runs where
 it runs it, so a table command compiles none of them.
@@ -15,6 +15,8 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from itertools import islice
+from math import comb
 
 from .code import (
     MAX_SUBCODES_DEFAULT,
@@ -341,7 +343,7 @@ def _run(argv) -> int:
             _emit(poly, args.json)
             return 0
         if args.command == "harm-wenum":
-            from .harmonic import harm_basis, harmonic_higher_wenum
+            from .harmonic import basis_function, harmonic_higher_wenum, top_sets
 
             _check_rank(code, args.r)
             _check_range("d", args.d, 0, code.n)
@@ -350,15 +352,13 @@ def _run(argv) -> int:
                     f"harm-wenum needs d <= n/2 = {code.n // 2}: "
                     f"the degree-{args.d} harmonic space is {{0}}"
                 )
-            basis = harm_basis(code.n, args.d)
-            if not 0 <= args.basis_index < len(basis):
-                raise UsageError(
-                    f"basis index outside 0..{len(basis) - 1} for degree {args.d}"
-                )
-            poly = harmonic_higher_wenum(
-                code, basis[args.basis_index], args.r, args.max_subcodes
-            )
-            _emit(poly, args.json)
+            size = comb(code.n, args.d) - (comb(code.n, args.d - 1) if args.d else 0)
+            if not 0 <= args.basis_index < size:
+                raise UsageError(f"basis index outside 0..{size - 1} for degree {args.d}")
+            # the basis has C(n, d) - C(n, d-1) functions: build the one printed
+            top = next(islice(top_sets(code.n, args.d), args.basis_index, None))
+            f = basis_function(code.n, top)
+            _emit(harmonic_higher_wenum(code, f, args.r, args.max_subcodes), args.json)
             return 0
         if args.command == "recover":
             from .designs import Run
@@ -366,8 +366,6 @@ def _run(argv) -> int:
 
             _check_rank(code, args.r)
             tset = _parse_tset(code, args.T)
-            if 2 * tset.size > code.n:
-                raise UsageError(f"recover needs |T| <= n/2 = {code.n // 2}")
             check = CHECKS["recover"]
             run = Run(args.max_subcodes, args.max_words)
             lhs, rhs = check.routes(code, run, args.r, tset.sorted())

@@ -206,7 +206,7 @@ def subcode_support_histogram(
     if not 0 <= r <= code.k:
         raise ValueError(f"need 0 <= r <= k = {code.k}")
     if subcode_count(code, r) > max_subcodes:
-        raise TooLarge(f"{subcode_count(code, r)} subcodes exceed the guard")
+        raise TooLarge(f"rank-{r} subcodes exceed the guard {max_subcodes}")
     return _subcode_supports(code, r)
 
 
@@ -354,9 +354,10 @@ def _q_grid(code: LinearCode, tset: RefSet, weight_of_dim) -> list[list[int]]:
     """Q[s][t]: weight_of_dim summed over the subsets U with |U - T| = s
     and |U & T| = t, read off the dims grouped once per T."""
     tsize = tset.size
+    splits = _dims_by_split(code, tset.mask)  # its n <= 20 guard before any weight
     by_dim = [weight_of_dim(d) for d in range(code.k + 1)]
     grid = [[0] * (tsize + 1) for _ in range(code.n - tsize + 1)]
-    for (s, t, dim), count in _dims_by_split(code, tset.mask).items():
+    for (s, t, dim), count in splits.items():
         grid[s][t] += count * by_dim[dim]
     return grid
 

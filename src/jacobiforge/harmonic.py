@@ -76,34 +76,37 @@ def _subset_masks(mask: int, d: int):
     return map(sum, combinations(bits, d))
 
 
+def top_sets(n: int, d: int):
+    """The top sets B = {b_1 < ... < b_d}, b_i >= 2i, in lexicographic order:
+    the second rows of the standard tableaux of shape (n-d, d), of which
+    there are C(n, d) - C(n, d-1) (Filmus, EJC 2016), none for 2d > n."""
+    for top in combinations(range(1, n + 1), d):
+        if all(b >= 2 * i for i, b in enumerate(top, 1)):
+            yield top
+
+
+def basis_function(n: int, top) -> SubsetFn:
+    """The basis function of a top set B of size d: with a_1 < ... < a_d the
+    d smallest points outside B, f_B = prod_i (x_{a_i} - x_{b_i}) is
+    (-1)^{|Z meets B|} on the 2^d d-sets Z with one point of each pair
+    {a_i, b_i}, 0 elsewhere.  It is harmonic, as a (d-1)-set extends into
+    its support by a_i and by b_i with opposite signs, and the f_B are the
+    Specht polynomials of the standard tableaux, so independent (James,
+    LNM 682)."""
+    bottom = [a for a in range(1, n + 1) if a not in top][:len(top)]
+    values = {0: 1}
+    for a, b in zip(bottom, top):
+        pair = ((1 << a - 1, 1), (1 << b - 1, -1))
+        values = {z | bit: s * v for z, v in values.items() for bit, s in pair}
+    return SubsetFn(n, len(top), values)
+
+
 @lru_cache(maxsize=64)
 def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
-    """Basis of the degree-d harmonic space: one product per top set.
-
-    A top set B = {b_1 < ... < b_d}, b_i >= 2i, is the second row of a
-    standard tableau of shape (n-d, d).  With a_1 < ... < a_d the d smallest
-    points outside B, f_B = prod_i (x_{a_i} - x_{b_i}) is (-1)^{|Z meets B|}
-    on the 2^d d-sets Z with one point of each pair {a_i, b_i}, 0 elsewhere.
-    It is harmonic, as a (d-1)-set extends into its support by a_i and by
-    b_i with opposite signs.  The f_B are the Specht polynomials of the
-    standard tableaux, so independent (James, LNM 682), and there are
-    C(n, d) - C(n, d-1) of them (Filmus, EJC 2016).  Top sets go in
-    lexicographic order: the empty set alone at d = 0, none for 2d > n.
-    """
+    """Basis of the degree-d harmonic space: one function per top set."""
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
-    points = range(1, n + 1)
-    basis = []
-    for top in combinations(points, d):
-        if any(b < 2 * i for i, b in enumerate(top, 1)):
-            continue
-        bottom = [a for a in points if a not in top][:d]
-        values = {0: 1}
-        for a, b in zip(bottom, top):
-            pair = ((1 << a - 1, 1), (1 << b - 1, -1))
-            values = {z | bit: s * v for z, v in values.items() for bit, s in pair}
-        basis.append(SubsetFn(n, d, values))
-    return tuple(basis)
+    return tuple(basis_function(n, top) for top in top_sets(n, d))
 
 
 def f_tilde(f: SubsetFn, x_set) -> Fraction:
@@ -290,14 +293,16 @@ def recover_jacobi(
     shell l is a d-design.  The system uses as many kernel rows as there
     are feasible unknowns, and its inverse is built once per (n, t)
     (``_recovery_systems``); a singular system is surfaced, not suppressed.
-    The solutions become a table through ``table_from_bipoly``.
+    The solutions become a table through ``table_from_bipoly``.  The kernel
+    needs |T| <= n/2; a larger T transposes the table at [n] - T.
     """
     t = tset.size
     if tset.n != code.n:
         raise ValueError("reference set length does not match the code")
-    if 2 * t > code.n:
-        raise ValueError("need |T| <= n/2 for the Hahn parameterization")
     n, tmask, run = code.n, tset.mask, run or Run()
+    if 2 * t > n:
+        table = recover_jacobi(code, r, RefSet.of(n, set(range(1, n + 1)) - tset.members), run)
+        return table._replace(tset=tset, grid=tuple(zip(*table.grid)))
     shells = run.shared(support_shells, code, r, run.max_subcodes)
     lambdas = {ell: shell.lambdas(t) for ell, shell in shells.items()}
     coeff = [[0] * (n - t + 1) for _ in range(t + 1)]

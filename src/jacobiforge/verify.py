@@ -3,13 +3,15 @@ its independent computation route on one code, and report PASS/FAIL/SKIP
 per item.
 
 ``CHECKS`` is the one table of identity checks, keyed by item kind.  An
-entry computes the two routes for an item's parameters, names when the
-item is a SKIP, and compares the two results in one of three ways: table
-grids entry by entry (``same_grid``, reporting the first difference),
-plain ``==`` (``same_value``), or two maps key by key (``same_per_key``,
-for the design, Delsarte and polarization verdicts).  ``run_item`` is a
-lookup in this table; the CLI's ``mw-check`` and ``recover`` print what
-its entries compute, and the acceptance tests sweep through ``run_item``.
+entry computes the two routes for an item's parameters and compares the
+two results in one of three ways: table grids entry by entry
+(``same_grid``, reporting the first difference), plain ``==``
+(``same_value``), or two maps key by key (``same_per_key``, for the
+design, Delsarte and polarization verdicts).  ``run_item`` is a lookup in
+this table and the one place a route's outcome becomes an item status:
+a guard hit or a failed design hypothesis is a SKIP that states the
+route's message.  The CLI's ``mw-check`` and ``recover`` print what the
+entries compute, and the acceptance tests sweep through ``run_item``.
 
 The item list is built deterministically from the code and a seed (the
 seed only drives which reference sets and coordinates are sampled), so
@@ -28,13 +30,15 @@ belongs to the run, so the next run (or a corrupted route) starts afresh;
 a library call given no run makes its own.  Before the items run, each
 rank's lambda kernel is built at the largest t of the run (at least 1,
 the punctured items' depth, and at most n), so that no item rebuilds it
-deeper.  The design items run for t <= n.  The summary line counts the
+deeper; a rank over the subcode guard is never enumerated, and its items
+SKIP.  The design items run for t <= n.  The summary line counts the
 items and the SKIPs.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from itertools import combinations
 from typing import Callable, NamedTuple
 
@@ -43,7 +47,6 @@ from .code import (
     MAX_WORDS_DEFAULT,
     LinearCode,
     RefSet,
-    subcode_count,
 )
 from .designs import (
     Run,
@@ -155,16 +158,12 @@ class Check(NamedTuple):
     ``routes(code, run, *params)`` returns (lhs, rhs), run being the
     ``Run`` whose guards bound the routes and whose memo shares their
     inputs.  ``compare(lhs, rhs)`` returns (ok, fields) and the detail is
-    ``detail.format(*fields)`` unless fields is None.  The item is a SKIP
-    with ``skip_reason`` when ``skip_if(code, run, *params)`` holds, and
-    with its message when a route raises DesignHypothesisFails.
+    ``detail.format(*fields)`` unless fields is None.
     """
 
     routes: Callable
     compare: Callable
     detail: str = ""
-    skip_if: Callable | None = None
-    skip_reason: str = ""
 
 
 def _hjac(code, run, r, T):
@@ -278,13 +277,8 @@ CHECKS: dict[str, Check] = {
     # the pair substitution of the code's table vs the dual's, both from split counts
     "mw_ejac": Check(_mw_ejac, same_grid, _FIRST_DIFFERENCE),
     "mw_hjac": Check(_mw_hjac, same_grid, _FIRST_DIFFERENCE),
-    "recover": Check(  # the cached Hahn inverse of lambda kernel sums vs split counts
-        _recover,
-        same_grid,
-        _FIRST_DIFFERENCE,
-        skip_if=lambda code, run, r, T: 2 * len(T) > code.n,
-        skip_reason="|T| exceeds n/2",
-    ),
+    # the cached Hahn inverse of lambda kernel sums vs split counts
+    "recover": Check(_recover, same_grid, _FIRST_DIFFERENCE),
     "mw_hw": Check(_mw_hw, same_value),  # substituted subcode histograms vs the dual's
     "design_equiv": Check(  # is_t_design's incidence vs the lambda kernel's tables
         _design_equiv, same_per_key, "designs={1} independence={2} witness={0}"
@@ -300,33 +294,24 @@ CHECKS: dict[str, Check] = {
 
 def run_item(code: LinearCode, kind: str, params, run) -> tuple[bool | None, str]:
     """Execute one item in run, a ``Run`` or a (max_subcodes, max_words)
-    tuple; returns (ok, detail) with ok None meaning SKIP."""
+    tuple; returns (ok, detail), ok None meaning SKIP: a guard hit or a
+    failed design hypothesis.  A fraction or a singular system that an
+    exact route meets is an identity violation, a FAIL."""
     if isinstance(run, tuple):
         run = Run(*run)
     check = CHECKS[kind]
-    if check.skip_if and check.skip_if(code, run, *params):
-        return None, check.skip_reason
     try:
         lhs, rhs = check.routes(code, run, *params)
     except DesignHypothesisFails as exc:
         return None, str(exc)
+    except TooLarge as exc:
+        return None, f"guard exceeded: {exc}"
+    except NonIntegerResult as exc:
+        return False, f"non-integer result: {exc}"
+    except SingularMatrix as exc:
+        return False, f"singular system: {exc}"
     ok, fields = check.compare(lhs, rhs)
     return ok, "" if fields is None else check.detail.format(*fields)
-
-
-def _run_one(code: LinearCode, kind: str, params, run: Run) -> tuple[str, str]:
-    """One item's (status, detail): a guard hit is a SKIP, a fraction or a
-    singular system an exact route met is an identity violation, a FAIL."""
-    try:
-        ok, detail = run_item(code, kind, params, run)
-    except TooLarge as exc:
-        return "SKIP", f"guard exceeded: {exc}"
-    except NonIntegerResult as exc:
-        return "FAIL", f"non-integer result: {exc}"
-    except SingularMatrix as exc:
-        return "FAIL", f"singular system: {exc}"
-    status = "SKIP" if ok is None else ("PASS" if ok else "FAIL")
-    return status, detail
 
 
 def verify_all(
@@ -344,26 +329,21 @@ def verify_all(
     each rank's lambda kernel is built.  The summary line counts the items
     and the SKIPs among them.
     """
-    ranks = range(min(r_max, code.k) + 1)
-    for r in ranks:
-        if subcode_count(code, r) > max_subcodes:
-            raise TooLarge(
-                f"rank {r} needs {subcode_count(code, r)} subcodes, guard {max_subcodes}"
-            )
     items = build_items(code, r_max, m_max, t_max, seed)
     run = Run(max_subcodes, max_words)
     # each rank's lambda kernel at the run's largest t, and at least at the
     # t = 1 of the punctured items: every shell is transposed once, and the
-    # items read each smaller t off that table
-    for r in ranks:
-        for shell in run.shared(support_shells, code, r, max_subcodes).values():
-            shell.lambdas(min(max(t_max, 1), code.n))
-    results = [_run_one(code, kind, params, run) for _, kind, params in items]
-    lines = [
-        f"{status} {label}" + (f": {detail}" if detail else "")
-        for (label, _, _), (status, detail) in zip(items, results)
-    ]
-    statuses = [status for status, _ in results]
+    # items read each smaller t off that table; a rank over the guard has
+    # none, and its items SKIP
+    for r in range(min(r_max, code.k) + 1):
+        with suppress(TooLarge):
+            for shell in run.shared(support_shells, code, r, max_subcodes).values():
+                shell.lambdas(min(max(t_max, 1), code.n))
+    lines, statuses = [], []
+    for label, kind, params in items:
+        ok, detail = run_item(code, kind, params, run)
+        statuses.append("SKIP" if ok is None else ("PASS" if ok else "FAIL"))
+        lines.append(f"{statuses[-1]} {label}" + (f": {detail}" if detail else ""))
     ok = "FAIL" not in statuses
     summary = "all checks passed" if ok else "IDENTITY VIOLATION FOUND"
     skipped = statuses.count("SKIP")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import C12_TEXT, EX44_TEXT, HAMMING74_TEXT, TGOLAY12_TEXT
+from helpers import C12_TEXT, EX44_TEXT, HAMMING74_TEXT, TGOLAY12_TEXT, hamming74
 from jacobiforge import (
     HahnParams,
     JacobiTable,
@@ -16,9 +16,13 @@ from jacobiforge import (
     cli,
     extended_jacobi,
     hahn_eval,
+    harm_basis,
+    harmonic,
+    harmonic_higher_wenum,
     higher_jacobi,
     parse_code,
 )
+from jacobiforge.code import MAX_SUBCODES_DEFAULT
 from jacobiforge.exactmath import format_rational
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -130,7 +134,6 @@ def test_guard_flag_exit_code(hamming_path):
         "mw-check --kind hjac -r 2 -T 1",
         "mw-check --kind hw -r 2",
         "mw-check --kind ejac -m 1 -T 1",
-        "verify",
     ],
 )
 def test_the_subcode_guard_stops_each_command_that_shares_a_run(tmp_path, capsys, argv):
@@ -142,6 +145,48 @@ def test_the_subcode_guard_stops_each_command_that_shares_a_run(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: TooLarge: "), err
+
+
+def test_verify_past_the_subcode_guard_skips_the_ranks_over_it(tmp_path, capsys):
+    # the same guard of 5 in verify: the run goes on, its rank-0 items PASS
+    # and every item at a rank of 63 or 651 subcodes SKIPs with the reason
+    path = tmp_path / "c12.txt"
+    path.write_text(C12_TEXT)
+    assert cli.main(["verify", "--code", str(path), "--max-subcodes", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    ranked = [line for line in out.splitlines() if re.search(r" r=\d", line)]
+    rank0 = [line for line in ranked if " r=0" in line]
+    assert rank0 and all(line.startswith("PASS ") for line in rank0), rank0
+    over = [line for line in ranked if line not in rank0]
+    assert over and all(
+        line.startswith("SKIP ") and ": guard exceeded: rank-" in line for line in over
+    ), over
+    assert out.splitlines()[-1].startswith("verify: all checks passed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "hwenum -r 128",
+        "hjacobi -r 128 -T 1",
+        "design-check -r 128 -t 1",
+        "recover -r 128 -T 1",
+        "polarize -r 128 -t 1",
+        "harm-wenum -r 128 -d 1",
+    ],
+)
+def test_a_subcode_count_too_long_to_print_is_a_guard_error(tmp_path, capsys, argv):
+    # the [256,256]_2 code has 4933 decimal digits' worth of rank-128
+    # subcodes, more than Python writes an int with: the message names
+    # the rank and the guard instead of the count
+    path = tmp_path / "id256.txt"
+    path.write_text("q=2 n=256\n" + "".join(f"{1 << i:0256b}\n" for i in range(256)))
+    command, *rest = argv.split()
+    assert cli.main([command, "--code", str(path), *rest]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: TooLarge: rank-128 subcodes exceed the guard {MAX_SUBCODES_DEFAULT}\n"
 
 
 def test_mw_check_non_self_dual(hamming_path):
@@ -209,6 +254,22 @@ def test_harm_wenum_above_half_n_names_the_cap(tmp_path):
     assert res.stderr == (
         "error: harm-wenum needs d <= n/2 = 5: the degree-6 harmonic space is {0}\n"
     )
+
+
+def test_harm_wenum_builds_only_the_function_it_prints(hamming_path, monkeypatch, capsys):
+    # degree 2 on n = 7 has C(7, 2) - C(7, 1) = 14 basis functions: index 13
+    # prints the sum of the last, and no whole basis is built for it
+    want = harmonic_higher_wenum(hamming74(), harm_basis(7, 2)[13], 1).render()
+
+    def whole_basis(n, d):
+        raise AssertionError("harm-wenum built the whole basis")
+
+    monkeypatch.setattr(harmonic, "harm_basis", whole_basis)
+    argv = ["harm-wenum", "--code", hamming_path, "-r", "1", "-d", "2", "--basis-index"]
+    assert cli.main(argv + ["13"]) == 0
+    assert capsys.readouterr().out == want + "\n"
+    assert cli.main(argv + ["14"]) == 2
+    assert capsys.readouterr().err == "error: basis index outside 0..13 for degree 2\n"
 
 
 def test_hahn_subcommand():
@@ -294,8 +355,6 @@ MATRIX_FILES = {
         (HAHN + ("-m", "1", "-N", "3", "--alpha", "1/0"), "error: bad --alpha value '1/0'"),
         (("harm-wenum", "--code", "{code}", "-r", "1", "-d", "9"), "error: d must lie in 0..7"),
         (("harm-wenum", "--code", "{code}", "-r", "1", "-d", "-1"), "error: d must lie in 0..7"),
-        (("recover", "--code", "{code}", "-r", "1", "-T", "1,2,3,4"),
-         "error: recover needs |T| <= n/2 = 3"),
         (("polarize", "--code", "{code}", "-r", "1", "-t", "9"), "error: t must lie in 0..7"),
         (("polarize", "--code", "{code}", "-r", "1", "-t", "-1"), "error: t must lie in 0..7"),
         (("verify", "--code", "{code}", "-r", "-1"), "error: -r must be nonnegative"),
@@ -323,7 +382,7 @@ MATRIX_FILES = {
          "error: coordinate of 5000 digits outside 1..7"),
     ],
     ids=["hahn-m-ge-N", "hahn-alpha-abc", "hahn-alpha-div0", "harm-d-9", "harm-d-neg",
-         "recover-T-4", "polarize-t-9", "polarize-t-neg", "verify-r-neg", "verify-t-neg",
+         "polarize-t-9", "polarize-t-neg", "verify-r-neg", "verify-t-neg",
          "verify-m-neg", "verify-jobs-0", "mw-check-json", "jacobi-T-arabic-indic",
          "jacobi-T-underscore", "jacobi-T-plus", "hwenum-max-subcodes-neg",
          "design-check-max-subcodes-0", "wenum-max-words-0", "verify-max-words-neg",
@@ -380,6 +439,14 @@ def test_recover_equal(hamming_path):
     res = run_cli("recover", "--code", hamming_path, "-r", "1", "-T", "1,2")
     assert res.returncode == 0
     assert "EQUAL" in res.stdout
+
+
+def test_recover_past_half_n(hamming_path):
+    # |T| = 4 > 7/2 is recovered at the complement: the table, then EQUAL
+    res = run_cli("recover", "--code", hamming_path, "-r", "1", "-T", "1,2,3,4")
+    direct = run_cli("hjacobi", "--code", hamming_path, "-r", "1", "-T", "1,2,3,4")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == direct.stdout + "EQUAL\n"
 
 
 def test_verify_passes_and_is_deterministic(ex44_path):

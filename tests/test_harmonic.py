@@ -40,7 +40,7 @@ from jacobiforge import (
     recover_jacobi,
 )
 from jacobiforge import enumerators, exactmath
-from jacobiforge.designs import support_shells
+from jacobiforge.designs import Run, support_shells
 from jacobiforge.enumerators import subcode_support_histogram
 from jacobiforge.errors import DegreeUnderflow
 
@@ -447,7 +447,21 @@ def test_recover_random_codes():
                 )
 
 
-def test_recover_rejects_large_tset():
-    code = ex44()
-    with pytest.raises(ValueError):
-        recover_jacobi(code, 1, RefSet.of(6, [1, 2, 3, 4]))
+@pytest.mark.parametrize("make", [ex44, hamming74, c12])
+def test_recover_past_half_n_equals_higher_jacobi(make):
+    # the Hahn kernel needs |T| <= n/2: a larger T is recovered at [n] - T
+    # and its grid transposed, up to T = [n]; every such T on n <= 7, and on
+    # C12 the complements of a sample of each size below n/2
+    code = make()
+    n = code.n
+    if n <= 7:
+        tsets = [T for size in range(n // 2 + 1, n + 1) for T in combinations(range(1, n + 1), size)]
+    else:
+        small = sample_tsets(random.Random(n), n, (n - 1) // 2)
+        tsets = [sorted(complement(RefSet.of(n, T))) for T in small]
+    assert {len(T) for T in tsets} == set(range(n // 2 + 1, n + 1))
+    for r in range(3):
+        run = Run()
+        for T in tsets:
+            tset = RefSet.of(n, T)
+            assert recover_jacobi(code, r, tset, run) == higher_jacobi(code, tset, r), (r, T)

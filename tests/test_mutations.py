@@ -172,6 +172,23 @@ def test_wrong_recovered_count_fails_recover(monkeypatch):
     assert want in lines, failing_labels(lines)
 
 
+def test_complement_without_the_transpose_fails_recover(monkeypatch):
+    # recover_jacobi with its |T| > n/2 branch returning the table at [n] - T
+    # untransposed: every recover item past n/2, and only those, FAILs
+    source = inspect.getsource(harmonic.recover_jacobi)
+    transpose = "grid=tuple(zip(*table.grid))"
+    assert source.count(transpose) == 1
+    namespace = dict(vars(harmonic))
+    exec(source.replace(transpose, "grid=table.grid"), namespace)
+    monkeypatch.setattr(verify, "recover_jacobi", namespace["recover_jacobi"])
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=4, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    assert len(fails) == 4, fails  # two 4-sets, ranks 0 and 1
+    labels = [line.split(":")[0] for line in fails]
+    assert all(label.startswith("FAIL recover r=") and label.count(",") == 3 for label in labels)
+
+
 @pytest.fixture
 def fresh_recovery_systems():
     """No recovery system built from a corrupted route outlives the test."""

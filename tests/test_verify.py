@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import HAMMING74_TEXT, c12, ex44, hamming74, random_code, render_code, tgolay12
-from jacobiforge import LinearCode, TooLarge, cli, designs, enumerators, field_new, verify
+from jacobiforge import LinearCode, cli, designs, enumerators, field_new, verify
 from jacobiforge import verify_all
 from jacobiforge import code as code_module
 from jacobiforge.code import subcode_count
@@ -37,8 +38,8 @@ def test_verify_all_random_ternary_code():
 
 # (p, e) of every field the random-code sweep draws from
 SWEEP_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
-# guards that keep each code to milliseconds: the subcode one is checked
-# up front, while the word one turns items into SKIPs
+# guards that keep each code to milliseconds: each turns the items over it
+# into SKIPs
 SWEEP_GUARDS = dict(max_subcodes=2000, max_words=1 << 16)
 
 
@@ -54,10 +55,12 @@ def random_codes(draw):
 
 
 def test_verify_all_random_codes(monkeypatch):
-    """No check FAILs or raises on random small codes; only the up-front
-    subcode guard may refuse a code.  The sweep must reach both paths of
-    the extension OR-power and the rank sweep over every field."""
+    """No check FAILs or raises on random small codes, the items of each
+    rank over the subcode guard SKIP, and every SKIP states its reason.
+    The sweep must reach both paths of the extension OR-power and the rank
+    sweep over every field."""
     reached = Counter()
+    over_guard = []  # the item lines at a rank over the subcode guard
     or_power, dense = code_module.or_power, code_module._or_power_dense
     sweep = enumerators._vanishing_dims
 
@@ -77,27 +80,30 @@ def test_verify_all_random_codes(monkeypatch):
            st.integers(0, 99))
     def check(c, r_max, t_max, m_max, seed):
         caps = dict(r_max=r_max, t_max=t_max, m_max=m_max, seed=seed, **SWEEP_GUARDS)
-        ranks = range(min(r_max, c.k) + 1)
-        if any(subcode_count(c, r) > SWEEP_GUARDS["max_subcodes"] for r in ranks):
-            with pytest.raises(TooLarge):
-                verify_all(c, **caps)
-            return
         lines, ok = verify_all(c, **caps)
         assert ok, (c.gen, [line for line in lines if line.startswith("FAIL")])
+        for line in lines[:-1]:
+            assert not line.startswith("SKIP ") or re.match(r"SKIP [^:]+: \S", line), line
+            rank = re.search(r" r=(\d+)", line)
+            if rank and subcode_count(c, int(rank[1])) > SWEEP_GUARDS["max_subcodes"]:
+                over_guard.append(line)
+                assert line.startswith("SKIP ") and "subcodes exceed the guard" in line, line
 
     check()
     assert reached["dense", True]  # subset sums
     assert reached["power", True] > reached["dense", True]  # and pair loops
     assert {q for name, q in reached if name == "sweep"} == set(SWEEP_FIELDS)
+    assert over_guard
 
 
 def test_the_summary_line_counts_the_skips():
-    # |T| > n/2 and a failed design hypothesis each make a SKIP, t > n makes
-    # no item, and the last line counts the SKIPs next to "all checks passed"
+    # a failed design hypothesis makes a SKIP, |T| > n/2 does not, t > n
+    # makes no item, and the last line counts the SKIPs next to "all checks
+    # passed"
     lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=8, seed=0)
     assert ok
-    assert sum(line.startswith("SKIP ") for line in lines) == 16
-    assert lines[-1] == "verify: all checks passed (212 items, 16 skipped, seed=0)"
+    assert sum(line.startswith("SKIP ") for line in lines) == 2
+    assert lines[-1] == "verify: all checks passed (212 items, 2 skipped, seed=0)"
     assert not any(" t=8" in line for line in lines)
 
 
@@ -184,6 +190,49 @@ def test_each_lambda_kernel_is_built_once_per_run(
         lines = capsys.readouterr().out.splitlines()
         assert status == 0, [line for line in lines if line.startswith("FAIL")]
         assert len(calls) == transposes, t
+
+
+def test_no_kernel_is_built_past_the_subcode_guard(monkeypatch, tmp_path, capsys):
+    # the guard case of the test above: at --max-subcodes 100 on C12 the
+    # kernels of ranks 0 and 1 (1 and 63 subcodes) are each built once, and
+    # rank 2 (651 subcodes) is never enumerated, so its items SKIP
+    code = c12()
+    path = tmp_path / "c12.txt"
+    path.write_text(render_code(code))
+    real_incidence, real_supports = designs._incidence, enumerators._subcode_supports
+    transposes, ranks = [], Counter()
+
+    def incidence(*args):
+        transposes.append(args)
+        return real_incidence(*args)
+
+    def supports(code_, r):
+        ranks[r] += 1
+        return real_supports(code_, r)
+
+    monkeypatch.setattr(designs, "_incidence", incidence)
+    monkeypatch.setattr(enumerators, "_subcode_supports", supports)
+    argv = ["verify", "--code", str(path), "-r", "2", "-m", "2", "-t", "2", "--seed", "1"]
+    assert cli.main(argv + ["--max-subcodes", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    classes = sum(
+        len(set(shell.counts.values()))
+        for r in range(2)
+        for shell in designs.support_shells(code, r).values()
+    )
+    assert len(transposes) == classes
+    assert ranks[2] == 0 and ranks[1] > 0
+    assert any(line.startswith("SKIP delsarte r=2 ") for line in lines)
+
+
+def test_a_single_item_over_the_guard_is_a_skip():
+    # the rank-128 subcode count of [256,256]_2 has 4933 digits: the SKIP
+    # names the rank and the guard instead
+    code = LinearCode(field_new(2), 256, [[int(i == j) for j in range(256)] for i in range(256)])
+    assert verify.run_item(code, "mass", (128,), (10 ** 7, 1 << 24)) == (
+        None,
+        "guard exceeded: rank-128 subcodes exceed the guard 10000000",
+    )
 
 
 def _hashable(arg):
