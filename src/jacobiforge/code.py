@@ -101,7 +101,7 @@ class RefSet:
 class LinearCode:
     """An [n, k] code over GF(q), canonically represented by its RREF generator."""
 
-    __slots__ = ("spec", "n", "k", "gen")
+    __slots__ = ("spec", "n", "k", "gen", "_hash")
 
     def __init__(self, spec: FieldSpec, n: int, rows: Iterable[Sequence[int]]):
         rows = [list(r) for r in rows]
@@ -116,6 +116,7 @@ class LinearCode:
         self.n = n
         self.k = len(reduced)
         self.gen = tuple(tuple(r) for r in reduced)
+        self._hash = hash((spec, n, self.gen))  # it keys every cache, so hash the generator once
 
     def __eq__(self, other):
         return (
@@ -126,7 +127,7 @@ class LinearCode:
         )
 
     def __hash__(self):
-        return hash((self.spec, self.n, self.gen))
+        return self._hash
 
     def __repr__(self):
         return f"LinearCode[{self.n},{self.k}]_q={self.spec.q}"

@@ -45,7 +45,7 @@ from typing import NamedTuple
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT, LinearCode, RefSet
 from .enumerators import higher_weight_enum, subcode_support_histogram, table_from_bipoly
-from .errors import DesignHypothesisFails
+from .errors import DesignHypothesisFails, TooLarge
 
 
 class DesignVerdict(NamedTuple):
@@ -66,12 +66,18 @@ class Run:
         self.memo: dict = {}
 
     def shared(self, build, *args):
-        """build(*args), built once per run; the key leaves out the run
-        itself, so that the memo holds no reference back to it."""
+        """build(*args), built once per run; a guard hit is kept as the
+        outcome and raised again.  The key leaves out the run itself, so
+        that the memo holds no reference back to it."""
         key = (build, *(arg for arg in args if arg is not self))
         if key not in self.memo:
-            self.memo[key] = build(*args)
-        return self.memo[key]
+            try:
+                self.memo[key] = build(*args)
+            except TooLarge as exc:
+                self.memo[key] = exc.with_traceback(None)
+        if isinstance(out := self.memo[key], TooLarge):
+            raise out.with_traceback(None)
+        return out
 
 
 class BlockMultiset:
@@ -227,7 +233,7 @@ def kernel_tables(
     shells = run.shared(support_shells, code, r, run.max_subcodes)
     lams = [(w, shell.lambdas(t)) for w, shell in shells.items()]
     mobius = [_mobius_row(size) for size in range(t + 1)]
-    tables = {}
+    tables, polys = {}, {}  # polys: one polynomial per distinct grid, shared by its T-sets
     for coords in combinations(range(1, n + 1), t):
         subsets = [0]
         for c in coords:
@@ -239,7 +245,9 @@ def kernel_tables(
                     for j, sign_binom in enumerate(mobius[s.bit_count()]):
                         if w - j <= n - t:  # else N_w(T, j) is 0
                             coeff[j][w - j] += sign_binom * v
-        tables[coords] = BiHomPoly(t, n - t, coeff)
+        if (grid := tuple(map(tuple, coeff))) not in polys:
+            polys[grid] = BiHomPoly(t, n - t, grid)
+        tables[coords] = polys[grid]
     return tables
 
 
@@ -288,4 +296,4 @@ def jacobi_by_polarization(
         poly = poly.polarize()
     poly = poly.scale(Fraction(1, perm(code.n, t)))
     tset = RefSet.of(code.n, range(1, t + 1))
-    return table_from_bipoly("higher", r, code.spec.q, code.n, tset, poly).to_bipoly()
+    return table_from_bipoly("higher", r, code.spec.q, tset, poly).to_bipoly()

@@ -17,11 +17,10 @@ Three independent computation routes exist for each grid:
 
 All routes must agree exactly; the test suite enforces it.
 
-Counted routes build their tables from Counter{(i, j): count}.  Every
-route that computes an exact polynomial instead (rank decomposition,
-the sweep, the duality transforms, harmonic recovery) reads its table
-off it with ``table_from_bipoly``, the one integrality check: a
-fractional entry raises NonIntegerResult, naming the first such entry.
+Every route computes an exact polynomial and reads its table off it
+with ``table_from_bipoly``, the one integrality check: a fractional
+entry raises NonIntegerResult, naming the first such entry.  The counted
+routes write theirs straight from a support histogram (``_split_counts``).
 
 Direct enumeration never materialises the objects: codewords, subcodes
 and extension words are reduced to a cached Counter{support mask:
@@ -81,11 +80,8 @@ class JacobiTable(NamedTuple):
     def mass(self) -> int:
         return sum(sum(row) for row in self.grid)
 
-    def tsize(self) -> int:
-        return self.tset.size
-
     def to_bipoly(self) -> BiHomPoly:
-        s = self.tsize()
+        s = self.tset.size
         return BiHomPoly(s, self.n - s, list(zip(*self.grid)))
 
     def render(self) -> str:
@@ -127,25 +123,7 @@ class JacobiTable(NamedTuple):
         return None
 
 
-def _table_from_counts(kind, param, code, tset, counts) -> JacobiTable:
-    rows = code.n - tset.size + 1
-    cols = tset.size + 1
-    grid = [[0] * cols for _ in range(rows)]
-    for (i, j), c in counts.items():
-        grid[i][j] += c
-    return JacobiTable(
-        kind=kind,
-        param=param,
-        q=code.spec.q,
-        n=code.n,
-        tset=tset,
-        grid=tuple(tuple(r) for r in grid),
-    )
-
-
-def table_from_bipoly(
-    kind, param, q, n, tset: RefSet, poly: BiHomPoly
-) -> JacobiTable:
+def table_from_bipoly(kind, param, q, tset: RefSet, poly: BiHomPoly) -> JacobiTable:
     """Read the coefficient grid off a polynomial: grid[i][j] is the
     coefficient of w^(|T|-j) z^j x^(n-|T|-i) y^i.
 
@@ -158,7 +136,7 @@ def table_from_bipoly(
         for j, v in enumerate(row):
             if v.denominator != 1:
                 raise NonIntegerResult(f"entry ({i},{j}) = {v} is not an integer")
-    return JacobiTable(kind=kind, param=param, q=q, n=n, tset=tset, grid=grid)
+    return JacobiTable(kind=kind, param=param, q=q, n=tset.n, tset=tset, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +280,15 @@ def _weight_poly(n: int, hist: Counter) -> BiHomPoly:
     return BiHomPoly(0, n, [counts])
 
 
-def _split_counts(hist: Counter, tset: RefSet) -> Counter:
-    """Counter{(complement weight, T-weight): multiplicity} of a support histogram."""
-    counts: Counter = Counter()
-    tmask = tset.mask
+def _split_counts(hist: Counter, tset: RefSet) -> BiHomPoly:
+    """Split-weight polynomial of a support histogram: a mask of T-weight j
+    and complement weight i adds its multiplicity at coeff[j][i]."""
+    s, tmask = tset.size, tset.mask
+    coeff = [[0] * (tset.n - s + 1) for _ in range(s + 1)]
     for mask, mult in hist.items():
         j = (mask & tmask).bit_count()
-        counts[(mask.bit_count() - j, j)] += mult
-    return counts
+        coeff[j][mask.bit_count() - j] += mult
+    return BiHomPoly(s, tset.n - s, coeff)
 
 
 def jacobi(
@@ -317,8 +296,8 @@ def jacobi(
 ) -> JacobiTable:
     """Codeword split-weight table relative to T; T empty gives the weight enumerator."""
     _check_tset(code, tset)
-    counts = _split_counts(codeword_support_histogram(code, max_words), tset)
-    return _table_from_counts("plain", None, code, tset, counts)
+    poly = _split_counts(codeword_support_histogram(code, max_words), tset)
+    return table_from_bipoly("plain", None, code.spec.q, tset, poly)
 
 
 def higher_jacobi(
@@ -327,8 +306,8 @@ def higher_jacobi(
     """Subcode split-weight table: grid[i][j] counts r-dim subcodes with
     complement-weight i and T-weight j."""
     _check_tset(code, tset)
-    counts = _split_counts(subcode_support_histogram(code, r, max_subcodes), tset)
-    return _table_from_counts("higher", r, code, tset, counts)
+    poly = _split_counts(subcode_support_histogram(code, r, max_subcodes), tset)
+    return table_from_bipoly("higher", r, code.spec.q, tset, poly)
 
 
 def _check_tset(code: LinearCode, tset: RefSet):
@@ -378,7 +357,7 @@ def higher_jacobi_via_q(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
     q = code.spec.q
     qgrid = _q_grid(code, tset, lambda d: gauss_binom(d, r, q))
     poly = _assemble_from_q(code, tset, qgrid)
-    return table_from_bipoly("higher", r, q, code.n, tset, poly)
+    return table_from_bipoly("higher", r, q, tset, poly)
 
 
 def extended_jacobi_via_q(code: LinearCode, tset: RefSet, m: int) -> JacobiTable:
@@ -391,7 +370,7 @@ def extended_jacobi_via_q(code: LinearCode, tset: RefSet, m: int) -> JacobiTable
     qm = code.spec.q ** m
     qgrid = _q_grid(code, tset, lambda d: qm ** d)
     poly = _assemble_from_q(code, tset, qgrid)
-    return table_from_bipoly("extended", m, code.spec.q, code.n, tset, poly)
+    return table_from_bipoly("extended", m, code.spec.q, tset, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +390,8 @@ def extended_jacobi_direct(
         raise ValueError("extension degree m must be at least 1")
     if code.spec.q ** (m * code.k) > max_words:
         raise TooLarge(f"{code.spec.q}^{m * code.k} extension words exceed the guard")
-    counts = _split_counts(_extension_supports(code, m), tset)
-    return _table_from_counts("extended", m, code, tset, counts)
+    poly = _split_counts(_extension_supports(code, m), tset)
+    return table_from_bipoly("extended", m, code.spec.q, tset, poly)
 
 
 def extended_jacobi(
@@ -433,7 +412,7 @@ def extended_jacobi(
         factor = qfact(m, r, q)
         if factor:
             poly += higher_jacobi(code, tset, r, max_subcodes).to_bipoly().scale(factor)
-    return table_from_bipoly("extended", m, q, code.n, tset, poly)
+    return table_from_bipoly("extended", m, q, tset, poly)
 
 
 def higher_from_extended(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
@@ -456,4 +435,4 @@ def higher_from_extended(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:
     for j in range(1, r + 1):
         poly += extended_jacobi_via_q(code, tset, j).to_bipoly().scale(coeff(j))
     poly = poly.scale(Fraction(1, qbracket(r, q)))
-    return table_from_bipoly("higher", r, q, code.n, tset, poly)
+    return table_from_bipoly("higher", r, q, tset, poly)

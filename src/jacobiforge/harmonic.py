@@ -321,4 +321,4 @@ def recover_jacobi(
         for i, x in zip(feasible, apply_inverse(inverse, rhs)):
             coeff[i][ell - i] = x
     poly = BiHomPoly(t, n - t, coeff)
-    return table_from_bipoly("higher", r, code.spec.q, n, tset, poly)
+    return table_from_bipoly("higher", r, code.spec.q, tset, poly)

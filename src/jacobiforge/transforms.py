@@ -93,14 +93,14 @@ def mw_higher_weight(enums: Sequence[BiHomPoly], ctx: MWContext) -> BiHomPoly:
     as the table at T = {}, which checks that it came out integral."""
     r = len(enums) - 1
     acc = _fold(enums, ctx)
-    return table_from_bipoly("higher", r, ctx.q, ctx.n, RefSet.of(ctx.n), acc).to_bipoly()
+    return table_from_bipoly("higher", r, ctx.q, RefSet.of(ctx.n), acc).to_bipoly()
 
 
 def mw_higher_jacobi(tables: Sequence[JacobiTable], ctx: MWContext) -> JacobiTable:
     """Dual split-weight table of rank r from the primal tables of rank 0..r."""
     r = len(tables) - 1
     acc = _fold([table.to_bipoly() for table in tables], ctx)
-    return table_from_bipoly("higher", r, ctx.q, ctx.n, tables[0].tset, acc)
+    return table_from_bipoly("higher", r, ctx.q, tables[0].tset, acc)
 
 
 def mw_extended_jacobi(table: JacobiTable, ctx: MWContext) -> JacobiTable:
@@ -108,4 +108,4 @@ def mw_extended_jacobi(table: JacobiTable, ctx: MWContext) -> JacobiTable:
     m = table.param
     sub = _dual_substitution(ctx.q ** m)
     poly = table.to_bipoly().substitute(sub).scale(_qpow(ctx.q, -ctx.k * m))
-    return table_from_bipoly("extended", m, ctx.q, ctx.n, table.tset, poly)
+    return table_from_bipoly("extended", m, ctx.q, table.tset, poly)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from contextlib import suppress
-from itertools import combinations
+from math import comb
 from typing import Callable, NamedTuple
 
 from .code import (
@@ -77,14 +77,26 @@ _SAMPLES_PER_SIZE = 2
 _COORD_SAMPLES = 3
 
 
+def _tset_at(n: int, t: int, index: int) -> tuple[int, ...]:
+    """The index-th t-subset of {1, ..., n} in lexicographic order."""
+    out, c = [], 1
+    while len(out) < t:
+        if index < (after := comb(n - c, t - len(out) - 1)):  # the subsets that take c next
+            out.append(c)
+        else:
+            index -= after
+        c += 1
+    return tuple(out)
+
+
 def _sample_tsets(n: int, t_max: int, seed: int) -> list[tuple[int, ...]]:
     rng = random.Random(seed)
     out: list[tuple[int, ...]] = []
     for t in range(0, t_max + 1):
         chosen = {tuple(range(1, t + 1))}
-        universe = list(combinations(range(1, n + 1), t))
-        while len(chosen) < min(_SAMPLES_PER_SIZE, len(universe)):
-            chosen.add(universe[rng.randrange(len(universe))])
+        total = comb(n, t)
+        while len(chosen) < min(_SAMPLES_PER_SIZE, total):
+            chosen.add(_tset_at(n, t, rng.randrange(total)))
         out.extend(sorted(chosen))
     return out
 

@@ -380,13 +380,17 @@ MATRIX_FILES = {
         (("wenum", "--code", "{long-entry}"), "error: ParseError: entry of 5000 digits in row 1"),
         (("jacobi", "--code", "{code}", "-T", "1" * 5000),
          "error: coordinate of 5000 digits outside 1..7"),
+        (("jacobi", "--code", "{code}", "-T", "1,1"), "error: -T coordinates must be distinct"),
+        (("mw-check", "--code", "{code}", "--kind", "hjac", "-r", "4", "-T", "1"),
+         "error: r exceeds min(k, n-k) = 3"),
     ],
     ids=["hahn-m-ge-N", "hahn-alpha-abc", "hahn-alpha-div0", "harm-d-9", "harm-d-neg",
          "polarize-t-9", "polarize-t-neg", "verify-r-neg", "verify-t-neg",
          "verify-m-neg", "verify-jobs-0", "mw-check-json", "jacobi-T-arabic-indic",
          "jacobi-T-underscore", "jacobi-T-plus", "hwenum-max-subcodes-neg",
          "design-check-max-subcodes-0", "wenum-max-words-0", "verify-max-words-neg",
-         "header-q-5000-digits", "row-entry-5000-digits", "jacobi-T-5000-digits"],
+         "header-q-5000-digits", "row-entry-5000-digits", "jacobi-T-5000-digits",
+         "jacobi-T-repeated", "mw-check-r-past-min-k-n-k"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, argv, message):
     # exit 1 is reserved for DIFFER; bad arguments on the [7,4] code, and

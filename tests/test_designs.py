@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from traceback import walk_tb
 
 import pytest
 
@@ -9,6 +10,7 @@ from jacobiforge import (
     BlockMultiset,
     DesignHypothesisFails,
     RefSet,
+    TooLarge,
     higher_jacobi,
     is_t_design,
     jacobi_by_polarization,
@@ -93,6 +95,22 @@ def test_a_run_shares_each_input_and_its_memo_holds_no_reference_to_it():
     assert run.shared(support_shells, hamming74(), 1, run.max_subcodes) is shells
     assert len(run.memo) == 2
     assert all(arg is not run for key in run.memo for arg in key)
+
+
+def test_a_run_keeps_a_guard_hit_and_raises_it_again():
+    # an item over the guard must not redo the work that found it over
+    run, builds, depths = Run(), [], []
+
+    def build(x):
+        builds.append(x)
+        raise TooLarge(f"{x} subcodes exceed the guard")
+
+    for _ in range(3):
+        with pytest.raises(TooLarge, match="^7 subcodes exceed the guard$") as caught:
+            run.shared(build, 7)
+        depths.append(len(list(walk_tb(caught.value.__traceback__))))
+    assert builds == [7]
+    assert depths[0] == depths[1] == depths[2]  # no traceback grows across calls
 
 
 @pytest.mark.parametrize("build", [ex44, hamming74])

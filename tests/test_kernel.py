@@ -455,6 +455,15 @@ def test_lambda_kernel_tables_equal_the_counted_tables(code):
                 assert poly == counted, (code.gen, r, coords)
 
 
+@pytest.mark.parametrize("code, distinct", [(hamming74, 1), (c12, 9)])
+def test_equal_kernel_tables_are_one_polynomial(code, distinct):
+    # Hamming's rank-1 shells are 2-designs, so its 21 tables at t = 2 are
+    # equal; each distinct table is built once and shared by its T-sets
+    tables = kernel_tables(code(), 1, 2)
+    assert len(set(tables.values())) == distinct
+    assert len({id(poly) for poly in tables.values()}) == distinct
+
+
 def literal_lambdas(blocks: BlockMultiset, t: int) -> Counter:
     """lambda(S) for |S| <= t, one subset of one block occurrence at a time."""
     lam: Counter = Counter()

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import HAMMING74_TEXT, block_multiset, ex44, golay24, hamming74
+from helpers import EX44_TEXT, HAMMING74_TEXT, block_multiset, ex44, golay24, hamming74
 from jacobiforge import BiHomPoly, BlockMultiset, delsarte_design_check, is_t_design, verify_all
 from jacobiforge import bipoly, cli, code, designs, enumerators, harmonic, transforms, verify
 from jacobiforge.designs import support_shells
@@ -361,6 +361,27 @@ def test_mw_higher_jacobi_corruption_fails_verify_and_mw_check(monkeypatch, tmp_
     argv = ["mw-check", "--code", str(path), "--kind", "hjac", "-r", "1", "-T", "3"]
     assert cli.main(argv) == 1
     assert "DIFFER at (i=0, j=0): " in capsys.readouterr().out
+
+
+def test_reversed_table_rows_break_the_hjacobi_golden(monkeypatch, tmp_path, capsys):
+    # the counted and the polynomial routes read their tables through one
+    # table_from_bipoly, so their agreement cannot show a fault in it; the
+    # golden table can
+    path = tmp_path / "ex44.txt"
+    path.write_text(EX44_TEXT)
+    argv = ["hjacobi", "--code", str(path), "-r", "2", "-T", "1"]
+    golden = "w*x*y^4 + 2*z*x^2*y^3 + 4*z*y^5\n"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == golden
+    real = enumerators.table_from_bipoly
+
+    def reversed_rows(*args):
+        table = real(*args)
+        return table._replace(grid=table.grid[::-1])
+
+    monkeypatch.setattr(enumerators, "table_from_bipoly", reversed_rows)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out != golden
 
 
 # kinds whose failing mode an earlier test shows, by the test that shows it

@@ -14,9 +14,11 @@ from jacobiforge import (
     DesignVerdict,
     HahnParams,
     JacobiTable,
+    LinearCode,
     MWContext,
     PairSubstitution,
     RefSet,
+    field_new,
     higher_jacobi,
 )
 from jacobiforge.verify import CHECKS, Check, same_value
@@ -34,6 +36,7 @@ def twins():
         (lambda: DesignVerdict(True, 2, 3), DesignVerdict(True, 2, 4)),
         (lambda: MWContext(q=2, n=7, k=4, tsize=2), MWContext(q=2, n=7, k=3, tsize=2)),
         (lambda: Check(same_value, same_value, "x"), Check(same_value, same_value, "y")),
+        (lambda: LinearCode(field_new(2), 7, reversed(hamming74().gen)), hamming74().dual()),
         (lambda: JacobiTable(table.kind, table.param, table.q, table.n,
                              RefSet.of(7, [1, 2]), tuple(map(tuple, table.grid))),
          higher_jacobi(hamming74(), RefSet.of(7, [1, 2]), 2)),

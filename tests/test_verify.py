@@ -1,6 +1,8 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -273,3 +275,37 @@ def test_each_expensive_input_is_built_once_per_run(monkeypatch, code, caps, bui
     assert ok, [line for line in lines if line.startswith("FAIL")]
     assert {key: count for key, count in built.items() if count > 1} == {}
     assert sum(built.values()) == builds
+
+
+def listed_tsets(n, t_max, seed):
+    """The reference sets drawn by position from the list of all t-subsets:
+    the oracle for ``verify._sample_tsets``, which lists none of them."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(t_max + 1):
+        chosen = {tuple(range(1, t + 1))}
+        universe = list(combinations(range(1, n + 1), t))
+        while len(chosen) < min(verify._SAMPLES_PER_SIZE, len(universe)):
+            chosen.add(universe[rng.randrange(len(universe))])
+        out.extend(sorted(chosen))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampled_tsets_are_the_ones_drawn_from_the_list(seed):
+    for n in range(13):
+        assert verify._sample_tsets(n, n, seed) == listed_tsets(n, n, seed), n
+
+
+def test_sampling_tsets_lists_no_subsets():
+    # C(22, 11) = 705,432 subsets: listing them peaks near 200 MB
+    tracemalloc.start()
+    try:
+        tsets = verify._sample_tsets(22, 11, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    assert [len(T) for T in tsets] == [0] + [t for t in range(1, 12) for _ in range(2)]
+    wide = verify._sample_tsets(40, 20, 3)  # C(40, 20) is about 1.4e11
+    assert all(len(set(T)) == len(T) and set(T) <= set(range(1, 41)) for T in wide)
