@@ -1,9 +1,3 @@
-import gc
-import sys
+from .cli import entry_point
 
-from .cli import main
-
-# the imported modules live until exit: keep collections off them; a module
-# a command imports later (designs, harmonic, verify) is not frozen
-gc.freeze()
-sys.exit(main())
+entry_point()

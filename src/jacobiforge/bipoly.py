@@ -130,9 +130,6 @@ class BiHomPoly:
             ],
         )
 
-    def __sub__(self, other: "BiHomPoly") -> "BiHomPoly":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "BiHomPoly":
         c = exact(c)
         return BiHomPoly(

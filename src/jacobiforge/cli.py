@@ -12,6 +12,7 @@ it runs it, so a table command compiles none of them.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -373,7 +374,6 @@ def _run(argv) -> int:
             return _verdict(check, lhs, rhs, ("recovered", "direct"))
         if args.command == "verify":
             return _cmd_verify(args, code)
-        raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -382,5 +382,15 @@ def _run(argv) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def entry_point():
+    """Run the command line and exit with main()'s status: the start of
+    both ``python -m jacobiforge`` and the installed ``jacobiforge``
+    script.  The modules imported so far live until exit, so collections
+    are kept off them; a module a command imports later (designs,
+    harmonic, verify) is not frozen, and a library call freezes nothing."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -73,7 +73,6 @@ class JacobiTable(NamedTuple):
     kind: str
     param: int | None
     q: int
-    n: int
     tset: RefSet
     grid: tuple[tuple[int, ...], ...]
 
@@ -82,7 +81,7 @@ class JacobiTable(NamedTuple):
 
     def to_bipoly(self) -> BiHomPoly:
         s = self.tset.size
-        return BiHomPoly(s, self.n - s, list(zip(*self.grid)))
+        return BiHomPoly(s, self.tset.n - s, list(zip(*self.grid)))
 
     def render(self) -> str:
         return self.to_bipoly().render()
@@ -91,7 +90,7 @@ class JacobiTable(NamedTuple):
         out = {
             "kind": self.kind,
             "q": self.q,
-            "n": self.n,
+            "n": self.tset.n,
             "T": list(self.tset.sorted()),
             "grid": [list(row) for row in self.grid],
         }
@@ -109,7 +108,6 @@ class JacobiTable(NamedTuple):
             kind=kind,
             param=param,
             q=data["q"],
-            n=data["n"],
             tset=RefSet.of(data["n"], data["T"]),
             grid=tuple(tuple(int(x) for x in row) for row in data["grid"]),
         )
@@ -136,7 +134,7 @@ def table_from_bipoly(kind, param, q, tset: RefSet, poly: BiHomPoly) -> JacobiTa
         for j, v in enumerate(row):
             if v.denominator != 1:
                 raise NonIntegerResult(f"entry ({i},{j}) = {v} is not an integer")
-    return JacobiTable(kind=kind, param=param, q=q, n=tset.n, tset=tset, grid=grid)
+    return JacobiTable(kind=kind, param=param, q=q, tset=tset, grid=grid)
 
 
 # ---------------------------------------------------------------------------

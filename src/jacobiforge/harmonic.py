@@ -37,7 +37,7 @@ from operator import add
 from .bipoly import BiHomPoly
 from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
 from .designs import Run, support_shells
-from .enumerators import JacobiTable, table_from_bipoly
+from .enumerators import JacobiTable, _check_tset, table_from_bipoly
 from .errors import PochhammerZeroDenominator
 from .exactmath import apply_inverse, exact, rat_inverse
 
@@ -68,12 +68,6 @@ class SubsetFn:
 
 def _as_mask(z) -> int:
     return z if isinstance(z, int) else coords_mask(z)
-
-
-def _subset_masks(mask: int, d: int):
-    """The d-subsets of a mask's points, as masks, in lexicographic order."""
-    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-    return map(sum, combinations(bits, d))
 
 
 def top_sets(n: int, d: int):
@@ -112,11 +106,12 @@ def harm_basis(n: int, d: int) -> tuple[SubsetFn, ...]:
 def f_tilde(f: SubsetFn, x_set) -> Fraction:
     """Extension to arbitrary sets: sum of f over the d-subsets of X.
 
-    Zero when |X| < d; for d = 0 it is the value at the empty set.  The
-    literal definition: ``_kernel_sum`` takes it over a whole shell at once.
+    Zero when |X| < d; for d = 0 it is the value at the empty set.  It
+    sums f at its keys inside X; ``_kernel_sum`` takes it over a whole
+    shell at once.
     """
-    subsets = _subset_masks(_as_mask(x_set), f.d)
-    return sum((f.values.get(z, 0) for z in subsets), Fraction(0))
+    x = _as_mask(x_set)
+    return sum((v for z, v in f.values.items() if z & x == z), Fraction(0))
 
 
 def harmonic_higher_wenum(
@@ -296,10 +291,8 @@ def recover_jacobi(
     The solutions become a table through ``table_from_bipoly``.  The kernel
     needs |T| <= n/2; a larger T transposes the table at [n] - T.
     """
-    t = tset.size
-    if tset.n != code.n:
-        raise ValueError("reference set length does not match the code")
-    n, tmask, run = code.n, tset.mask, run or Run()
+    _check_tset(code, tset)
+    t, n, tmask, run = tset.size, code.n, tset.mask, run or Run()
     if 2 * t > n:
         table = recover_jacobi(code, r, RefSet.of(n, set(range(1, n + 1)) - tset.members), run)
         return table._replace(tset=tset, grid=tuple(zip(*table.grid)))

@@ -42,13 +42,7 @@ class MWContext(NamedTuple):
     q: int
     n: int
     k: int
-    tsize: int
-
-
-def _qpow(q: int, exp: int) -> Fraction:
-    if exp >= 0:
-        return Fraction(q ** exp)
-    return Fraction(1, q ** (-exp))
+    tsize: int = 0  # read by nothing: the transforms depend on q, n and k alone
 
 
 def _dual_substitution(scale: int) -> PairSubstitution:
@@ -59,11 +53,7 @@ def _dual_substitution(scale: int) -> PairSubstitution:
 def _dual_coeff(ctx: MWContext, r: int, j: int, ell: int) -> Fraction:
     exp = comb(r - j, 2) - j * (r - j) - ell * (j - ell) - j * ctx.k
     sign = (-1) ** (r - j)
-    return (
-        sign
-        * _qpow(ctx.q, exp)
-        / (qbracket(r - j, ctx.q) * qbracket(j - ell, ctx.q))
-    )
+    return sign * Fraction(ctx.q) ** exp / (qbracket(r - j, ctx.q) * qbracket(j - ell, ctx.q))
 
 
 def _fold(polys: Sequence[BiHomPoly], ctx: MWContext) -> BiHomPoly:
@@ -107,5 +97,5 @@ def mw_extended_jacobi(table: JacobiTable, ctx: MWContext) -> JacobiTable:
     """Dual extension table: substitute with scale q^m and divide by q^(km)."""
     m = table.param
     sub = _dual_substitution(ctx.q ** m)
-    poly = table.to_bipoly().substitute(sub).scale(_qpow(ctx.q, -ctx.k * m))
+    poly = table.to_bipoly().substitute(sub).scale(Fraction(ctx.q) ** (-ctx.k * m))
     return table_from_bipoly("extended", m, ctx.q, table.tset, poly)

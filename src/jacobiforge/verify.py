@@ -222,23 +222,20 @@ def _ejac_direct(code, run, m, T):
     return direct, _ejac(code, run, m, T)
 
 
-def _mw_context(code, T) -> MWContext:
-    return MWContext(q=code.spec.q, n=code.n, k=code.k, tsize=len(T))
-
-
 def _mw_hw(code, run, r):
     enums = [higher_weight_enum(code, ell, run.max_subcodes) for ell in range(r + 1)]
-    lhs = mw_higher_weight(enums, _mw_context(code, ()))
+    lhs = mw_higher_weight(enums, MWContext(code.spec.q, code.n, code.k))
     return lhs, higher_weight_enum(_dual(code, run), r, run.max_subcodes)
 
 
 def _mw_hjac(code, run, r, T):
     tables = [_hjac(code, run, ell, T) for ell in range(r + 1)]
-    return mw_higher_jacobi(tables, _mw_context(code, T)), _hjac(_dual(code, run), run, r, T)
+    lhs = mw_higher_jacobi(tables, MWContext(code.spec.q, code.n, code.k))
+    return lhs, _hjac(_dual(code, run), run, r, T)
 
 
 def _mw_ejac(code, run, m, T):
-    lhs = mw_extended_jacobi(_ejac(code, run, m, T), _mw_context(code, T))
+    lhs = mw_extended_jacobi(_ejac(code, run, m, T), MWContext(code.spec.q, code.n, code.k))
     return lhs, _ejac(_dual(code, run), run, m, T)
 
 

@@ -7,8 +7,9 @@ literal codeword, subcode and extension-word enumerations that the
 support histograms are checked against, and the small operations only
 the tests need: rendering a code, permuting its coordinates, evaluating
 a polynomial at a point, the down operator gamma that the harmonic
-bases are checked against, and the Hahn kernel on t-sets that the
-extended kernel h_dt is checked against."""
+bases are checked against, the d-subsets of a mask that f_tilde is
+checked against, and the Hahn kernel on t-sets that the extended kernel
+h_dt is checked against."""
 
 import math
 import random
@@ -41,7 +42,7 @@ from jacobiforge.code import (
     support_mask,
 )
 from jacobiforge.exactmath import rref
-from jacobiforge.harmonic import _hahn_qdt, _subset_masks
+from jacobiforge.harmonic import _hahn_qdt
 
 EX44_TEXT = "q=2 n=6\n110000\n001100\n000011\n"
 HAMMING74_TEXT = "q=2 n=7\n1000110\n0100101\n0010011\n0001111\n"
@@ -213,6 +214,12 @@ def evaluate(poly: BiHomPoly, w, z, x, y) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+def _subset_masks(mask: int, d: int):
+    """The d-subsets of a mask's points, as masks, in lexicographic order."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return map(sum, combinations(bits, d))
 
 
 def gamma(f: SubsetFn) -> SubsetFn:

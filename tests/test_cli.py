@@ -215,6 +215,14 @@ def test_design_check_output(ex44_path):
     ]
 
 
+def test_design_check_prints_each_shell_that_is_not_a_design(tmp_path):
+    path = tmp_path / "c12.txt"
+    path.write_text(C12_TEXT)
+    res = run_cli("design-check", "--code", str(path), "-r", "1", "-t", "2")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [f"i={w}: not a 2-design" for w in range(3, 10)]
+
+
 def test_polarize_ok_and_hypothesis_failure(ex44_path):
     res = run_cli("polarize", "--code", ex44_path, "-r", "2", "-t", "1")
     assert res.returncode == 0

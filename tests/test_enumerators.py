@@ -52,11 +52,11 @@ def grid_of(table):
 def marginal_weight_poly(table):
     """Collapse the split grid to total weight: coefficient of y^l is the
     sum of entries with i + j = l."""
-    counts = [0] * (table.n + 1)
+    counts = [0] * (table.tset.n + 1)
     for i, row in enumerate(table.grid):
         for j, c in enumerate(row):
             counts[i + j] += c
-    return BiHomPoly(0, table.n, [counts])
+    return BiHomPoly(0, table.tset.n, [counts])
 
 
 # --- frozen golden grids for the [6,3] code with T = {i} ---

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from helpers import (
+    _subset_masks,
     block_multiset,
     c12,
     complement,
@@ -40,6 +41,7 @@ from jacobiforge import (
     recover_jacobi,
 )
 from jacobiforge import enumerators, exactmath
+from jacobiforge.code import coords_mask
 from jacobiforge.designs import Run, support_shells
 from jacobiforge.enumerators import subcode_support_histogram
 from jacobiforge.errors import DegreeUnderflow
@@ -130,6 +132,26 @@ def test_f_tilde_small_sets_and_degree_zero():
     const = SubsetFn(5, 0, {(): Fraction(7)})
     assert f_tilde(const, set()) == 7
     assert f_tilde(const, {1, 2, 3}) == 7
+
+
+def test_f_tilde_equals_the_literal_sum_over_the_d_subsets_of_x():
+    # f_tilde reads f's keys inside X; the definition lists X's d-subsets
+    rng = random.Random(0)
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(0, 8)
+        d = rng.randint(0, min(4, n))
+        dsets = list(combinations(range(1, n + 1), d))
+        keys = rng.sample(dsets, rng.randint(0, len(dsets)))
+        f = SubsetFn(n, d, {z: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for z in keys})
+        xs = {i for i in range(1, n + 1) if rng.random() < 0.5}
+        x = coords_mask(xs)
+        want = sum((f.values.get(z, 0) for z in _subset_masks(x, d)), Fraction(0))
+        assert f_tilde(f, x) == want == f_tilde(f, xs), (n, d, keys, xs)
+        seen["d=0"] += d == 0
+        seen["|X|<d"] += len(xs) < d
+        seen["zero value"] += 0 in f.values.values()
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
 
 
 def test_f_tilde_harmonic_full_set_vanishes():

@@ -363,6 +363,23 @@ def test_mw_higher_jacobi_corruption_fails_verify_and_mw_check(monkeypatch, tmp_
     assert "DIFFER at (i=0, j=0): " in capsys.readouterr().out
 
 
+def test_mw_higher_weight_corruption_fails_mw_check(monkeypatch, tmp_path, capsys):
+    # the hw transform is a polynomial, not a table: its DIFFER names no entry
+    real = transforms.mw_higher_weight
+
+    def plus_one_at_origin_poly(*args):
+        poly = real(*args)
+        coeff = [list(row) for row in poly.coeff]
+        coeff[0][0] += 1
+        return BiHomPoly(poly.deg_wz, poly.deg_xy, coeff)
+
+    monkeypatch.setattr(verify, "mw_higher_weight", plus_one_at_origin_poly)
+    path = tmp_path / "ham.txt"
+    path.write_text(HAMMING74_TEXT)
+    assert cli.main(["mw-check", "--code", str(path), "--kind", "hw", "-r", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "DIFFER"
+
+
 def test_reversed_table_rows_break_the_hjacobi_golden(monkeypatch, tmp_path, capsys):
     # the counted and the polynomial routes read their tables through one
     # table_from_bipoly, so their agreement cannot show a fault in it; the

@@ -16,9 +16,10 @@ pulls in) belongs on the import path of a command, one given ``--jobs 2``
 included.
 
 The garbage collector is frozen by the entry point, never by a library
-call: ``python -m jacobiforge`` freezes what it has imported, while
-``import jacobiforge`` and ``verify_all`` leave the caller's collector as
-they found it.
+call: ``python -m jacobiforge`` and the installed ``jacobiforge`` script
+both start at ``cli.entry_point`` and freeze what they have imported,
+while ``import jacobiforge`` and ``verify_all`` leave the caller's
+collector as they found it.
 """
 
 import os
@@ -225,3 +226,21 @@ def test_the_entry_point_freezes_the_collector(tmp_path):
     )
     out = run_python("-c", script, "wenum", "--code", str(code))
     assert out.splitlines()[-1] == "frozen True"
+
+
+def test_the_installed_script_freezes_the_collector(tmp_path):
+    # the [project.scripts] target, run as the installed script would run it
+    import tomllib
+
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, func = pyproject["project"]["scripts"]["jacobiforge"].split(":")
+    code = tmp_path / "hamming7.txt"
+    code.write_text(HAMMING74_TEXT)
+    script = (
+        "import atexit, gc, importlib, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv[0] = 'jacobiforge'\n"
+        f"importlib.import_module({module!r}).{func}()\n"
+    )
+    out = run_python("-c", script, "wenum", "--code", str(code)).splitlines()
+    assert out == ["x^7 + 7*x^4*y^3 + 7*x^3*y^4 + y^7", "frozen True"]
