@@ -62,11 +62,10 @@ class RefSet:
 
     __slots__ = ("n", "members")
 
-    def __init__(self, n: int, members: frozenset[int]):
-        if not all(1 <= i <= n for i in members):
+    def __init__(self, n: int, members: Iterable[int]):
+        self.n, self.members = n, frozenset(members)
+        if not all(1 <= i <= n for i in self.members):
             raise ValueError(f"reference set must lie inside 1..{n}")
-        self.n = n
-        self.members = members
 
     def __eq__(self, other):
         return (
@@ -80,7 +79,7 @@ class RefSet:
 
     @classmethod
     def of(cls, n: int, coords: Iterable[int] = ()) -> "RefSet":
-        return cls(n, frozenset(coords))
+        return cls(n, coords)
 
     @property
     def size(self) -> int:

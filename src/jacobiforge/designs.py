@@ -84,7 +84,7 @@ class BlockMultiset:
     """Equal-size subsets of {1, ..., n} as Counter{mask: multiplicity};
     len() counts occurrences."""
 
-    __slots__ = ("n", "counts", "block_size", "_lam")
+    __slots__ = ("n", "counts", "block_size", "_groups", "_kernel", "_lam")
 
     def __init__(self, n: int, counts: dict[int, int]):
         counts = Counter(counts)
@@ -96,19 +96,34 @@ class BlockMultiset:
         self.n = n
         self.counts = counts
         self.block_size = sizes.pop() if sizes else 0
+        self._groups: tuple[int, dict[int, bytearray]] | None = None  # (width, tables)
+        self._kernel: list[tuple[int, int, list[int]]] | None = None  # (mult, all-ones, incidence)
         self._lam: tuple[int, Counter] | None = None  # (depth, lambdas)
 
-    def lambdas(self, t: int) -> Counter:
-        """The lambda kernel, Counter{S: blocks containing S} for |S| <= t,
-        built once for the largest t asked: the masks of each multiplicity
-        are transposed to point incidences, and lambda(S) sums multiplicity
-        times the popcount of the AND of S's incidences."""
-        if self._lam is None or self._lam[0] < t:
-            n, width = self.n, max(1, (self.n + 7) // 8)
+    def _grouped(self) -> tuple[int, dict[int, bytearray]]:
+        """(width, {multiplicity: the little-endian byte table of its masks}),
+        grouped on the first call and kept: both incidence transposes read it."""
+        if self._groups is None:
+            width = max(1, (self.n + 7) // 8)
             groups: defaultdict[int, bytearray] = defaultdict(bytearray)
             for mask, mult in self.counts.items():
                 groups[mult] += mask.to_bytes(width, "little")
-            lam: Counter = Counter()
+            self._groups = (width, groups)
+        return self._groups
+
+    def lambdas(self, t: int) -> Counter:
+        """The lambda kernel, Counter{S: blocks containing S} for |S| <= t, kept
+        for the largest t asked.  Each multiplicity class is transposed to point
+        incidences once, and a deeper t walks them again: lambda(S) sums
+        multiplicity times the popcount of the AND of S's incidences."""
+        if self._kernel is None:
+            width, groups = self._grouped()
+            self._kernel = [
+                (mult, (1 << len(rows) // width) - 1, _incidence(rows, width, self.n))
+                for mult, rows in groups.items()
+            ]
+        if self._lam is None or self._lam[0] < t:
+            n, lam = self.n, Counter()
 
             def visit(s: int, start: int, depth: int, cover: int) -> None:
                 lam[s] += mult * cover.bit_count()
@@ -117,9 +132,8 @@ class BlockMultiset:
                         if c := cover & incidence[i]:
                             visit(s | 1 << i, i + 1, depth + 1, c)
 
-            for mult, rows in groups.items():
-                incidence = _incidence(rows, width, n)
-                visit(0, 0, 0, (1 << len(rows) // width) - 1)
+            for mult, cover, incidence in self._kernel:
+                visit(0, 0, 0, cover)
             self._lam = (t, lam)
         return self._lam[1]
 
@@ -144,7 +158,7 @@ _DIGITS = [bytes(ord("0") + (x >> b & 1) for x in range(256)) for b in range(8)]
 def is_t_design(blocks: BlockMultiset, t: int) -> DesignVerdict:
     """Exhaustive coverage count over all t-subsets of the point set.
 
-    The distinct masks are grouped by multiplicity, and each class is
+    The shell groups its masks by multiplicity once, and each class is
     transposed to point incidences: one int per point, one bit per mask,
     by reading byte column i // 8 of the little-endian mask table at bit
     i % 8 as binary digits.  The blocks of a class covering a t-subset are
@@ -160,10 +174,7 @@ def is_t_design(blocks: BlockMultiset, t: int) -> DesignVerdict:
         raise ValueError("need 0 <= t <= n")
     if t == 0 or t > blocks.block_size:
         return DesignVerdict(True, t, 0 if t else len(blocks))
-    n, width, k = blocks.n, (blocks.n + 7) // 8, min(t, 2)
-    groups: defaultdict[int, bytearray] = defaultdict(bytearray)
-    for mask, mult in blocks.counts.items():
-        groups[mult] += mask.to_bytes(width, "little")
+    (width, groups), n, k = blocks._grouped(), blocks.n, min(t, 2)
     classes = []  # (multiplicity, point incidences, k-point ANDs in lexicographic order)
     for mult, rows in groups.items():  # a transpose of its own, apart from _incidence
         points = [
@@ -189,7 +200,7 @@ def is_t_design(blocks: BlockMultiset, t: int) -> DesignVerdict:
 
 def _incidence(rows, width: int, n: int) -> list[int]:
     """The lambda kernel's n point incidences of a byte table of masks: the
-    transpose of ``is_t_design``, kept apart so the two share no incidence."""
+    transpose of ``is_t_design``, kept apart so the two share only the table."""
     return [int(b"0" + rows[i // 8 :: width].translate(_DIGITS[i % 8]), 2) for i in range(n)]
 
 
@@ -282,7 +293,7 @@ def jacobi_by_polarization(
     ``table_from_bipoly`` as well, so it cannot come out fractional.
     """
     run = run or Run()
-    verdicts = subcode_support_designs(code, r, t, run)
+    verdicts = run.shared(subcode_support_designs, code, r, t, run)
     failing: dict[int, list[int]] = {}  # strength: the weights that failed at it
     for w, v in verdicts.items():
         if not v.is_design:
@@ -291,7 +302,7 @@ def jacobi_by_polarization(
         raise DesignHypothesisFails("support shells " + ", ".join(
             f"at weights {weights} are not {s}-designs" for s, weights in failing.items()
         ))
-    poly = higher_weight_enum(code, r, run.max_subcodes)
+    poly = run.shared(higher_weight_enum, code, r, run.max_subcodes)
     for _ in range(t):
         poly = poly.polarize()
     poly = poly.scale(Fraction(1, perm(code.n, t)))

@@ -20,34 +20,27 @@ two runs with the same inputs produce byte-identical reports.
 ``verify_all`` runs every item, in item order, in the calling process,
 with one ``designs.Run``: the guards every route is bounded by, and the
 memo (``run.shared``) of the objects that many items read: the direct
-rank-r table, the rank-decomposition extension table, the dual code and
-the support shells of each rank, whose lambda kernel serves the design,
+rank-r table, the rank-decomposition extension table, the dual code, the
+rank-r weight enumerator, the shell verdicts of each (r, t) and the
+support shells of each rank, whose lambda kernel serves the design,
 polarization, Delsarte, recovery and punctured items, each built once per
 (code, T, parameter).  The code's enumerations (histograms, rank sweep)
 are cached by ``enumerators``, so each is built once too.  The memo only
 shares one route's output among the items that read that route, and it
 belongs to the run, so the next run (or a corrupted route) starts afresh;
-a library call given no run makes its own.  Before the items run, each
-rank's lambda kernel is built at the largest t of the run (at least 1,
-the punctured items' depth, and at most n), so that no item rebuilds it
-deeper; a rank over the subcode guard is never enumerated, and its items
-SKIP.  The design items run for t <= n.  The summary line counts the
-items and the SKIPs.
+a library call given no run makes its own.  A shell transposes its masks
+once and walks them again for a deeper t; a rank over the subcode guard
+is never enumerated, and its items SKIP.  The design items run for t <= n.
+The summary line counts the items and the SKIPs.
 """
 
 from __future__ import annotations
 
 import random
-from contextlib import suppress
 from math import comb
 from typing import Callable, NamedTuple
 
-from .code import (
-    MAX_SUBCODES_DEFAULT,
-    MAX_WORDS_DEFAULT,
-    LinearCode,
-    RefSet,
-)
+from .code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT, LinearCode, RefSet
 from .designs import (
     Run,
     is_t_design,
@@ -223,9 +216,11 @@ def _ejac_direct(code, run, m, T):
 
 
 def _mw_hw(code, run, r):
-    enums = [higher_weight_enum(code, ell, run.max_subcodes) for ell in range(r + 1)]
+    enums = [
+        run.shared(higher_weight_enum, code, ell, run.max_subcodes) for ell in range(r + 1)
+    ]
     lhs = mw_higher_weight(enums, MWContext(code.spec.q, code.n, code.k))
-    return lhs, higher_weight_enum(_dual(code, run), r, run.max_subcodes)
+    return lhs, run.shared(higher_weight_enum, _dual(code, run), r, run.max_subcodes)
 
 
 def _mw_hjac(code, run, r, T):
@@ -246,7 +241,7 @@ def _recover(code, run, r, T):
 def _design_equiv(code, run, r, t):
     """All shells are t-designs vs the table is the same at every t-set,
     keyed by the witness pair of t-sets (None when it is the same)."""
-    verdicts = subcode_support_designs(code, r, t, run)
+    verdicts = run.shared(subcode_support_designs, code, r, t, run)
     independent, witness = t_independence_check(code, r, t, run)
     return {witness: all(v.is_design for v in verdicts.values())}, {witness: independent}
 
@@ -334,20 +329,11 @@ def verify_all(
 ) -> tuple[list[str], bool]:
     """Run the whole identity suite; returns (report lines, all passed).
 
-    The items run in order in the calling process, in one ``Run``, after
-    each rank's lambda kernel is built.  The summary line counts the items
-    and the SKIPs among them.
+    The items run in order in the calling process, in one ``Run``.  The
+    summary line counts the items and the SKIPs among them.
     """
     items = build_items(code, r_max, m_max, t_max, seed)
     run = Run(max_subcodes, max_words)
-    # each rank's lambda kernel at the run's largest t, and at least at the
-    # t = 1 of the punctured items: every shell is transposed once, and the
-    # items read each smaller t off that table; a rank over the guard has
-    # none, and its items SKIP
-    for r in range(min(r_max, code.k) + 1):
-        with suppress(TooLarge):
-            for shell in run.shared(support_shells, code, r, max_subcodes).values():
-                shell.lambdas(min(max(t_max, 1), code.n))
     lines, statuses = [], []
     for label, kind, params in items:
         ok, detail = run_item(code, kind, params, run)

@@ -50,6 +50,7 @@ from jacobiforge import (
     recover_jacobi,
 )
 from jacobiforge import code as code_module
+from jacobiforge import designs
 from jacobiforge.code import (
     _or_power_dense,
     column_set_dim,
@@ -494,3 +495,26 @@ def test_lambda_kernel_delsarte_sums_equal_the_literal_f_tilde_sums():
                 assert kernel_sum == sum(f_tilde(f, b) for b in blocks), (shell.counts, d)
                 nonzero += kernel_sum != 0
     assert nonzero > 20
+
+
+def test_lambda_kernel_of_no_points_counts_the_empty_block():
+    # n = 0 still takes one byte per mask in the grouped table
+    assert BlockMultiset(0, {0: 2}).lambdas(0) == Counter({0: 2})
+
+
+def test_a_deeper_lambda_kernel_walks_the_kept_incidences(monkeypatch):
+    # a shell transposes each multiplicity class once; every deeper t asked
+    # afterwards walks those incidences again and gets the literal table
+    real = designs._incidence
+    transposes = []
+
+    def spy(*args):
+        transposes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(designs, "_incidence", spy)
+    for shell in support_shells(c12(), 2).values():
+        transposes.clear()
+        for t in range(4):
+            assert shell.lambdas(t) == literal_lambdas(shell, t), (shell.counts, t)
+        assert len(transposes) == len(set(shell.counts.values()))

@@ -253,6 +253,25 @@ def test_flipped_incidence_bit_fails_design_equiv_and_delsarte(monkeypatch):
         assert any(line.startswith("FAIL " + label) for line in fails), (label, fails)
 
 
+def test_a_grouping_that_drops_a_block_fails_against_the_split_counts(monkeypatch):
+    # both transposes read the one grouping of a shell, so design-equiv
+    # cannot see a block missing from it; the items that compare the lambda
+    # kernel with the split counts must
+    real = designs.BlockMultiset._grouped
+
+    def dropped(shell):
+        width, groups = real(shell)
+        mult = next(iter(groups))
+        return width, {**groups, mult: groups[mult][width:]}
+
+    monkeypatch.setattr(designs.BlockMultiset, "_grouped", dropped)
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    for label in ("punctured-split r=1 ", "recover r=1 "):
+        assert any(line.startswith("FAIL " + label) for line in fails), (label, fails)
+
+
 def test_flipped_moebius_sign_fails_polarize(monkeypatch):
     real = designs._mobius_row
 

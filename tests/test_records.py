@@ -30,6 +30,7 @@ def twins():
     table = higher_jacobi(hamming74(), RefSet.of(7, [1, 2]), 1)
     return [
         (lambda: RefSet.of(7, [1, 2]), RefSet.of(7, [1, 3])),
+        (lambda: RefSet(7, {1, 2}), RefSet.of(7, [1, 3])),  # the constructor freezes a set
         (lambda: HahnParams(Fraction(1, 2), Fraction(-1, 3), 4, 2),
          HahnParams(Fraction(1, 2), Fraction(-1, 3), 4, 1)),
         (lambda: PairSubstitution.both(1, 1, 1, -1), PairSubstitution.both(1, 0, 0, 1)),

@@ -164,10 +164,9 @@ def test_verify_all_skips_when_a_shared_input_trips_a_limit():
 def test_each_lambda_kernel_is_built_once_per_run(
     monkeypatch, tmp_path, capsys, code, transposes, jobs
 ):
-    # each rank's kernel is taken at the run's largest t, and at least at
-    # the punctured items' t = 1, before the items run, so no item
-    # transposes a multiplicity class of a shell again at a deeper t,
-    # whatever -t and --jobs say
+    # a shell keeps the incidences of its first transpose, and a deeper t
+    # walks them again, so no item transposes a multiplicity class of a
+    # shell twice, whatever -t and --jobs say
     code = code()
     path = tmp_path / "code.txt"
     path.write_text(render_code(code))
@@ -225,6 +224,42 @@ def test_no_kernel_is_built_past_the_subcode_guard(monkeypatch, tmp_path, capsys
     assert len(transposes) == classes
     assert ranks[2] == 0 and ranks[1] > 0
     assert any(line.startswith("SKIP delsarte r=2 ") for line in lines)
+
+
+def test_each_verdict_enumerator_and_grouping_is_built_once_per_run(monkeypatch):
+    # one run on C12: design-equiv and polarize read the same verdicts of
+    # each (r, t), polarize and mw-hweight the same rank-r weight
+    # enumerators, and each shell groups its masks once for both transposes
+    code = c12()
+    judged, enums, groupings = Counter(), Counter(), Counter()
+    real_design, real_enum = designs.is_t_design, designs.higher_weight_enum
+    real_grouped = designs.BlockMultiset._grouped
+
+    def design(shell, s):
+        judged[id(shell), s] += 1
+        return real_design(shell, s)
+
+    def enum(code_, r, guard):
+        enums[code_ is code, r] += 1
+        return real_enum(code_, r, guard)
+
+    def grouped(shell):
+        groupings[id(shell)] += shell._groups is None
+        return real_grouped(shell)
+
+    monkeypatch.setattr(designs, "is_t_design", design)
+    monkeypatch.setattr(designs, "higher_weight_enum", enum)
+    monkeypatch.setattr(verify, "higher_weight_enum", enum)
+    monkeypatch.setattr(designs.BlockMultiset, "_grouped", grouped)
+    lines, ok = verify_all(code, r_max=2, m_max=2, t_max=2, seed=1)
+    assert ok, [line for line in lines if line.startswith("FAIL")]
+    shells = [len(designs.support_shells(code, r)) for r in range(3)]
+    # one verdict per shell and t; only strength 0 repeats, on the
+    # weight-0 shell of rank 0, which every t judges at min(t, 0, n - t)
+    assert sum(judged.values()) == 3 * sum(shells)
+    assert {key: count for key, count in judged.items() if count > 1 and key[1]} == {}
+    assert enums == {(True, r): 1 for r in range(3)} | {(False, r): 1 for r in range(3)}
+    assert len(groupings) == sum(shells) and set(groupings.values()) == {1}
 
 
 def test_a_single_item_over_the_guard_is_a_skip():
