@@ -12,7 +12,7 @@ process that computes only tables never compiles those modules.
 """
 
 from .bipoly import BiHomPoly, PairSubstitution
-from .code import LinearCode, RefSet, parse_code
+from .code import LinearCode, RefSet, Run, parse_code
 from .enumerators import (
     JacobiTable,
     extended_jacobi,

@@ -24,6 +24,7 @@ from .code import (
     MAX_WORDS_DEFAULT,
     LinearCode,
     RefSet,
+    Run,
     parse_code,
 )
 from .enumerators import (
@@ -200,8 +201,7 @@ def _verdict(check, lhs, rhs, names=None) -> int:
     return 1
 
 
-def _cmd_mw_check(args, code: LinearCode) -> int:
-    from .designs import Run
+def _cmd_mw_check(args, code: LinearCode, run: Run) -> int:
     from .verify import CHECKS
 
     T = _parse_tset(code, args.T).sorted()
@@ -216,7 +216,7 @@ def _cmd_mw_check(args, code: LinearCode) -> int:
             raise UsageError(f"r exceeds min(k, n-k) = {cap}")
         params = (args.r,) if args.kind == "hw" else (args.r, T)
     check = CHECKS["mw_" + args.kind]
-    lhs, rhs = check.routes(code, Run(args.max_subcodes, args.max_words), *params)
+    lhs, rhs = check.routes(code, run, *params)
     with _any_length():
         print(f"transform: {lhs.render()}")
         print(f"dual:      {rhs.render()}")
@@ -293,37 +293,38 @@ def _run(argv) -> int:
         for flag, guard in guards:
             if guard < 1:
                 raise UsageError(f"{flag} must be at least 1")
+        run = Run(args.max_subcodes, args.max_words)
         code = _load_code(args)
         if args.command == "wenum":
-            _emit(weight_enum(code, args.max_words), args.json)
+            _emit(weight_enum(code, run), args.json)
             return 0
         if args.command == "hwenum":
             _check_rank(code, args.r)
-            _emit(higher_weight_enum(code, args.r, args.max_subcodes), args.json)
+            _emit(higher_weight_enum(code, args.r, run), args.json)
             return 0
         if args.command == "jacobi":
             tset = _parse_tset(code, args.T)
-            _emit(jacobi(code, tset, args.max_words), args.json)
+            _emit(jacobi(code, tset, run), args.json)
             return 0
         if args.command == "hjacobi":
             _check_rank(code, args.r)
             tset = _parse_tset(code, args.T)
-            _emit(higher_jacobi(code, tset, args.r, args.max_subcodes), args.json)
+            _emit(higher_jacobi(code, tset, args.r, run), args.json)
             return 0
         if args.command == "ejacobi":
             if args.m < 1:
                 raise UsageError("m must be at least 1")
             tset = _parse_tset(code, args.T)
-            _emit(extended_jacobi(code, tset, args.m, args.max_subcodes), args.json)
+            _emit(extended_jacobi(code, tset, args.m, run), args.json)
             return 0
         if args.command == "mw-check":
-            return _cmd_mw_check(args, code)
+            return _cmd_mw_check(args, code, run)
         if args.command == "design-check":
             from .designs import is_t_design, support_shells
 
             _check_rank(code, args.r)
             _check_range("t", args.t, 0, code.n)
-            for w, shell in support_shells(code, args.r, args.max_subcodes).items():
+            for w, shell in support_shells(code, args.r, run).items():
                 verdict = is_t_design(shell, args.t)
                 if verdict.is_design:
                     print(f"i={w}: {args.t}-design lambda={verdict.lam}")
@@ -331,12 +332,11 @@ def _run(argv) -> int:
                     print(f"i={w}: not a {args.t}-design")
             return 0
         if args.command == "polarize":
-            from .designs import Run, jacobi_by_polarization
+            from .designs import jacobi_by_polarization
 
             _check_rank(code, args.r)
             _check_range("t", args.t, 0, code.n)
             try:
-                run = Run(args.max_subcodes, args.max_words)
                 poly = jacobi_by_polarization(code, args.r, args.t, run)
             except DesignHypothesisFails as exc:
                 print(f"DesignHypothesisFails: {exc}")
@@ -359,16 +359,14 @@ def _run(argv) -> int:
             # the basis has C(n, d) - C(n, d-1) functions: build the one printed
             top = next(islice(top_sets(code.n, args.d), args.basis_index, None))
             f = basis_function(code.n, top)
-            _emit(harmonic_higher_wenum(code, f, args.r, args.max_subcodes), args.json)
+            _emit(harmonic_higher_wenum(code, f, args.r, run), args.json)
             return 0
         if args.command == "recover":
-            from .designs import Run
             from .verify import CHECKS
 
             _check_rank(code, args.r)
             tset = _parse_tset(code, args.T)
             check = CHECKS["recover"]
-            run = Run(args.max_subcodes, args.max_words)
             lhs, rhs = check.routes(code, run, args.r, tset.sorted())
             _emit(lhs, args.json)
             return _verdict(check, lhs, rhs, ("recovered", "direct"))

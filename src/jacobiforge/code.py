@@ -32,6 +32,10 @@ are counted in a Counter{mask: multiplicity} histogram, for every q:
     max_words bounds |H|^2 for m >= 2, so the dense list stays under
     max_words / n entries.
 
+The guards (max_words for the q^k codewords and q^(mk) extension words,
+max_subcodes for the subcodes) travel in a ``Run``, with the memo that the
+routes given one run share; a route given no run makes its own.
+
 The literal codeword, subcode and extension-word enumerations that the
 histograms are checked against live with the tests, in ``tests/helpers.py``.
 """
@@ -55,6 +59,32 @@ from .qcomb import gauss_binom
 
 MAX_WORDS_DEFAULT = 1 << 24
 MAX_SUBCODES_DEFAULT = 10 ** 7
+
+
+class Run:
+    """The guards of one run and its memo, which the routes given the run
+    share their inputs through; a route given no run makes its own."""
+
+    __slots__ = ("max_subcodes", "max_words", "memo")
+
+    def __init__(self, max_subcodes=MAX_SUBCODES_DEFAULT, max_words=MAX_WORDS_DEFAULT):
+        self.max_subcodes = max_subcodes
+        self.max_words = max_words
+        self.memo: dict = {}
+
+    def shared(self, build, *args):
+        """build(*args), built once per run; a guard hit is kept as the
+        outcome and raised again.  The key leaves out the run itself, so
+        that the memo holds no reference back to it."""
+        key = (build, *(arg for arg in args if arg is not self))
+        if key not in self.memo:
+            try:
+                self.memo[key] = build(*args)
+            except TooLarge as exc:
+                self.memo[key] = exc.with_traceback(None)
+        if isinstance(out := self.memo[key], TooLarge):
+            raise out.with_traceback(None)
+        return out
 
 
 class RefSet:

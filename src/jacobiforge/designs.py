@@ -25,6 +25,9 @@ is an s-design for s = min(t, w, n - t):
 
 ``subcode_support_designs`` tests each shell at that strength, which is
 what keeps the design-iff-independence equivalence true on every code.
+Given a ``code.Run``, the shells, their verdicts and the kernel tables are
+built once per run, and these verdicts are the only t-design checks that
+``verify`` makes: the Delsarte item judges each shell at the same strength.
 
 The tables are read off one lambda kernel (``BlockMultiset.lambdas``): if
 lambda_w(S) weight-w blocks contain S, |S| <= t, then by Moebius inversion
@@ -43,7 +46,7 @@ from operator import add, and_
 from typing import NamedTuple
 
 from .bipoly import BiHomPoly
-from .code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT, LinearCode, RefSet
+from .code import LinearCode, RefSet, Run
 from .enumerators import higher_weight_enum, subcode_support_histogram, table_from_bipoly
 from .errors import DesignHypothesisFails, TooLarge
 
@@ -52,32 +55,6 @@ class DesignVerdict(NamedTuple):
     is_design: bool
     t: int
     lam: int | None
-
-
-class Run:
-    """The guards of one run and its memo, which the routes given the run
-    share their inputs through; a route given no run makes its own."""
-
-    __slots__ = ("max_subcodes", "max_words", "memo")
-
-    def __init__(self, max_subcodes=MAX_SUBCODES_DEFAULT, max_words=MAX_WORDS_DEFAULT):
-        self.max_subcodes = max_subcodes
-        self.max_words = max_words
-        self.memo: dict = {}
-
-    def shared(self, build, *args):
-        """build(*args), built once per run; a guard hit is kept as the
-        outcome and raised again.  The key leaves out the run itself, so
-        that the memo holds no reference back to it."""
-        key = (build, *(arg for arg in args if arg is not self))
-        if key not in self.memo:
-            try:
-                self.memo[key] = build(*args)
-            except TooLarge as exc:
-                self.memo[key] = exc.with_traceback(None)
-        if isinstance(out := self.memo[key], TooLarge):
-            raise out.with_traceback(None)
-        return out
 
 
 class BlockMultiset:
@@ -204,12 +181,10 @@ def _incidence(rows, width: int, n: int) -> list[int]:
     return [int(b"0" + rows[i // 8 :: width].translate(_DIGITS[i % 8]), 2) for i in range(n)]
 
 
-def support_shells(
-    code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> dict[int, BlockMultiset]:
+def support_shells(code: LinearCode, r: int, run: Run | None = None) -> dict[int, BlockMultiset]:
     """The nonempty weight shells of the r-dim subcode supports, by weight."""
     by_weight: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for mask, mult in subcode_support_histogram(code, r, max_subcodes).items():
+    for mask, mult in subcode_support_histogram(code, r, run).items():
         by_weight[mask.bit_count()][mask] = mult
     return {w: BlockMultiset(code.n, by_weight.pop(w)) for w in sorted(by_weight)}
 
@@ -225,7 +200,7 @@ def subcode_support_designs(
     run = run or Run()
     return {
         w: is_t_design(shell, min(t, w, code.n - t))
-        for w, shell in run.shared(support_shells, code, r, run.max_subcodes).items()
+        for w, shell in run.shared(support_shells, code, r, run).items()
     }
 
 
@@ -241,7 +216,7 @@ def kernel_tables(
     lexicographic order, read off the shells' lambda kernel: shell w puts
     N_w(T, j) at w^(t-j) z^j x^(n-t-w+j) y^(w-j)."""
     n, run = code.n, run or Run()
-    shells = run.shared(support_shells, code, r, run.max_subcodes)
+    shells = run.shared(support_shells, code, r, run)
     lams = [(w, shell.lambdas(t)) for w, shell in shells.items()]
     mobius = [_mobius_row(size) for size in range(t + 1)]
     tables, polys = {}, {}  # polys: one polynomial per distinct grid, shared by its T-sets
@@ -302,7 +277,7 @@ def jacobi_by_polarization(
         raise DesignHypothesisFails("support shells " + ", ".join(
             f"at weights {weights} are not {s}-designs" for s, weights in failing.items()
         ))
-    poly = run.shared(higher_weight_enum, code, r, run.max_subcodes)
+    poly = run.shared(higher_weight_enum, code, r, run)
     for _ in range(t):
         poly = poly.polarize()
     poly = poly.scale(Fraction(1, perm(code.n, t)))

@@ -17,6 +17,10 @@ Three independent computation routes exist for each grid:
 
 All routes must agree exactly; the test suite enforces it.
 
+The guarded routes read their guards from a ``code.Run``, and the rank
+decomposition reads each rank-r table through its memo, so a run that
+holds a table already, as ``verify``'s does, splits no histogram twice.
+
 Every route computes an exact polynomial and reads its table off it
 with ``table_from_bipoly``, the one integrality check: a fractional
 entry raises NonIntegerResult, naming the first such entry.  The counted
@@ -47,10 +51,9 @@ from typing import NamedTuple
 
 from .bipoly import BiHomPoly, PairSubstitution
 from .code import (
-    MAX_SUBCODES_DEFAULT,
-    MAX_WORDS_DEFAULT,
     LinearCode,
     RefSet,
+    Run,
     monic_masks,
     or_power,
     subcode_count,
@@ -168,19 +171,16 @@ def _extension_supports(code: LinearCode, m: int) -> Counter:
     return or_power(_codeword_supports(code), code.n, m)
 
 
-def codeword_support_histogram(
-    code: LinearCode, max_words: int = MAX_WORDS_DEFAULT
-) -> Counter:
-    if code.spec.q ** code.k > max_words:
+def codeword_support_histogram(code: LinearCode, run: Run | None = None) -> Counter:
+    if code.spec.q ** code.k > (run or Run()).max_words:
         raise TooLarge(f"{code.spec.q}^{code.k} codewords exceed the guard")
     return _codeword_supports(code)
 
 
-def subcode_support_histogram(
-    code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> Counter:
+def subcode_support_histogram(code: LinearCode, r: int, run: Run | None = None) -> Counter:
     if not 0 <= r <= code.k:
         raise ValueError(f"need 0 <= r <= k = {code.k}")
+    max_subcodes = (run or Run()).max_subcodes
     if subcode_count(code, r) > max_subcodes:
         raise TooLarge(f"rank-{r} subcodes exceed the guard {max_subcodes}")
     return _subcode_supports(code, r)
@@ -259,16 +259,14 @@ def _vanishing_dims(code: LinearCode) -> bytes:
 # direct enumerations
 
 
-def weight_enum(code: LinearCode, max_words: int = MAX_WORDS_DEFAULT) -> BiHomPoly:
+def weight_enum(code: LinearCode, run: Run | None = None) -> BiHomPoly:
     """Classical weight enumerator: coefficient of x^(n-i) y^i counts weight-i words."""
-    return _weight_poly(code.n, codeword_support_histogram(code, max_words))
+    return _weight_poly(code.n, codeword_support_histogram(code, run))
 
 
-def higher_weight_enum(
-    code: LinearCode, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> BiHomPoly:
+def higher_weight_enum(code: LinearCode, r: int, run: Run | None = None) -> BiHomPoly:
     """Coefficient of x^(n-i) y^i counts r-dim subcodes of support weight i."""
-    return _weight_poly(code.n, subcode_support_histogram(code, r, max_subcodes))
+    return _weight_poly(code.n, subcode_support_histogram(code, r, run))
 
 
 def _weight_poly(n: int, hist: Counter) -> BiHomPoly:
@@ -289,22 +287,18 @@ def _split_counts(hist: Counter, tset: RefSet) -> BiHomPoly:
     return BiHomPoly(s, tset.n - s, coeff)
 
 
-def jacobi(
-    code: LinearCode, tset: RefSet, max_words: int = MAX_WORDS_DEFAULT
-) -> JacobiTable:
+def jacobi(code: LinearCode, tset: RefSet, run: Run | None = None) -> JacobiTable:
     """Codeword split-weight table relative to T; T empty gives the weight enumerator."""
     _check_tset(code, tset)
-    poly = _split_counts(codeword_support_histogram(code, max_words), tset)
+    poly = _split_counts(codeword_support_histogram(code, run), tset)
     return table_from_bipoly("plain", None, code.spec.q, tset, poly)
 
 
-def higher_jacobi(
-    code: LinearCode, tset: RefSet, r: int, max_subcodes: int = MAX_SUBCODES_DEFAULT
-) -> JacobiTable:
+def higher_jacobi(code: LinearCode, tset: RefSet, r: int, run: Run | None = None) -> JacobiTable:
     """Subcode split-weight table: grid[i][j] counts r-dim subcodes with
     complement-weight i and T-weight j."""
     _check_tset(code, tset)
-    poly = _split_counts(subcode_support_histogram(code, r, max_subcodes), tset)
+    poly = _split_counts(subcode_support_histogram(code, r, run), tset)
     return table_from_bipoly("higher", r, code.spec.q, tset, poly)
 
 
@@ -376,7 +370,7 @@ def extended_jacobi_via_q(code: LinearCode, tset: RefSet, m: int) -> JacobiTable
 
 
 def extended_jacobi_direct(
-    code: LinearCode, tset: RefSet, m: int, max_words: int = MAX_WORDS_DEFAULT
+    code: LinearCode, tset: RefSet, m: int, run: Run | None = None
 ) -> JacobiTable:
     """Extension table counted over the q^(mk) extension words: C (x)
     GF(q^m) is C^m as a GF(q)-space, so each word is an m-tuple of
@@ -386,30 +380,26 @@ def extended_jacobi_direct(
     _check_tset(code, tset)
     if m < 1:
         raise ValueError("extension degree m must be at least 1")
-    if code.spec.q ** (m * code.k) > max_words:
+    if code.spec.q ** (m * code.k) > (run or Run()).max_words:
         raise TooLarge(f"{code.spec.q}^{m * code.k} extension words exceed the guard")
     poly = _split_counts(_extension_supports(code, m), tset)
     return table_from_bipoly("extended", m, code.spec.q, tset, poly)
 
 
-def extended_jacobi(
-    code: LinearCode,
-    tset: RefSet,
-    m: int,
-    max_subcodes: int = MAX_SUBCODES_DEFAULT,
-) -> JacobiTable:
+def extended_jacobi(code: LinearCode, tset: RefSet, m: int, run: Run | None = None) -> JacobiTable:
     """Extension table via rank decomposition: the degree-m polynomial is
-    sum_r [m,r]_q times the r-subcode table polynomial.  The ranks with
-    [m,r]_q = 0 (r > m) are skipped, so no table above rank m is built."""
+    sum_r [m,r]_q times the r-subcode table polynomial, each read through
+    the run, which may hold it already.  The ranks with [m,r]_q = 0 (r > m)
+    are skipped, so no table above rank m is built."""
     _check_tset(code, tset)
     if m < 1:
         raise ValueError("extension degree m must be at least 1")
-    q = code.spec.q
+    q, run = code.spec.q, run or Run()
     poly = BiHomPoly.zero(tset.size, code.n - tset.size)
     for r in range(code.k + 1):
         factor = qfact(m, r, q)
         if factor:
-            poly += higher_jacobi(code, tset, r, max_subcodes).to_bipoly().scale(factor)
+            poly += run.shared(higher_jacobi, code, tset, r, run).to_bipoly().scale(factor)
     return table_from_bipoly("extended", m, q, tset, poly)
 
 

@@ -35,8 +35,8 @@ from math import comb, lcm
 from operator import add
 
 from .bipoly import BiHomPoly
-from .code import MAX_SUBCODES_DEFAULT, LinearCode, RefSet, coords_mask
-from .designs import Run, support_shells
+from .code import LinearCode, RefSet, Run, coords_mask
+from .designs import support_shells
 from .enumerators import JacobiTable, _check_tset, table_from_bipoly
 from .errors import PochhammerZeroDenominator
 from .exactmath import apply_inverse, exact, rat_inverse
@@ -115,18 +115,15 @@ def f_tilde(f: SubsetFn, x_set) -> Fraction:
 
 
 def harmonic_higher_wenum(
-    code: LinearCode,
-    f: SubsetFn,
-    r: int,
-    max_subcodes: int = MAX_SUBCODES_DEFAULT,
+    code: LinearCode, f: SubsetFn, r: int, run: Run | None = None
 ) -> BiHomPoly:
     """Weight enumerator of the r-dim subcodes, each counted with weight
     f-tilde of its support: at weight w, the lambda kernel sum of the
     weight-w shell (see ``delsarte_design_check``), an exact rational."""
     if f.n != code.n:
         raise ValueError("function and code live on different coordinate sets")
-    counts = [0] * (code.n + 1)
-    for w, shell in support_shells(code, r, max_subcodes).items():
+    counts, run = [0] * (code.n + 1), run or Run()
+    for w, shell in run.shared(support_shells, code, r, run).items():
         counts[w] = _kernel_sum(f, shell.lambdas(f.d))
     return BiHomPoly(0, code.n, [counts])
 
@@ -296,7 +293,7 @@ def recover_jacobi(
     if 2 * t > n:
         table = recover_jacobi(code, r, RefSet.of(n, set(range(1, n + 1)) - tset.members), run)
         return table._replace(tset=tset, grid=tuple(zip(*table.grid)))
-    shells = run.shared(support_shells, code, r, run.max_subcodes)
+    shells = run.shared(support_shells, code, r, run)
     lambdas = {ell: shell.lambdas(t) for ell, shell in shells.items()}
     coeff = [[0] * (n - t + 1) for _ in range(t + 1)]
     for ell, (feasible, weights, inverse) in enumerate(_recovery_systems(n, t)):

@@ -18,10 +18,11 @@ seed only drives which reference sets and coordinates are sampled), so
 two runs with the same inputs produce byte-identical reports.
 
 ``verify_all`` runs every item, in item order, in the calling process,
-with one ``designs.Run``: the guards every route is bounded by, and the
+with one ``code.Run``: the guards every route is bounded by, and the
 memo (``run.shared``) of the objects that many items read: the direct
-rank-r table, the rank-decomposition extension table, the dual code, the
-rank-r weight enumerator, the shell verdicts of each (r, t) and the
+rank-r table, which the rank-decomposition extension table sums, the
+dual code, the rank-r weight enumerator, the shell verdicts of each
+(r, t), which the design, polarization and Delsarte items read, and the
 support shells of each rank, whose lambda kernel serves the design,
 polarization, Delsarte, recovery and punctured items, each built once per
 (code, T, parameter).  The code's enumerations (histograms, rank sweep)
@@ -40,10 +41,8 @@ import random
 from math import comb
 from typing import Callable, NamedTuple
 
-from .code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT, LinearCode, RefSet
+from .code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT, LinearCode, RefSet, Run
 from .designs import (
-    Run,
-    is_t_design,
     jacobi_by_polarization,
     kernel_tables,
     subcode_support_designs,
@@ -173,12 +172,12 @@ class Check(NamedTuple):
 
 def _hjac(code, run, r, T):
     """The rank-r table at T enumerated directly: the reference route."""
-    return run.shared(higher_jacobi, code, RefSet.of(code.n, T), r, run.max_subcodes)
+    return run.shared(higher_jacobi, code, RefSet.of(code.n, T), r, run)
 
 
 def _ejac(code, run, m, T):
     """The degree-m table at T by rank decomposition."""
-    return run.shared(extended_jacobi, code, RefSet.of(code.n, T), m, run.max_subcodes)
+    return run.shared(extended_jacobi, code, RefSet.of(code.n, T), m, run)
 
 
 def _dual(code, run):
@@ -190,8 +189,8 @@ def _dual_involution(code, run):
 
 
 def _plain_vs_wenum(code, run):
-    plain = jacobi(code, RefSet.of(code.n), run.max_words).to_bipoly()
-    return plain, weight_enum(code, run.max_words)
+    plain = jacobi(code, RefSet.of(code.n), run).to_bipoly()
+    return plain, weight_enum(code, run)
 
 
 def _mass(code, run, r):
@@ -211,16 +210,14 @@ def _ejac_via_q(code, run, m, T):
 
 
 def _ejac_direct(code, run, m, T):
-    direct = extended_jacobi_direct(code, RefSet.of(code.n, T), m, run.max_words)
+    direct = extended_jacobi_direct(code, RefSet.of(code.n, T), m, run)
     return direct, _ejac(code, run, m, T)
 
 
 def _mw_hw(code, run, r):
-    enums = [
-        run.shared(higher_weight_enum, code, ell, run.max_subcodes) for ell in range(r + 1)
-    ]
+    enums = [run.shared(higher_weight_enum, code, ell, run) for ell in range(r + 1)]
     lhs = mw_higher_weight(enums, MWContext(code.spec.q, code.n, code.k))
-    return lhs, run.shared(higher_weight_enum, _dual(code, run), r, run.max_subcodes)
+    return lhs, run.shared(higher_weight_enum, _dual(code, run), r, run)
 
 
 def _mw_hjac(code, run, r, T):
@@ -254,10 +251,12 @@ def _polarize(code, run, r, t):
 
 
 def _delsarte(code, run, r, t):
-    """Brute-force vs harmonic verdict on each shell."""
-    shells = run.shared(support_shells, code, r, run.max_subcodes).items()
-    brute = {w: is_t_design(shell, t).is_design for w, shell in shells}
-    return brute, {w: delsarte_design_check(shell, t) for w, shell in shells}
+    """The brute-force shell verdicts vs the harmonic verdict on each shell,
+    both at the verdict's strength min(t, w, n - t)."""
+    verdicts = run.shared(subcode_support_designs, code, r, t, run).items()
+    shells = run.shared(support_shells, code, r, run)
+    brute = {w: v.is_design for w, v in verdicts}
+    return brute, {w: delsarte_design_check(shells[w], v.t) for w, v in verdicts}
 
 
 def _punctured(code, run, r, i):
@@ -289,7 +288,7 @@ CHECKS: dict[str, Check] = {
     ),
     # is_t_design and polarization vs the lambda kernel's tables
     "polarize": Check(_polarize, same_per_key, "differs at T={}"),
-    # is_t_design's incidence vs the lambda kernel's Delsarte sums
+    # the shell verdicts' incidence vs the lambda kernel's Delsarte sums, at one strength
     "delsarte": Check(_delsarte, same_per_key, "weight {}: brute={} harmonic={}"),
     # the lambda kernel's Moebius table at one coordinate vs split counts
     "punctured": Check(_punctured, same_value),

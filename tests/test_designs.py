@@ -91,8 +91,8 @@ def test_a_run_shares_each_input_and_its_memo_holds_no_reference_to_it():
     # the cyclic collector runs, where dropping the run frees it at once
     run = Run()
     assert t_independence_check(hamming74(), 1, 2, run) == t_independence_check(hamming74(), 1, 2)
-    shells = run.shared(support_shells, hamming74(), 1, run.max_subcodes)
-    assert run.shared(support_shells, hamming74(), 1, run.max_subcodes) is shells
+    shells = run.shared(support_shells, hamming74(), 1, run)
+    assert run.shared(support_shells, hamming74(), 1, run) is shells
     assert len(run.memo) == 2
     assert all(arg is not run for key in run.memo for arg in key)
 

@@ -23,6 +23,7 @@ from jacobiforge import (
     JacobiTable,
     LinearCode,
     RefSet,
+    Run,
     TooLarge,
     extended_jacobi,
     extended_jacobi_direct,
@@ -37,6 +38,8 @@ from jacobiforge import (
     parse_code,
     weight_enum,
 )
+from jacobiforge.designs import support_shells
+from jacobiforge.harmonic import harm_basis, harmonic_higher_wenum
 
 from math import comb
 
@@ -346,8 +349,26 @@ def test_first_difference():
 
 
 def test_guards_propagate():
+    # the run carries the guards into every route, and a route given no run
+    # keeps the defaults: the identity [25,25]_2 code is over both of them
+    routes = [
+        (lambda c, t, run: higher_jacobi(c, t, 2, run), "rank-2 subcodes exceed the guard 3"),
+        (lambda c, t, run: jacobi(c, t, run), "2^4 codewords exceed the guard"),
+        (lambda c, t, run: extended_jacobi(c, t, 2, run), "rank-1 subcodes exceed the guard 3"),
+        (lambda c, t, run: extended_jacobi_direct(c, t, 2, run),
+         "2^8 extension words exceed the guard"),
+        (lambda c, t, run: weight_enum(c, run), "2^4 codewords exceed the guard"),
+        (lambda c, t, run: higher_weight_enum(c, 2, run), "rank-2 subcodes exceed the guard 3"),
+        (lambda c, t, run: support_shells(c, 2, run), "rank-2 subcodes exceed the guard 3"),
+        (lambda c, t, run: harmonic_higher_wenum(c, harm_basis(c.n, 1)[0], 2, run),
+         "rank-2 subcodes exceed the guard 3"),
+    ]
     code = hamming74()
-    with pytest.raises(TooLarge):
-        higher_jacobi(code, RefSet.of(7, [1]), 2, max_subcodes=3)
-    with pytest.raises(TooLarge):
-        jacobi(code, RefSet.of(7, [1]), max_words=5)
+    big = LinearCode(field_new(2), 25, [[int(i == j) for j in range(25)] for i in range(25)])
+    for route, message in routes:
+        with pytest.raises(TooLarge) as exc:
+            route(code, RefSet.of(7, [1]), Run(max_subcodes=3, max_words=5))
+        assert str(exc.value) == message
+        assert route(code, RefSet.of(7, [1]), None) is not None
+        with pytest.raises(TooLarge, match="exceed the guard"):
+            route(big, RefSet.of(25, [1]), None)

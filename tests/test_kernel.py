@@ -309,7 +309,7 @@ def test_design_shells_make_recover_a_third_route_to_polarization():
     run = Run()
     for code, r in ((golay24(), 1), (golay24(), 2), (tgolay12(), 1)):
         n = code.n
-        shells = run.shared(support_shells, code, r, run.max_subcodes)
+        shells = run.shared(support_shells, code, r, run)
         for coords in ((3, 11), (5,)):  # the deeper lambdas first, built once
             tset, t = RefSet.of(n, coords), len(coords)
             for w, shell in shells.items():

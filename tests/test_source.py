@@ -98,7 +98,7 @@ def module_aliases(tree: ast.Module, modules: set[str]) -> set[str]:
 
 
 def test_no_src_module_writes_module_state():
-    # the state of a run lives in a designs.Run, not in globals that one
+    # the state of a run lives in a code.Run, not in globals that one
     # module sets in another
     paths = sorted(SRC.glob("*.py"))
     modules = {path.stem for path in paths}

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import HAMMING74_TEXT, c12, ex44, hamming74, random_code, render_code, tgolay12
-from jacobiforge import LinearCode, cli, designs, enumerators, field_new, verify
+from jacobiforge import LinearCode, Run, cli, designs, enumerators, field_new, verify
 from jacobiforge import verify_all
 from jacobiforge import code as code_module
 from jacobiforge.code import subcode_count
@@ -231,13 +231,18 @@ def test_each_verdict_enumerator_and_grouping_is_built_once_per_run(monkeypatch)
     # each (r, t), polarize and mw-hweight the same rank-r weight
     # enumerators, and each shell groups its masks once for both transposes
     code = c12()
-    judged, enums, groupings = Counter(), Counter(), Counter()
+    judged, enums, groupings, splits = Counter(), Counter(), Counter(), Counter()
     real_design, real_enum = designs.is_t_design, designs.higher_weight_enum
     real_grouped = designs.BlockMultiset._grouped
+    real_split = enumerators._split_counts
 
     def design(shell, s):
         judged[id(shell), s] += 1
         return real_design(shell, s)
+
+    def split(hist, tset):
+        splits[id(hist), tset] += 1
+        return real_split(hist, tset)
 
     def enum(code_, r, guard):
         enums[code_ is code, r] += 1
@@ -247,7 +252,11 @@ def test_each_verdict_enumerator_and_grouping_is_built_once_per_run(monkeypatch)
         groupings[id(shell)] += shell._groups is None
         return real_grouped(shell)
 
-    monkeypatch.setattr(designs, "is_t_design", design)
+    # every library binding of is_t_design: the shell verdicts are the only caller
+    for module in (designs, verify):
+        if hasattr(module, "is_t_design"):
+            monkeypatch.setattr(module, "is_t_design", design)
+    monkeypatch.setattr(enumerators, "_split_counts", split)
     monkeypatch.setattr(designs, "higher_weight_enum", enum)
     monkeypatch.setattr(verify, "higher_weight_enum", enum)
     monkeypatch.setattr(designs.BlockMultiset, "_grouped", grouped)
@@ -260,6 +269,20 @@ def test_each_verdict_enumerator_and_grouping_is_built_once_per_run(monkeypatch)
     assert {key: count for key, count in judged.items() if count > 1 and key[1]} == {}
     assert enums == {(True, r): 1 for r in range(3)} | {(False, r): 1 for r in range(3)}
     assert len(groupings) == sum(shells) and set(groupings.values()) == {1}
+    # each histogram is split once at each T: extension tables by rank
+    # decomposition read the run's rank-r tables
+    assert set(splits.values()) == {1}
+
+
+def test_delsarte_judges_each_shell_at_its_design_verdict_strength():
+    # at t = 4 > n/2 on Hamming [7,4]_2 every shell is judged at strength
+    # min(t, w, n - t) = 3 on both sides, the weight-3 shell included, which
+    # is not a vacuous 4-design
+    brute, harmonic = verify.CHECKS["delsarte"].routes(hamming74(), Run(), 1, 4)
+    assert brute == harmonic == {3: False, 4: False, 7: True}
+    assert "is_t_design" not in vars(verify)
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=4, seed=0)
+    assert ok and "PASS delsarte r=1 t=4" in lines
 
 
 def test_a_single_item_over_the_guard_is_a_skip():
