@@ -45,6 +45,15 @@ def _commands() -> dict[str, tuple[str, tuple[str, ...]]]:
         for seed in range(3):
             name = f"verify-{code}-{caps.replace(' ', '').replace('-', '')}-seed{seed}"
             out[name] = (code, ("verify", *caps.split(), "--seed", str(seed)))
+    # guard-limited runs, so the SKIP lines of a guard hit are pinned too
+    guarded_lines = [
+        ("c12", "-r 2 -t 2 -m 2 --max-subcodes 100"),
+        ("tgolay12", "-r 1 -t 1 -m 2 --max-words 1000"),
+    ]
+    for code, argv in guarded_lines:
+        out[f"verify-{code}-{argv.replace(' ', '').replace('-', '')}"] = (
+            code, ("verify", *argv.split())
+        )
     tables = {
         "jacobi": ("jacobi", "--json", "-T", "1,2"),
         "hjacobi": ("hjacobi", "--json", "-r", "2", "-T", "1,3"),

@@ -1,6 +1,7 @@
 """The acceptance command lines print their golden outputs byte for byte:
-the ``verify`` reports of the four benchmark codes, seeds 0-2, and the table,
-duality, recovery and design commands on three of them.  The command list
+the ``verify`` reports of the four benchmark codes, seeds 0-2, two of them
+again under a low guard, and the table, duality, recovery and design commands
+on three of them.  The command list
 and the rewriting script are in tests/make_goldens.py."""
 
 import pytest
