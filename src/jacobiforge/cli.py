@@ -223,7 +223,7 @@ def _cmd_mw_check(args, code: LinearCode, run: Run) -> int:
         return _verdict(check, lhs, rhs, None if args.kind == "hw" else ("transform", "dual"))
 
 
-def _cmd_verify(args, code: LinearCode) -> int:
+def _cmd_verify(args, code: LinearCode, run: Run) -> int:
     for flag, cap in (("-r", args.r), ("-m", args.m), ("-t", args.t)):
         if cap < 0:
             raise UsageError(f"{flag} must be nonnegative")
@@ -231,15 +231,7 @@ def _cmd_verify(args, code: LinearCode) -> int:
         raise UsageError("--jobs must be at least 1")
     from .verify import verify_all
 
-    lines, ok = verify_all(
-        code,
-        r_max=args.r,
-        m_max=args.m,
-        t_max=args.t,
-        seed=args.seed,
-        max_subcodes=args.max_subcodes,
-        max_words=args.max_words,
-    )
+    lines, ok = verify_all(code, args.r, args.m, args.t, args.seed, run)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -371,7 +363,7 @@ def _run(argv) -> int:
             _emit(lhs, args.json)
             return _verdict(check, lhs, rhs, ("recovered", "direct"))
         if args.command == "verify":
-            return _cmd_verify(args, code)
+            return _cmd_verify(args, code, run)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

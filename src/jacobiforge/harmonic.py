@@ -24,6 +24,8 @@ back into split-weight coefficient grids without reading a split count.
 Each system depends only on (n, t, l), so it is inverted once per (n, t)
 and a recovery is an integer mat-vec per weight.  Every harmonic basis
 value is 1 or -1, so the bases and the Delsarte sums build no Fraction.
+The two functions that read the support shells import ``designs`` when
+they run, so ``hahn`` compiles no design code.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from operator import add
 
 from .bipoly import BiHomPoly
 from .code import LinearCode, RefSet, Run, coords_mask
-from .designs import support_shells
 from .enumerators import JacobiTable, _check_tset, table_from_bipoly
 from .errors import PochhammerZeroDenominator
 from .exactmath import apply_inverse, exact, rat_inverse
@@ -120,6 +121,8 @@ def harmonic_higher_wenum(
     """Weight enumerator of the r-dim subcodes, each counted with weight
     f-tilde of its support: at weight w, the lambda kernel sum of the
     weight-w shell (see ``delsarte_design_check``), an exact rational."""
+    from .designs import support_shells
+
     if f.n != code.n:
         raise ValueError("function and code live on different coordinate sets")
     counts, run = [0] * (code.n + 1), run or Run()
@@ -288,6 +291,8 @@ def recover_jacobi(
     The solutions become a table through ``table_from_bipoly``.  The kernel
     needs |T| <= n/2; a larger T transposes the table at [n] - T.
     """
+    from .designs import support_shells
+
     _check_tset(code, tset)
     t, n, tmask, run = tset.size, code.n, tset.mask, run or Run()
     if 2 * t > n:

@@ -11,15 +11,16 @@ design, Delsarte and polarization verdicts).  ``run_item`` is a lookup in
 this table and the one place a route's outcome becomes an item status:
 a guard hit or a failed design hypothesis is a SKIP that states the
 route's message.  The CLI's ``mw-check`` and ``recover`` print what the
-entries compute, and the acceptance tests sweep through ``run_item``.
+entries compute, and the acceptance tests sweep through ``run_item``; its
+(max_subcodes, max_words) tuple form is for perfbench's tracer test only.
 
 The item list is built deterministically from the code and a seed (the
 seed only drives which reference sets and coordinates are sampled), so
 two runs with the same inputs produce byte-identical reports.
 
 ``verify_all`` runs every item, in item order, in the calling process,
-with one ``code.Run``: the guards every route is bounded by, and the
-memo (``run.shared``) of the objects that many items read: the direct
+in the caller's ``code.Run``: the guards every route is bounded by, and
+the memo (``run.shared``) of the objects that many items read: the direct
 rank-r table, which the rank-decomposition extension table sums, the
 dual code, the rank-r weight enumerator, the shell verdicts of each
 (r, t), which the design, polarization and Delsarte items read, and the
@@ -32,7 +33,9 @@ belongs to the run, so the next run (or a corrupted route) starts afresh;
 a library call given no run makes its own.  A shell transposes its masks
 once and walks them again for a deeper t; a rank over the subcode guard
 is never enumerated, and its items SKIP.  The design items run for t <= n.
-The summary line counts the items and the SKIPs.
+The summary line counts the items and the SKIPs.  The five checks that
+read design or harmonic routes import them when they run, so ``mw-check``
+compiles neither module.
 """
 
 from __future__ import annotations
@@ -41,14 +44,7 @@ import random
 from math import comb
 from typing import Callable, NamedTuple
 
-from .code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT, LinearCode, RefSet, Run
-from .designs import (
-    jacobi_by_polarization,
-    kernel_tables,
-    subcode_support_designs,
-    support_shells,
-    t_independence_check,
-)
+from .code import LinearCode, RefSet, Run
 from .enumerators import (
     extended_jacobi,
     extended_jacobi_direct,
@@ -61,7 +57,6 @@ from .enumerators import (
     weight_enum,
 )
 from .errors import DesignHypothesisFails, NonIntegerResult, SingularMatrix, TooLarge
-from .harmonic import delsarte_design_check, recover_jacobi
 from .qcomb import gauss_binom
 from .transforms import MWContext, mw_extended_jacobi, mw_higher_jacobi, mw_higher_weight
 
@@ -232,12 +227,16 @@ def _mw_ejac(code, run, m, T):
 
 
 def _recover(code, run, r, T):
+    from .harmonic import recover_jacobi
+
     return recover_jacobi(code, r, RefSet.of(code.n, T), run), _hjac(code, run, r, T)
 
 
 def _design_equiv(code, run, r, t):
     """All shells are t-designs vs the table is the same at every t-set,
     keyed by the witness pair of t-sets (None when it is the same)."""
+    from .designs import subcode_support_designs, t_independence_check
+
     verdicts = run.shared(subcode_support_designs, code, r, t, run)
     independent, witness = t_independence_check(code, r, t, run)
     return {witness: all(v.is_design for v in verdicts.values())}, {witness: independent}
@@ -245,6 +244,8 @@ def _design_equiv(code, run, r, t):
 
 def _polarize(code, run, r, t):
     """The polarized polynomial vs the lambda kernel's table at each t-set."""
+    from .designs import jacobi_by_polarization, kernel_tables
+
     poly = jacobi_by_polarization(code, r, t, run)
     tables = run.shared(kernel_tables, code, r, t, run)
     return dict.fromkeys(tables, poly), tables
@@ -253,6 +254,9 @@ def _polarize(code, run, r, t):
 def _delsarte(code, run, r, t):
     """The brute-force shell verdicts vs the harmonic verdict on each shell,
     both at the verdict's strength min(t, w, n - t)."""
+    from .designs import subcode_support_designs, support_shells
+    from .harmonic import delsarte_design_check
+
     verdicts = run.shared(subcode_support_designs, code, r, t, run).items()
     shells = run.shared(support_shells, code, r, run)
     brute = {w: v.is_design for w, v in verdicts}
@@ -261,6 +265,8 @@ def _delsarte(code, run, r, t):
 
 def _punctured(code, run, r, i):
     """The lambda kernel's table at T = {i} vs the split counts at {i}."""
+    from .designs import kernel_tables
+
     tables = run.shared(kernel_tables, code, r, 1, run)
     return tables[(i,)], _hjac(code, run, r, (i,)).to_bipoly()
 
@@ -296,10 +302,11 @@ CHECKS: dict[str, Check] = {
 
 
 def run_item(code: LinearCode, kind: str, params, run) -> tuple[bool | None, str]:
-    """Execute one item in run, a ``Run`` or a (max_subcodes, max_words)
-    tuple; returns (ok, detail), ok None meaning SKIP: a guard hit or a
-    failed design hypothesis.  A fraction or a singular system that an
-    exact route meets is an identity violation, a FAIL."""
+    """Execute one item in run; returns (ok, detail), ok None meaning
+    SKIP: a guard hit or a failed design hypothesis.  A fraction or a
+    singular system that an exact route meets is an identity violation, a
+    FAIL.  run may also be a (max_subcodes, max_words) tuple, only because
+    perfbench's tracer test passes one."""
     if isinstance(run, tuple):
         run = Run(*run)
     check = CHECKS[kind]
@@ -323,16 +330,12 @@ def verify_all(
     m_max: int = 2,
     t_max: int = 2,
     seed: int = 0,
-    max_subcodes: int = MAX_SUBCODES_DEFAULT,
-    max_words: int = MAX_WORDS_DEFAULT,
+    run: Run | None = None,
 ) -> tuple[list[str], bool]:
-    """Run the whole identity suite; returns (report lines, all passed).
-
-    The items run in order in the calling process, in one ``Run``.  The
-    summary line counts the items and the SKIPs among them.
-    """
+    """Run the whole identity suite, item by item, in run (a fresh ``Run``
+    when None); returns (report lines, all passed), the summary line last."""
     items = build_items(code, r_max, m_max, t_max, seed)
-    run = Run(max_subcodes, max_words)
+    run = run or Run()
     lines, statuses = [], []
     for label, kind, params in items:
         ok, detail = run_item(code, kind, params, run)

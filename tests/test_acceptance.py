@@ -30,6 +30,7 @@ from jacobiforge import (
     LinearCode,
     MWContext,
     RefSet,
+    Run,
     extended_jacobi_direct,
     extended_jacobi_via_q,
     field_new,
@@ -43,7 +44,7 @@ from jacobiforge import (
     qfact,
 )
 from jacobiforge.code import MAX_SUBCODES_DEFAULT, MAX_WORDS_DEFAULT
-from jacobiforge.designs import Run, support_shells
+from jacobiforge.designs import support_shells
 from jacobiforge.verify import CHECKS, run_item
 
 import random

@@ -10,6 +10,7 @@ from jacobiforge import (
     BlockMultiset,
     DesignHypothesisFails,
     RefSet,
+    Run,
     TooLarge,
     higher_jacobi,
     is_t_design,
@@ -18,7 +19,7 @@ from jacobiforge import (
     t_independence_check,
 )
 from jacobiforge.code import LinearCode
-from jacobiforge.designs import Run, support_shells
+from jacobiforge.designs import support_shells
 from jacobiforge.gf import field_new
 
 S12 = block_multiset(6, [{1, 2}, {3, 4}, {5, 6}])

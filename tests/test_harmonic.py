@@ -28,6 +28,7 @@ from jacobiforge import (
     LinearCode,
     PochhammerZeroDenominator,
     RefSet,
+    Run,
     SubsetFn,
     delsarte_design_check,
     f_tilde,
@@ -42,7 +43,7 @@ from jacobiforge import (
 )
 from jacobiforge import enumerators, exactmath
 from jacobiforge.code import coords_mask
-from jacobiforge.designs import Run, support_shells
+from jacobiforge.designs import support_shells
 from jacobiforge.enumerators import subcode_support_histogram
 from jacobiforge.errors import DegreeUnderflow
 

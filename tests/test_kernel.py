@@ -34,6 +34,7 @@ from jacobiforge import (
     BlockMultiset,
     LinearCode,
     RefSet,
+    Run,
     TooLarge,
     delsarte_design_check,
     extended_jacobi,
@@ -60,7 +61,7 @@ from jacobiforge.code import (
     or_power,
     support_mask,
 )
-from jacobiforge.designs import Run, kernel_tables, support_shells
+from jacobiforge.designs import kernel_tables, support_shells
 from jacobiforge.enumerators import (
     _extension_supports,
     _q_grid,

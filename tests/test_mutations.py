@@ -180,7 +180,7 @@ def test_complement_without_the_transpose_fails_recover(monkeypatch):
     assert source.count(transpose) == 1
     namespace = dict(vars(harmonic))
     exec(source.replace(transpose, "grid=table.grid"), namespace)
-    monkeypatch.setattr(verify, "recover_jacobi", namespace["recover_jacobi"])
+    monkeypatch.setattr(harmonic, "recover_jacobi", namespace["recover_jacobi"])
     lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=4, seed=1)
     assert not ok
     fails = failing_labels(lines)
@@ -327,29 +327,33 @@ def each_doubled(fn):
     return lambda *args: {key: poly.scale(2) for key, poly in fn(*args).items()}
 
 
-# kind -> (route name the table reads in verify, its corruption, an item label
-# that must then FAIL)
+# kind -> (the module verify reads the route from, the route's name, its
+# corruption, an item label that must then FAIL)
 CORRUPTIONS = {
-    "mass": ("gauss_binom", lambda fn: lambda *args: fn(*args) + 1, "subcode-mass r=1"),
-    "plain_vs_wenum": ("weight_enum", doubled, "plain-table-vs-weight-enum"),
+    "mass": (verify, "gauss_binom", lambda fn: lambda *args: fn(*args) + 1, "subcode-mass r=1"),
+    "plain_vs_wenum": (verify, "weight_enum", doubled, "plain-table-vs-weight-enum"),
     "design_equiv": (
+        designs,
         "t_independence_check",
         lambda fn: lambda *args: (not fn(*args)[0], None),
         "design-equiv r=1 t=1",
     ),
-    "polarize": ("jacobi_by_polarization", doubled, "polarize r=1 t=1"),
+    "polarize": (designs, "jacobi_by_polarization", doubled, "polarize r=1 t=1"),
     "delsarte": (
-        "delsarte_design_check", lambda fn: lambda *args: not fn(*args), "delsarte r=1 t=1"
+        harmonic,
+        "delsarte_design_check",
+        lambda fn: lambda *args: not fn(*args),
+        "delsarte r=1 t=1",
     ),
     # the lambda side; test_split_side_corruption_fails_punctured corrupts the other
-    "punctured": ("kernel_tables", each_doubled, "punctured-split r=1 "),
+    "punctured": (designs, "kernel_tables", each_doubled, "punctured-split r=1 "),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 def test_corrupted_route_fails_its_check(monkeypatch, kind):
-    name, corrupt, label = CORRUPTIONS[kind]
-    monkeypatch.setattr(verify, name, corrupt(getattr(verify, name)))
+    module, name, corrupt, label = CORRUPTIONS[kind]
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
     assert not ok
     fails = failing_labels(lines)
@@ -439,7 +443,7 @@ def test_every_check_kind_has_a_failing_mode():
     prefix = {kind: label.split()[0] for label, kind, _ in items}
     assert set(CHECKS) == set(prefix)
     assert set(CORRUPTIONS) | set(SHOWN_ABOVE) == set(CHECKS)
-    for kind, (_, _, label) in CORRUPTIONS.items():
+    for kind, (*_, label) in CORRUPTIONS.items():
         assert label.split()[0] == prefix[kind], kind
     for kind, test in SHOWN_ABOVE.items():
         assert prefix[kind] in inspect.getsource(test), kind

@@ -4,10 +4,11 @@ Each check runs a fresh interpreter under ``-X importtime``, which lists
 every module the process imports on stderr; the test process itself has
 long since imported everything.  ``import jacobiforge`` loads the table
 layer and resolves the names of the checks layer (designs, harmonic,
-verify) on first use, so a table command never compiles that layer, and
-``design-check`` and ``polarize`` compile only ``designs`` of it.  The
-table layer stays eager for perfbench's tracer test, which this module
-also runs on its own, as ``python -m pytest perfbench/tests`` does.
+verify) on first use, so a table command never compiles that layer,
+``design-check`` and ``polarize`` compile only ``designs`` of it,
+``mw-check`` only ``verify`` and ``hahn`` only ``harmonic``.  The table
+layer stays eager for perfbench's tracer test, which this module also
+runs on its own, as ``python -m pytest perfbench/tests`` does.
 
 ``verify`` runs in one process for any ``--jobs``, and the records are
 NamedTuple or ``__slots__`` classes, so neither ``multiprocessing`` nor
@@ -115,13 +116,19 @@ def test_importing_the_package_loads_the_table_layer_only():
         (("ejacobi", "-m", "2", "-T", "1,2"), set()),
         (("design-check", "-r", "1", "-t", "2"), {"designs"}),
         (("polarize", "-r", "1", "-t", "2"), {"designs"}),
+        (("mw-check", "--kind", "hjac", "-r", "1", "-T", "1,2"), {"verify"}),
+        (("hahn", "-m", "1", "-x", "2", "--alpha", "1", "--beta", "1", "-N", "5"),
+         {"harmonic"}),
     ],
-    ids=["wenum", "jacobi", "hwenum", "hjacobi", "ejacobi", "design-check", "polarize"],
+    ids=["wenum", "jacobi", "hwenum", "hjacobi", "ejacobi", "design-check", "polarize",
+         "mw-check", "hahn"],
 )
 def test_a_command_loads_only_the_checks_it_runs(tmp_path, argv, checks):
     code = tmp_path / "hamming7.txt"
     code.write_text(HAMMING74_TEXT)
-    modules = imported("-m", "jacobiforge", *argv, "--code", str(code))
+    # hahn reads no code
+    code_args = () if argv[0] == "hahn" else ("--code", str(code))
+    modules = imported("-m", "jacobiforge", *argv, *code_args)
     assert library_modules(modules) & CHECKS_LAYER == checks
 
 

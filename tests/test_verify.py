@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import HAMMING74_TEXT, c12, ex44, hamming74, random_code, render_code, tgolay12
-from jacobiforge import LinearCode, Run, cli, designs, enumerators, field_new, verify
+from jacobiforge import LinearCode, RefSet, Run, TooLarge, cli, designs, enumerators, field_new
+from jacobiforge import verify
 from jacobiforge import verify_all
 from jacobiforge import code as code_module
 from jacobiforge.code import subcode_count
@@ -41,7 +42,7 @@ def test_verify_all_random_ternary_code():
 # (p, e) of every field the random-code sweep draws from
 SWEEP_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 # guards that keep each code to milliseconds: each turns the items over it
-# into SKIPs
+# into SKIPs; each call gets a fresh Run, so no memo outlives its code
 SWEEP_GUARDS = dict(max_subcodes=2000, max_words=1 << 16)
 
 
@@ -81,8 +82,8 @@ def test_verify_all_random_codes(monkeypatch):
     @given(random_codes(), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2),
            st.integers(0, 99))
     def check(c, r_max, t_max, m_max, seed):
-        caps = dict(r_max=r_max, t_max=t_max, m_max=m_max, seed=seed, **SWEEP_GUARDS)
-        lines, ok = verify_all(c, **caps)
+        caps = dict(r_max=r_max, t_max=t_max, m_max=m_max, seed=seed)
+        lines, ok = verify_all(c, **caps, run=Run(**SWEEP_GUARDS))
         assert ok, (c.gen, [line for line in lines if line.startswith("FAIL")])
         for line in lines[:-1]:
             assert not line.startswith("SKIP ") or re.match(r"SKIP [^:]+: \S", line), line
@@ -110,7 +111,7 @@ def test_the_summary_line_counts_the_skips():
 
 
 def test_an_extension_over_the_word_guard_is_a_skip_that_names_the_count():
-    lines, ok = verify_all(hamming74(), r_max=1, m_max=2, t_max=1, seed=0, max_words=255)
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=2, t_max=1, seed=0, run=Run(max_words=255))
     assert ok
     skips = [line for line in lines if line.startswith("SKIP ")]
     assert len(skips) == 3
@@ -152,11 +153,23 @@ def test_verify_all_skips_when_a_shared_input_trips_a_limit():
     # subcodes of rank 1 while the code itself has 3: the items that read
     # them report the SKIP
     code = LinearCode(field_new(2), 21, [[1] * 11 + [0] * 10, [0] * 5 + [1] * 16])
-    lines, _ = verify_all(code, r_max=2, m_max=2, t_max=1, seed=3, max_subcodes=1000)
+    lines, _ = verify_all(code, r_max=2, m_max=2, t_max=1, seed=3, run=Run(max_subcodes=1000))
     assert any(line.startswith("SKIP hjac-via-dims ") and "sweep needs n <= 20" in line
                for line in lines)
     assert any(line.startswith("SKIP mw-ejac m=1 ") and "subcodes exceed the guard" in line
                for line in lines)
+
+
+def test_verify_all_computes_in_the_callers_run():
+    # Hamming [7,4]_2 has 15 subcodes of rank 1 and 35 of rank 2: the
+    # caller's memo keeps the rank-1 table at T = {} and the rank-2 guard hit
+    code, run = hamming74(), Run(max_subcodes=20)
+    lines, ok = verify_all(code, r_max=2, m_max=1, t_max=1, seed=0, run=run)
+    assert ok and "SKIP subcode-mass r=2: guard exceeded: " in "\n".join(lines)
+    empty = RefSet.of(code.n)
+    table = run.memo[enumerators.higher_jacobi, code, empty, 1]
+    assert table.grid == enumerators.higher_jacobi(code, empty, 1).grid
+    assert isinstance(run.memo[enumerators.higher_jacobi, code, empty, 2], TooLarge)
 
 
 @pytest.mark.parametrize("code, transposes", [(hamming74, 7), (c12, 23)])
