@@ -5,8 +5,8 @@ reports DIFFER (or a stated hypothesis fails), 2 for usage, parse, and
 guard errors (``verify`` reports a guard hit as a SKIP), and for a closed
 stdout.  All numeric output is exact; rationals print as p/q.
 
-Each command imports the design, harmonic or verify module it runs where
-it runs it, so a table command compiles none of them.
+A command imports the checks it runs where it runs them (verify brings
+designs and harmonic, harmonic brings designs): a table command compiles none.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ class UsageError(Exception):
     pass
 
 
+def integer(text: str) -> int:
+    """The argparse type of every integer option: an optional -, then ASCII
+    digits, where int() also reads a +, spaces, _ and other scripts' digits."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return int(text)  # more digits than int() reads: ValueError, a usage error too
+    raise ValueError(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jacobiforge",
@@ -54,14 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--code", required=True, help="path to a matrix file")
         if json:
             p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--max-subcodes", type=int, default=MAX_SUBCODES_DEFAULT)
-        p.add_argument("--max-words", type=int, default=MAX_WORDS_DEFAULT)
+        p.add_argument("--max-subcodes", type=integer, default=MAX_SUBCODES_DEFAULT)
+        p.add_argument("--max-words", type=integer, default=MAX_WORDS_DEFAULT)
         if r:
-            p.add_argument("-r", type=int, required=r == "required", default=None)
+            p.add_argument("-r", type=integer, required=r == "required", default=None)
         if m:
-            p.add_argument("-m", type=int, required=m == "required", default=None)
+            p.add_argument("-m", type=integer, required=m == "required", default=None)
         if t:
-            p.add_argument("-t", type=int, required=t == "required", default=None)
+            p.add_argument("-t", type=integer, required=t == "required", default=None)
         if T:
             p.add_argument(
                 "-T",
@@ -87,24 +96,24 @@ def _build_parser() -> argparse.ArgumentParser:
     add("polarize", "rank-r split-weight polynomial via polarization",
         json=True, r="required", t="required")
     p = add("harm-wenum", "harmonically weighted rank-r weight enumerator", json=True, r="required")
-    p.add_argument("-d", type=int, required=True, help="harmonic degree")
-    p.add_argument("--basis-index", type=int, default=0)
+    p.add_argument("-d", type=integer, required=True, help="harmonic degree")
+    p.add_argument("--basis-index", type=integer, default=0)
     p = sub.add_parser("hahn", help="evaluate a Hahn polynomial exactly")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-x", type=int, required=True)
+    p.add_argument("-m", type=integer, required=True)
+    p.add_argument("-x", type=integer, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("-N", type=int, required=True)
+    p.add_argument("-N", type=integer, required=True)
     add("recover", "recover the rank-r table from weighted enumerators",
         json=True, r="required", T=True)
     p = add("verify", "run the full identity suite on the code")
-    p.add_argument("-r", type=int, default=2, help="rank cap")
-    p.add_argument("-m", type=int, default=2, help="extension degree cap")
-    p.add_argument("-t", type=int, default=2, help="reference set size cap")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-r", type=integer, default=2, help="rank cap")
+    p.add_argument("-m", type=integer, default=2, help="extension degree cap")
+    p.add_argument("-t", type=integer, default=2, help="reference set size cap")
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument(
         "--jobs",
-        type=int,
+        type=integer,
         default=1,
         help="accepted for existing command lines and changes nothing: "
         "verify runs in one process",
@@ -157,7 +166,8 @@ def _check_range(name: str, value: int, low: int, high: int):
 
 def _parse_rational_arg(name: str, text: str):
     try:
-        if "e" in text.lower():  # no exponent: Fraction would build 10**exponent first
+        # ASCII, no _ and no exponent (Fraction would build 10**exponent first)
+        if not text.isascii() or "_" in text or "e" in text.lower():
             raise ValueError(text)
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -24,8 +24,8 @@ back into split-weight coefficient grids without reading a split count.
 Each system depends only on (n, t, l), so it is inverted once per (n, t)
 and a recovery is an integer mat-vec per weight.  Every harmonic basis
 value is 1 or -1, so the bases and the Delsarte sums build no Fraction.
-The two functions that read the support shells import ``designs`` when
-they run, so ``hahn`` compiles no design code.
+The support shells are read as ``designs.support_shells``, through the
+run's memo.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from itertools import combinations
 from math import comb, lcm
 from operator import add
 
+from . import designs
 from .bipoly import BiHomPoly
 from .code import LinearCode, RefSet, Run, coords_mask
 from .enumerators import JacobiTable, _check_tset, table_from_bipoly
@@ -121,12 +122,10 @@ def harmonic_higher_wenum(
     """Weight enumerator of the r-dim subcodes, each counted with weight
     f-tilde of its support: at weight w, the lambda kernel sum of the
     weight-w shell (see ``delsarte_design_check``), an exact rational."""
-    from .designs import support_shells
-
     if f.n != code.n:
         raise ValueError("function and code live on different coordinate sets")
     counts, run = [0] * (code.n + 1), run or Run()
-    for w, shell in run.shared(support_shells, code, r, run).items():
+    for w, shell in run.shared(designs.support_shells, code, r, run).items():
         counts[w] = _kernel_sum(f, shell.lambdas(f.d))
     return BiHomPoly(0, code.n, [counts])
 
@@ -291,14 +290,12 @@ def recover_jacobi(
     The solutions become a table through ``table_from_bipoly``.  The kernel
     needs |T| <= n/2; a larger T transposes the table at [n] - T.
     """
-    from .designs import support_shells
-
     _check_tset(code, tset)
     t, n, tmask, run = tset.size, code.n, tset.mask, run or Run()
     if 2 * t > n:
         table = recover_jacobi(code, r, RefSet.of(n, set(range(1, n + 1)) - tset.members), run)
         return table._replace(tset=tset, grid=tuple(zip(*table.grid)))
-    shells = run.shared(support_shells, code, r, run)
+    shells = run.shared(designs.support_shells, code, r, run)
     lambdas = {ell: shell.lambdas(t) for ell, shell in shells.items()}
     coeff = [[0] * (n - t + 1) for _ in range(t + 1)]
     for ell, (feasible, weights, inverse) in enumerate(_recovery_systems(n, t)):

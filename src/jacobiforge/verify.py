@@ -33,9 +33,10 @@ belongs to the run, so the next run (or a corrupted route) starts afresh;
 a library call given no run makes its own.  A shell transposes its masks
 once and walks them again for a deeper t; a rank over the subcode guard
 is never enumerated, and its items SKIP.  The design items run for t <= n.
-The summary line counts the items and the SKIPs.  The five checks that
-read design or harmonic routes import them when they run, so ``mw-check``
-compiles neither module.
+The summary line counts the items and the SKIPs.  The checks read the
+design and harmonic routes as ``designs.kernel_tables``,
+``harmonic.recover_jacobi`` and so on, so a route rebound in its own
+module is the one every item calls.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import random
 from math import comb
 from typing import Callable, NamedTuple
 
+from . import designs, harmonic
 from .code import LinearCode, RefSet, Run
 from .enumerators import (
     extended_jacobi,
@@ -227,47 +229,36 @@ def _mw_ejac(code, run, m, T):
 
 
 def _recover(code, run, r, T):
-    from .harmonic import recover_jacobi
-
-    return recover_jacobi(code, r, RefSet.of(code.n, T), run), _hjac(code, run, r, T)
+    return harmonic.recover_jacobi(code, r, RefSet.of(code.n, T), run), _hjac(code, run, r, T)
 
 
 def _design_equiv(code, run, r, t):
     """All shells are t-designs vs the table is the same at every t-set,
     keyed by the witness pair of t-sets (None when it is the same)."""
-    from .designs import subcode_support_designs, t_independence_check
-
-    verdicts = run.shared(subcode_support_designs, code, r, t, run)
-    independent, witness = t_independence_check(code, r, t, run)
+    verdicts = run.shared(designs.subcode_support_designs, code, r, t, run)
+    independent, witness = designs.t_independence_check(code, r, t, run)
     return {witness: all(v.is_design for v in verdicts.values())}, {witness: independent}
 
 
 def _polarize(code, run, r, t):
     """The polarized polynomial vs the lambda kernel's table at each t-set."""
-    from .designs import jacobi_by_polarization, kernel_tables
-
-    poly = jacobi_by_polarization(code, r, t, run)
-    tables = run.shared(kernel_tables, code, r, t, run)
+    poly = designs.jacobi_by_polarization(code, r, t, run)
+    tables = run.shared(designs.kernel_tables, code, r, t, run)
     return dict.fromkeys(tables, poly), tables
 
 
 def _delsarte(code, run, r, t):
     """The brute-force shell verdicts vs the harmonic verdict on each shell,
     both at the verdict's strength min(t, w, n - t)."""
-    from .designs import subcode_support_designs, support_shells
-    from .harmonic import delsarte_design_check
-
-    verdicts = run.shared(subcode_support_designs, code, r, t, run).items()
-    shells = run.shared(support_shells, code, r, run)
+    verdicts = run.shared(designs.subcode_support_designs, code, r, t, run).items()
+    shells = run.shared(designs.support_shells, code, r, run)
     brute = {w: v.is_design for w, v in verdicts}
-    return brute, {w: delsarte_design_check(shells[w], v.t) for w, v in verdicts}
+    return brute, {w: harmonic.delsarte_design_check(shells[w], v.t) for w, v in verdicts}
 
 
 def _punctured(code, run, r, i):
     """The lambda kernel's table at T = {i} vs the split counts at {i}."""
-    from .designs import kernel_tables
-
-    tables = run.shared(kernel_tables, code, r, 1, run)
+    tables = run.shared(designs.kernel_tables, code, r, 1, run)
     return tables[(i,)], _hjac(code, run, r, (i,)).to_bipoly()
 
 

@@ -391,6 +391,20 @@ MATRIX_FILES = {
         (("jacobi", "--code", "{code}", "-T", "1,1"), "error: -T coordinates must be distinct"),
         (("mw-check", "--code", "{code}", "--kind", "hjac", "-r", "4", "-T", "1"),
          "error: r exceeds min(k, n-k) = 3"),
+        # integer options and rationals are ASCII, as -T and the matrix file are
+        (("hwenum", "--code", "{code}", "-r", "\u0661"),
+         "jacobiforge hwenum: error: argument -r: invalid integer value: '\u0661'"),
+        (("hwenum", "--code", "{code}", "-r", "1_0"),
+         "jacobiforge hwenum: error: argument -r: invalid integer value: '1_0'"),
+        (("verify", "--code", "{code}", "-t", "1_0", "-r", "0", "-m", "0"),
+         "jacobiforge verify: error: argument -t: invalid integer value: '1_0'"),
+        (("wenum", "--code", "{code}", "--max-subcodes", "1_000_000"),
+         "jacobiforge wenum: error: argument --max-subcodes: invalid integer value: '1_000_000'"),
+        (("hahn", "-m", "\u0661", "-x", "1", "--alpha", "1/2", "--beta", "\u0661/3", "-N", "4"),
+         "jacobiforge hahn: error: argument -m: invalid integer value: '\u0661'"),
+        (("hahn", "-m", "1", "-x", "1", "--alpha", "1/2", "--beta", "\u0661/3", "-N", "4"),
+         "error: bad --beta value '\u0661/3'"),
+        (HAHN + ("-m", "1", "-N", "3", "--alpha", "1_0/2"), "error: bad --alpha value '1_0/2'"),
     ],
     ids=["hahn-m-ge-N", "hahn-alpha-abc", "hahn-alpha-div0", "harm-d-9", "harm-d-neg",
          "polarize-t-9", "polarize-t-neg", "verify-r-neg", "verify-t-neg",
@@ -398,7 +412,9 @@ MATRIX_FILES = {
          "jacobi-T-underscore", "jacobi-T-plus", "hwenum-max-subcodes-neg",
          "design-check-max-subcodes-0", "wenum-max-words-0", "verify-max-words-neg",
          "header-q-5000-digits", "row-entry-5000-digits", "jacobi-T-5000-digits",
-         "jacobi-T-repeated", "mw-check-r-past-min-k-n-k"],
+         "jacobi-T-repeated", "mw-check-r-past-min-k-n-k", "hwenum-r-arabic-indic",
+         "hwenum-r-underscore", "verify-t-underscore", "wenum-max-subcodes-underscore",
+         "hahn-m-arabic-indic", "hahn-beta-arabic-indic", "hahn-alpha-underscore"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, argv, message):
     # exit 1 is reserved for DIFFER; bad arguments on the [7,4] code, and

@@ -1,7 +1,8 @@
 """The library holds no test-only code: every module-level function or class
 and every method in src is reached from src itself.  A helper only the
 tests need lives in tests/helpers.py.  No src module writes the globals of
-another module, or its own through ``global``."""
+another module, or its own through ``global``.  A library module imports
+at its top; only cli.py and the package ``__getattr__`` defer an import."""
 
 import ast
 from pathlib import Path
@@ -118,3 +119,29 @@ def test_no_src_module_writes_module_state():
                 if getattr(node.args[0], "id", None) in aliases:
                     writes.append((path.name, node.lineno, node.func.id))
     assert writes == []
+
+
+def deferred_imports(tree: ast.Module) -> set[tuple[str, int]]:
+    """(function name, line) of every import inside a function body, under
+    each function that encloses it."""
+    return {
+        (func.name, node.lineno)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+
+
+def test_only_the_front_end_defers_an_import():
+    # the import graph is the dependency graph (designs <- harmonic <-
+    # verify); cli.py imports each command's checks where it runs them, and
+    # the package __getattr__ resolves the checks layer's names on first use
+    deferred = [
+        (path.name, line, func)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for func, line in deferred_imports(ast.parse(path.read_text()))
+        if (path.name, func) != ("__init__.py", "__getattr__")
+    ]
+    assert deferred == []

@@ -4,9 +4,11 @@ Each check runs a fresh interpreter under ``-X importtime``, which lists
 every module the process imports on stderr; the test process itself has
 long since imported everything.  ``import jacobiforge`` loads the table
 layer and resolves the names of the checks layer (designs, harmonic,
-verify) on first use, so a table command never compiles that layer,
-``design-check`` and ``polarize`` compile only ``designs`` of it,
-``mw-check`` only ``verify`` and ``hahn`` only ``harmonic``.  The table
+verify) on first use, so a table command never compiles that layer.
+The checks layer imports at module top (harmonic imports designs, and
+verify imports both), so ``design-check`` and ``polarize`` compile only
+``designs`` of it, ``hahn`` ``harmonic`` and ``designs``, and
+``mw-check`` all three.  The table
 layer stays eager for perfbench's tracer test, which this module also
 runs on its own, as ``python -m pytest perfbench/tests`` does.
 
@@ -116,9 +118,9 @@ def test_importing_the_package_loads_the_table_layer_only():
         (("ejacobi", "-m", "2", "-T", "1,2"), set()),
         (("design-check", "-r", "1", "-t", "2"), {"designs"}),
         (("polarize", "-r", "1", "-t", "2"), {"designs"}),
-        (("mw-check", "--kind", "hjac", "-r", "1", "-T", "1,2"), {"verify"}),
+        (("mw-check", "--kind", "hjac", "-r", "1", "-T", "1,2"), CHECKS_LAYER),
         (("hahn", "-m", "1", "-x", "2", "--alpha", "1", "--beta", "1", "-N", "5"),
-         {"harmonic"}),
+         {"harmonic", "designs"}),
     ],
     ids=["wenum", "jacobi", "hwenum", "hjacobi", "ejacobi", "design-check", "polarize",
          "mw-check", "hahn"],
