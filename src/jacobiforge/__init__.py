@@ -11,7 +11,7 @@ the design, harmonic and verify modules are resolved on first use, so a
 process that computes only tables never compiles those modules.
 """
 
-from .bipoly import BiHomPoly, PairSubstitution
+from .bipoly import BiHomPoly
 from .code import LinearCode, RefSet, Run, parse_code
 from .enumerators import (
     JacobiTable,

@@ -10,15 +10,14 @@ in (x, y) is the s = 0 case.  The two operations that matter are
 pairwise linear substitution and polarization w*d/dx + z*d/dy, which
 moves one degree from the (x, y) pair to the (w, z) pair.
 
-Substitution replaces each pair by a 2x2 linear image.  The image of
-the monomial u^(deg-j) v^j of one pair is a fixed vector that depends
-only on the 2x2 map and the degree, so those vectors are cached as one
-matrix per (map, degree), with int entries where they are integral.
-The grid is then contracted with the two matrices one pair at a time,
-first over i with the (x, y) matrix and then over j with the (w, z)
-matrix: O(s n^2 + s^2 n) products instead of O(s^2 n^2).  An integral
-grid under an integral map is expanded entirely in ints; Fractions enter
-only where an entry or a matrix is fractional.
+Substitution applies one 2x2 integer map to both pairs.  The image of
+the monomial u^(deg-j) v^j of a pair is a fixed vector that depends
+only on the map and the degree, so those vectors are cached as one int
+matrix per (map, degree).  The grid is then contracted with the matrix
+of each pair in turn, first over i at the (x, y)-degree and then over j
+at the (w, z)-degree: O(s n^2 + s^2 n) products instead of O(s^2 n^2).
+An integral grid is expanded entirely in ints; Fractions enter only
+where a grid entry is fractional.
 """
 
 from __future__ import annotations
@@ -27,26 +26,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple
 
 from .errors import DegreeMismatch, DegreeUnderflow
 from .exactmath import exact, format_rational, parse_rational
-
-
-class PairSubstitution(NamedTuple):
-    """(w,z) -> (a w + b z, c w + d z) and (x,y) -> (a' x + b' y, c' x + d' y).
-
-    Singular substitutions are permitted.
-    """
-
-    wz: tuple[Fraction, Fraction, Fraction, Fraction]
-    xy: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    @classmethod
-    def both(cls, a, b, c, d) -> "PairSubstitution":
-        """Apply the same 2x2 map to both variable pairs."""
-        m = tuple(Fraction(v) for v in (a, b, c, d))
-        return cls(m, m)
 
 
 def _pair_power(m, deg: int, j: int) -> list:
@@ -54,7 +36,7 @@ def _pair_power(m, deg: int, j: int) -> list:
 
     Entry [t] is the coefficient of u^(deg-t) v^t.
     """
-    a, b, c, d = map(exact, m)
+    a, b, c, d = m
     first = [
         math.comb(deg - j, t) * a ** (deg - j - t) * b ** t for t in range(deg - j + 1)
     ]
@@ -73,11 +55,9 @@ def _pair_matrix(m, deg: int) -> tuple[tuple, ...]:
     """The substitution matrix of one pair at one degree, by columns.
 
     Entry [t][j] is the coefficient of u^(deg-t) v^t in the image
-    (a u + b v)^(deg-j) (c u + d v)^j of u^(deg-j) v^j, an int where it is
-    integral.
+    (a u + b v)^(deg-j) (c u + d v)^j of u^(deg-j) v^j.
     """
-    rows = [_pair_power(m, deg, j) for j in range(deg + 1)]
-    return tuple(tuple(map(exact, col)) for col in zip(*rows))
+    return tuple(zip(*(_pair_power(m, deg, j) for j in range(deg + 1))))
 
 
 class BiHomPoly:
@@ -136,15 +116,17 @@ class BiHomPoly:
             self.deg_wz, self.deg_xy, [[c * x for x in row] for row in self.coeff]
         )
 
-    def substitute(self, sub: PairSubstitution) -> "BiHomPoly":
-        """Replace each variable pair by its linear image and re-expand.
+    def substitute(self, m: tuple[int, int, int, int]) -> "BiHomPoly":
+        """Apply u -> a u + b v, v -> c u + d v, for m = (a, b, c, d), to
+        both (w, z) and (x, y), and re-expand.
 
-        Bidegree is preserved.  The grid is contracted with the cached
-        (x, y) matrix over i, then with the (w, z) matrix over j.
+        Singular maps are permitted, and bidegree is preserved.  The grid
+        is contracted with the cached matrix at the (x, y)-degree over i,
+        then with the one at the (w, z)-degree over j.
         """
         s, n = self.deg_wz, self.deg_xy
-        xy_cols = _pair_matrix(sub.xy, n)
-        wz_cols = _pair_matrix(sub.wz, s)
+        xy_cols = _pair_matrix(m, n)
+        wz_cols = _pair_matrix(m, s)
         # half[j][i2]: the grid with only the (x, y) pair substituted
         half = [[sum(map(mul, row, col)) for col in xy_cols] for row in self.coeff]
         half_cols = list(zip(*half))

@@ -9,7 +9,9 @@ Three independent computation routes exist for each grid:
   * direct enumeration of the objects being counted;
   * a vanishing-dimension sweep: for every coordinate subset U, the
     dimension of the subcode vanishing on U determines how many objects
-    avoid U, and an inclusion-exclusion expansion recovers the grid;
+    avoid U, and an inclusion-exclusion expansion (Moebius inversion on
+    the subset lattice) recovers the grid: one substitution of the
+    integer map (0, 1, 1, -1) into the grid of those counts;
   * rank decomposition: the extension table polynomial for degree m is
     the bracket-weighted sum of the subcode table polynomials, and
     inverting that triangular relation recovers subcode tables from
@@ -23,7 +25,9 @@ holds a table already, as ``verify``'s does, splits no histogram twice.
 
 Every route computes an exact polynomial and reads its table off it
 with ``table_from_bipoly``, the one integrality check: a fractional
-entry raises NonIntegerResult, naming the first such entry.  The counted
+entry raises NonIntegerResult, naming the first such entry.  Every
+substitution is by an integer map, so an integral grid is expanded in
+ints; Fractions enter only where a grid entry is fractional.  The counted
 routes write theirs straight from a support histogram (``_split_counts``).
 
 Direct enumeration never materialises the objects: codewords, subcodes
@@ -49,7 +53,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .bipoly import BiHomPoly, PairSubstitution
+from .bipoly import BiHomPoly
 from .code import (
     LinearCode,
     RefSet,
@@ -333,14 +337,13 @@ def _q_grid(code: LinearCode, tset: RefSet, weight_of_dim) -> list[list[int]]:
     return grid
 
 
-_FROM_Q = PairSubstitution.both(1, -1, 0, 1)  # u^(deg-j) v^j -> (u - v)^(deg-j) v^j
+_FROM_Q = (0, 1, 1, -1)  # u^(deg-j) v^j -> v^(deg-j) (u - v)^j
 
 
 def _assemble_from_q(code, tset: RefSet, qgrid) -> BiHomPoly:
     """Expand sum_{s,t} Q[s][t] (w-z)^t z^(|T|-t) (x-y)^s y^(n-|T|-s): the
-    Q-grid, both indices flipped, substituted by (u, v) -> (u - v, v)."""
-    flipped = [[row[t] for row in reversed(qgrid)] for t in reversed(range(tset.size + 1))]
-    return BiHomPoly(tset.size, code.n - tset.size, flipped).substitute(_FROM_Q)
+    transposed Q-grid substituted by (u, v) -> (v, u - v)."""
+    return BiHomPoly(tset.size, code.n - tset.size, zip(*qgrid)).substitute(_FROM_Q)
 
 
 def higher_jacobi_via_q(code: LinearCode, tset: RefSet, r: int) -> JacobiTable:

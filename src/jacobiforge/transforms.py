@@ -1,13 +1,14 @@
 """Duality transforms: compute the dual code's enumerators from primal
 data by pairwise linear substitution.
 
-For the extension table of degree m the transform is a single
-substitution
+Every transform substitutes the one integer map (1, Q - 1, 1, -1),
 
-    (w, z) -> (w + (q^m - 1) z, w - z),   (x, y) -> likewise,
+    (w, z) -> (w + (Q - 1) z, w - z),   (x, y) -> (x + (Q - 1) y, x - y),
 
-scaled by q^(-km).  For subcode tables of rank r the dual grid is a
-double sum over j and l of substituted rank-l grids with coefficients
+for a power Q of q.  For the extension table of degree m it is a single
+substitution with Q = q^m, scaled by q^(-km).  For subcode tables of
+rank r the dual grid is a double sum over j and l of rank-l grids
+substituted with Q = q^j, with coefficients
 
     (-1)^(r-j) q^(C(r-j,2) - j(r-j) - l(j-l) - jk) / ([r-j]_q [j-l]_q).
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple, Sequence
 
-from .bipoly import BiHomPoly, PairSubstitution
+from .bipoly import BiHomPoly
 from .code import RefSet
 from .enumerators import JacobiTable, table_from_bipoly
 from .qcomb import qbracket
@@ -43,11 +44,6 @@ class MWContext(NamedTuple):
     n: int
     k: int
     tsize: int = 0  # read by nothing: the transforms depend on q, n and k alone
-
-
-def _dual_substitution(scale: int) -> PairSubstitution:
-    """(u, v) -> (u + (scale - 1) v, u - v) on both variable pairs."""
-    return PairSubstitution.both(1, scale - 1, 1, -1)
 
 
 def _dual_coeff(ctx: MWContext, r: int, j: int, ell: int) -> Fraction:
@@ -73,7 +69,7 @@ def _fold(polys: Sequence[BiHomPoly], ctx: MWContext) -> BiHomPoly:
         inner = zero
         for poly, c in zip(polys, row):
             inner = inner + poly.scale(c * denom)
-        acc = acc + inner.substitute(_dual_substitution(ctx.q ** j))
+        acc = acc + inner.substitute((1, ctx.q ** j - 1, 1, -1))
     return acc.scale(Fraction(1, denom))
 
 
@@ -96,6 +92,6 @@ def mw_higher_jacobi(tables: Sequence[JacobiTable], ctx: MWContext) -> JacobiTab
 def mw_extended_jacobi(table: JacobiTable, ctx: MWContext) -> JacobiTable:
     """Dual extension table: substitute with scale q^m and divide by q^(km)."""
     m = table.param
-    sub = _dual_substitution(ctx.q ** m)
+    sub = (1, ctx.q ** m - 1, 1, -1)
     poly = table.to_bipoly().substitute(sub).scale(Fraction(ctx.q) ** (-ctx.k * m))
     return table_from_bipoly("extended", m, ctx.q, table.tset, poly)

@@ -24,7 +24,6 @@ from jacobiforge import (
     DegreeUnderflow,
     JacobiForgeError,
     LinearCode,
-    PairSubstitution,
     RefSet,
     SubsetFn,
     TooLarge,
@@ -194,11 +193,6 @@ def permute_coordinates(code: LinearCode, perm: Sequence[int]) -> LinearCode:
 def complement(tset: RefSet) -> frozenset[int]:
     """The coordinates of [n] outside T."""
     return frozenset(range(1, tset.n + 1)) - tset.members
-
-
-def pair_substitution(wz, xy) -> PairSubstitution:
-    """The substitution with the given (w, z) and (x, y) maps, as Fractions."""
-    return PairSubstitution(tuple(map(Fraction, wz)), tuple(map(Fraction, xy)))
 
 
 def evaluate(poly: BiHomPoly, w, z, x, y) -> Fraction:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import evaluate, pair_substitution
-from jacobiforge import BiHomPoly, DegreeMismatch, DegreeUnderflow, PairSubstitution
+from helpers import evaluate
+from jacobiforge import BiHomPoly, DegreeMismatch, DegreeUnderflow
 
 
 def poly_xy(terms, n):
@@ -25,24 +25,21 @@ def random_poly(rng, s, n):
 
 
 def random_sub(rng):
-    vals = lambda: tuple(Fraction(rng.randrange(-3, 4)) for _ in range(4))
-    return PairSubstitution(vals(), vals())
+    return tuple(rng.randrange(-3, 4) for _ in range(4))
 
 
 def then(first, second):
-    """The single map equivalent to substituting first, then second."""
+    """The single map equivalent to substituting first, then second: the
+    2x2 product first * second."""
+    a1, b1, c1, d1 = first
+    a2, b2, c2, d2 = second
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
 
-    def compose(m1, m2):
-        a1, b1, c1, d1 = m1
-        a2, b2, c2, d2 = m2
-        return (
-            a1 * a2 + b1 * c2,
-            a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2,
-            c1 * b2 + d1 * d2,
-        )
 
-    return PairSubstitution(compose(first.wz, second.wz), compose(first.xy, second.xy))
+def moved(m, w, z, x, y):
+    """The point at which p is evaluated to give p.substitute(m) at (w, z, x, y)."""
+    a, b, c, d = m
+    return (a * w + b * z, c * w + d * z, a * x + b * y, c * x + d * y)
 
 
 def test_add_scale_trivial():
@@ -61,18 +58,16 @@ def test_add_degree_mismatch():
 def test_substitute_identity():
     rng = random.Random(3)
     p = random_poly(rng, 2, 3)
-    assert p.substitute(PairSubstitution.both(1, 0, 0, 1)) == p
+    assert p.substitute((1, 0, 0, 1)) == p
 
 
 def test_substitute_examples():
     # (x^2 + y^2) under (x, y) -> (x + y, x - y) gives 2x^2 + 2y^2
     p = poly_xy({0: 1, 2: 1}, 2)
-    sub = pair_substitution((1, 0, 0, 1), (1, 1, 1, -1))
-    assert p.substitute(sub) == poly_xy({0: 2, 2: 2}, 2)
+    assert p.substitute((1, 1, 1, -1)) == poly_xy({0: 2, 2: 2}, 2)
     # wx under (w,z) -> (w+z, w-z), (x,y) -> (x+y, x-y) expands fully
     p = BiHomPoly.from_terms(1, 1, {(0, 0): 1})
-    sub = PairSubstitution.both(1, 1, 1, -1)
-    assert p.substitute(sub) == BiHomPoly.from_terms(
+    assert p.substitute((1, 1, 1, -1)) == BiHomPoly.from_terms(
         1, 1, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     )
 
@@ -91,16 +86,7 @@ def test_eval_substitute_consistency():
         p = random_poly(rng, 2, 2)
         s = random_sub(rng)
         point = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(4)]
-        w, z, x, y = point
-        a1, b1, c1, d1 = s.wz
-        a2, b2, c2, d2 = s.xy
-        moved = (
-            a1 * w + b1 * z,
-            c1 * w + d1 * z,
-            a2 * x + b2 * y,
-            c2 * x + d2 * y,
-        )
-        assert evaluate(p.substitute(s), w, z, x, y) == evaluate(p, *moved)
+        assert evaluate(p.substitute(s), *point) == evaluate(p, *moved(s, *point))
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -121,39 +107,37 @@ def singular(a, b, t):
     return (a, b, a * t, b * t)
 
 
-def maps_over(entry):
-    return st.one_of(
-        st.tuples(entry, entry, entry, entry), st.builds(singular, entry, entry, entry)
-    )
-
-
-map_ints = st.integers(-3, 3)
+entries = st.integers(-3, 3)
 maps = st.one_of(
-    maps_over(map_ints),
-    maps_over(st.one_of(map_ints, st.fractions(-3, 3, max_denominator=3))),
+    st.tuples(entries, entries, entries, entries), st.builds(singular, entries, entries, entries)
 )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(grids(), maps, maps, st.lists(rationals, min_size=4, max_size=4))
-def test_substitute_property(grid, wz, xy, point):
+@given(grids(), maps, st.lists(rationals, min_size=4, max_size=4))
+def test_substitute_property(grid, m, point):
     s, n, coeff = grid
     p = BiHomPoly(s, n, coeff)
-    sub = pair_substitution(wz, xy)
-    w, z, x, y = point
-    a1, b1, c1, d1 = sub.wz
-    a2, b2, c2, d2 = sub.xy
-    moved = (a1 * w + b1 * z, c1 * w + d1 * z, a2 * x + b2 * y, c2 * x + d2 * y)
-    image = p.substitute(sub)
-    assert evaluate(image, w, z, x, y) == evaluate(p, *moved)
+    image = p.substitute(m)
+    assert evaluate(image, *point) == evaluate(p, *moved(m, *point))
     # the same grid given as Fractions is the same polynomial with the same image
     as_fractions = BiHomPoly(s, n, [[Fraction(c) for c in row] for row in coeff])
     assert as_fractions == p
-    assert as_fractions.substitute(sub) == image
-    # an integral grid under an integral map is expanded in ints alone
-    values = [c for row in coeff for c in row] + [*wz, *xy]
-    if all(type(c) is int for c in values):
+    assert as_fractions.substitute(m) == image
+    # an integral grid is expanded in ints alone
+    if all(type(c) is int for row in coeff for c in row):
         assert all(type(c) is int for row in image.coeff for c in row)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grids())
+def test_the_via_dims_map_is_the_index_flip_then_u_minus_v(grid):
+    # (0, 1, 1, -1) is the swap u <-> v, which reverses both indices of the
+    # grid, followed by (u, v) -> (u - v, v)
+    s, n, coeff = grid
+    flipped = BiHomPoly(s, n, [row[::-1] for row in coeff[::-1]])
+    assert BiHomPoly(s, n, coeff).substitute((0, 1, 1, 0)) == flipped
+    assert BiHomPoly(s, n, coeff).substitute((0, 1, 1, -1)) == flipped.substitute((1, -1, 0, 1))
 
 
 def test_polarize_examples():

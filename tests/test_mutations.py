@@ -114,6 +114,18 @@ def test_grouped_dims_corruption_fails_via_dims(monkeypatch):
         assert any(line.startswith("FAIL " + label) for line in fails), (label, fails)
 
 
+def test_from_q_sign_flip_fails_via_dims(monkeypatch):
+    # (u, v) -> (v, u + v) in place of (v, u - v): the inclusion-exclusion
+    # signs of both via-dims routes are lost
+    a, b, c, d = enumerators._FROM_Q
+    monkeypatch.setattr(enumerators, "_FROM_Q", (a, b, c, -d))
+    lines, ok = verify_all(hamming74(), r_max=1, m_max=1, t_max=1, seed=1)
+    assert not ok
+    fails = failing_labels(lines)
+    for label in ("hjac-via-dims r=1 ", "ejac-via-dims m=1 "):
+        assert any(line.startswith("FAIL " + label) for line in fails), (label, fails)
+
+
 def test_extension_grid_corruption_is_a_non_integer_fail(monkeypatch):
     real = enumerators.extended_jacobi_via_q
     monkeypatch.setattr(

@@ -21,7 +21,6 @@ from jacobiforge import (
     LinearCode,
     MWContext,
     NotPrime,
-    PairSubstitution,
     RatMatrix,
     RefSet,
     SubsetFn,
@@ -49,7 +48,8 @@ def twins():
         (lambda: RefSet(7, {1, 2}), RefSet.of(7, [1, 3])),  # the constructor freezes a set
         (lambda: HahnParams(Fraction(1, 2), Fraction(-1, 3), 4, 2),
          HahnParams(Fraction(1, 2), Fraction(-1, 3), 4, 1)),
-        (lambda: PairSubstitution.both(1, 1, 1, -1), PairSubstitution.both(1, 0, 0, 1)),
+        (lambda: BiHomPoly(1, 1, [[1, Fraction(2)], [3, -1]]),  # an integral Fraction is an int
+         BiHomPoly(1, 1, [[1, 2], [3, 1]])),
         (lambda: DesignVerdict(True, 2, 3), DesignVerdict(True, 2, 4)),
         (lambda: MWContext(q=2, n=7, k=4, tsize=2), MWContext(q=2, n=7, k=3, tsize=2)),
         (lambda: Check(same_value, same_value, "x"), Check(same_value, same_value, "y")),

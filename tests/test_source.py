@@ -41,7 +41,7 @@ def unreferenced(trees: list[ast.Module]) -> set[str]:
     a method only through an attribute (``x.value``, not a variable named
     ``value``).  An attribute carries no class, so a method is read
     whenever any object's attribute of its name is: ``RefSet.of`` and a
-    ``PairSubstitution.of`` would read each other."""
+    ``JacobiTable.of`` would read each other."""
     names, attributes = set(), set()
     for tree in trees:
         for node in ast.walk(tree):

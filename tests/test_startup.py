@@ -147,7 +147,7 @@ def test_the_tracer_tests_pass_on_their_own():
 
 # every name `import jacobiforge` exports, by the module that defines it
 EXPORTS = {
-    "bipoly": ("BiHomPoly", "PairSubstitution"),
+    "bipoly": ("BiHomPoly",),
     "code": ("LinearCode", "RefSet", "Run", "parse_code"),
     "designs": (
         "BlockMultiset", "DesignVerdict", "is_t_design", "jacobi_by_polarization",
